@@ -12,7 +12,6 @@ from .spin_model import (
     resonance_time,
     coherence,
     trivial_evolution_condition,
-    compose_rotations,
     closed_form_angles,
 )
 

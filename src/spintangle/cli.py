@@ -19,17 +19,16 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import __version__, constants
 from .datasets import RegisterFormatError, load_register
 from .designer import DesignConstraints, optimize_register_gate
-from .entanglement import makhlin_g1, makhlin_g2, entangling_power, nuclear_one_tangle
+from .entanglement import MAX_PAIR_TANGLE, branch_angles, g1_amplitude
 from .fidelity import CapacityError
-from .qec import QecScenario, run_bitflip_code
-from .spin_model import build_sequence, coherence, iterate, resonance_time, unit_propagator
+from .qec import QecScenario, error_surface, run_bitflip_code
+from .spin_model import build_sequence, iterate, resonance_time, unit_propagator
 
 MACHINE_FMT = "%.15g"
 HUMAN_FMT = "%.5g"
@@ -145,17 +144,10 @@ def cmd_qec(args: argparse.Namespace) -> int:
         ng, nd = args.grid
         gammas = np.linspace(0.0, math.pi, ng)
         deltas = np.linspace(0.0, 2.0 * math.pi, nd)
-        points = [(g, d) for g in gammas for d in deltas]
-
-        def run(point):
-            g, d = point
-            from dataclasses import replace
-            out = run_bitflip_code(replace(base, gamma=float(g), delta=float(d)))
-            return {"gamma": float(g), "delta": float(d),
-                    "error_probability": 1.0 - out.recovery_probability}
-
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            records = list(pool.map(run, points))
+        surface = error_surface(base, gammas, deltas)
+        records = [{"gamma": float(g), "delta": float(d),
+                    "error_probability": float(surface[i, j])}
+                   for i, g in enumerate(gammas) for j, d in enumerate(deltas)]
         _emit(records, ["gamma", "delta", "error_probability"], args)
         return 0
     out = run_bitflip_code(base)
@@ -178,31 +170,23 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for m in metrics:
         if m not in METRICS:
             raise ValueError(f"unknown metric {m!r}; choose from {', '.join(METRICS)}")
+    if args.n_min < 0:
+        raise ValueError(f"--n-min must be >= 0, got {args.n_min}")
     spin = reg.by_label(args.spin)
     if args.t_us is not None:
         t = args.t_us * 1e-6
     else:
         t = resonance_time(spin, electron, args.k, variant="primary")
-    seq = build_sequence(args.sequence, t)
-    rot = unit_propagator(seq, spin, electron)
-
-    def row(n: int) -> dict:
-        rec = {"label": spin.label, "t_us": t * 1e6, "N": n}
-        for m in metrics:
-            if m == "g1":
-                rec[m] = makhlin_g1(rot, n)
-            elif m == "g2":
-                rec[m] = makhlin_g2(rot, n)
-            elif m == "ep":
-                rec[m] = entangling_power(rot, n)
-            elif m == "tangle":
-                rec[m] = nuclear_one_tangle(rot, n, scaled=True)
-            else:
-                rec[m] = coherence(iterate(rot, n))[0]
-        return rec
-
-    with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        records = list(pool.map(row, range(args.n_min, args.n_max + 1)))
+    rot = unit_propagator(build_sequence(args.sequence, t), spin, electron)
+    counts = np.arange(args.n_min, args.n_max + 1)
+    amp = g1_amplitude(*branch_angles(rot.quaternions), counts)
+    g1 = np.minimum(1.0, amp * amp)
+    series = {"g1": g1, "g2": 1.0 + 2.0 * g1, "ep": MAX_PAIR_TANGLE * (1.0 - g1),
+              "m": np.clip(amp, -1.0, 1.0), "tangle": 1.0 - g1}
+    columns = {name: series[name].tolist() for name in metrics}
+    records = [{"label": spin.label, "t_us": t * 1e6, "N": n,
+                **{name: col[i] for name, col in columns.items()}}
+               for i, n in enumerate(counts.tolist())]
     _emit(records, ["label", "t_us", "N"] + metrics, args)
     return 0
 
@@ -221,7 +205,8 @@ def _add_common(p: argparse.ArgumentParser, register: bool = True) -> None:
     p.add_argument("--csv", default=None, help="write records as CSV")
     p.add_argument("--json", default=None, help="write records as JSON")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; has no effect")
 
 
 def build_parser() -> argparse.ArgumentParser:

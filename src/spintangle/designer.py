@@ -8,18 +8,18 @@ and bath-size gate-error studies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import minimize_scalar
 
 from . import constants
-from .entanglement import (G1_MAXIMAL_THRESHOLD, g1_over_iterations,
-                           optimal_iterations)
+from .entanglement import (G1_MAXIMAL_THRESHOLD, branch_angles, g1_amplitude,
+                           g1_over_iterations, optimal_iterations)
 from .fidelity import RegisterPartition, target_subspace_fidelity
 from .spin_model import (ConditionalRotation, ElectronQubitSpec,
-                         NuclearSpinParams, PulseSequence, build_sequence,
-                         iterate, resonance_time, unit_propagator)
+                         NuclearSpinParams, build_sequence, iterate,
+                         resonance_time, unit_propagator, unit_quaternions)
 
 
 # ---------------------------------------------------------------------------
@@ -61,59 +61,13 @@ def find_common_iterations(spins: list[ConditionalRotation], N_max: int,
 
 
 # ---------------------------------------------------------------------------
-# vectorized per-unit rotations (for grid scans)
+# per-unit-time tangle block (for grid scans)
 
 
-def _vector_unit_quaternions(A: np.ndarray, B: np.ndarray, omega_L: float,
-                             electron: ElectronQubitSpec,
-                             spacings, t: float):
-    """Per-spin branch quaternions of one unit, vectorized over a register."""
-
-    def seg(s: float):
-        wz = omega_L + s * A
-        wx = s * B
-        w = np.hypot(wz, wx)
-        half = w * np.multiply.outer(np.asarray(spacings), np.full_like(A, t)) / 2.0
-        return w, wx / w, wz / w, half  # axis is (nx, 0, nz)
-
-    out = []
-    for order in ((electron.s0, electron.s1), (electron.s1, electron.s0)):
-        _, nx_a, nz_a, half_a = seg(order[0])
-        _, nx_b, nz_b, half_b = seg(order[1])
-        w = np.ones_like(A)
-        vx = np.zeros_like(A)
-        vy = np.zeros_like(A)
-        vz = np.zeros_like(A)
-        for i in range(len(spacings)):
-            if i % 2 == 0:
-                c, s_ = np.cos(half_a[i]), np.sin(half_a[i])
-                ux, uz = nx_a, nz_a
-            else:
-                c, s_ = np.cos(half_b[i]), np.sin(half_b[i])
-                ux, uz = nx_b, nz_b
-            # left-multiply by the segment quaternion (c, s*(ux, 0, uz))
-            w2 = c * w - s_ * (ux * vx + uz * vz)
-            vx2 = c * vx + s_ * (ux * w - uz * vy)
-            vy2 = c * vy + s_ * (uz * vx - ux * vz)
-            vz2 = c * vz + s_ * (uz * w + ux * vy)
-            w, vx, vy, vz = w2, vx2, vy2, vz2
-        out.append((w, vx, vy, vz))
-    return out
-
-
-def _scaled_tangle_matrix(quats, N_values: np.ndarray) -> np.ndarray:
-    """Scaled one-tangles, shape (n_spins, n_N), from branch quaternions."""
-    (w0, x0, y0, z0), (w1, x1, y1, z1) = quats
-    s0 = np.sqrt(x0 ** 2 + y0 ** 2 + z0 ** 2)
-    s1 = np.sqrt(x1 ** 2 + y1 ** 2 + z1 ** 2)
-    half0 = np.arctan2(s0, w0)
-    half1 = np.arctan2(s1, w1)
-    dot = x0 * x1 + y0 * y1 + z0 * z1
-    safe = np.maximum(s0 * s1, 1e-300)
-    n01 = np.where((s0 < 1e-12) | (s1 < 1e-12), 1.0, dot / safe)
-    h0 = np.multiply.outer(half0, N_values)
-    h1 = np.multiply.outer(half1, N_values)
-    m = np.cos(h0) * np.cos(h1) + n01[:, None] * np.sin(h0) * np.sin(h1)
+def _tangle_block(quats: np.ndarray, N_values: np.ndarray) -> np.ndarray:
+    """Scaled one-tangles 1 - G1, shape (n_spins, n_N), from unit quaternions."""
+    h0, h1, n01 = (a[:, None] for a in branch_angles(quats))
+    m = g1_amplitude(h0, h1, n01, N_values)
     return 1.0 - np.minimum(1.0, m * m)
 
 
@@ -164,24 +118,18 @@ class GateDesign:
         return float(np.mean(list(self.unwanted_tangles.values())))
 
 
-def _evaluate_candidate(A, B, omega_L, electron, spacings, t, N_values):
-    quats = _vector_unit_quaternions(A, B, omega_L, electron, spacings, t)
-    return _scaled_tangle_matrix(quats, N_values)
-
-
 def evaluate_design(register: list[NuclearSpinParams],
                     electron: ElectronQubitSpec, t: float, N: int, k: int,
                     anchor_label: str, target_indices: list[int],
                     sequence_kind: str = "cpmg") -> GateDesign:
     """Recompute all GateDesign figures of merit from (t, N) alone."""
-    seq = build_sequence(sequence_kind, t)
-    rots = [iterate(unit_propagator(seq, s, electron), N) for s in register]
-    tangles = _scaled_tangle_matrix(
-        _vector_unit_quaternions(np.array([s.A for s in register]),
-                                 np.array([s.B for s in register]),
-                                 register[0].omega_L, electron,
-                                 seq.spacings, t),
-        np.array([N]))[:, 0]
+    quats = unit_quaternions(np.array([s.A for s in register]),
+                             np.array([s.B for s in register]),
+                             register[0].omega_L, electron,
+                             build_sequence(sequence_kind, t).spacings, t)
+    rots = [iterate(ConditionalRotation.from_quaternions(quats[..., i]), N)
+            for i in range(len(register))]
+    tangles = _tangle_block(quats, np.array([N]))[:, 0]
     targets = sorted(target_indices)
     others = [i for i in range(len(register)) if i not in targets]
     part = RegisterPartition(tuple(rots[i] for i in targets),
@@ -226,6 +174,10 @@ def optimize_register_gate(register: list[NuclearSpinParams],
     steps = int(round(constraints.time_window / time_step))
     times = t0 + np.arange(-steps, steps + 1) * time_step
 
+    def tangles_at(t: float, N_values: np.ndarray) -> np.ndarray:
+        quats = unit_quaternions(A, B, omega_L, electron, spacings, t)
+        return _tangle_block(quats, N_values)
+
     def feasibility(tangles: np.ndarray):
         """Per-N feasibility and scores from the (n_spins, n_N) tangle block."""
         is_target = tangles > constraints.target_tangle_min
@@ -251,8 +203,7 @@ def optimize_register_gate(register: list[NuclearSpinParams],
         if n_cap < 1:
             continue
         N_values = np.arange(1, n_cap + 1)
-        tangles = _evaluate_candidate(A, B, omega_L, electron, spacings,
-                                      t, N_values)
+        tangles = tangles_at(t, N_values)
         ok, tgt_mean, unw_mean, is_target = feasibility(tangles)
         for idx in np.nonzero(ok)[0]:
             n = int(N_values[idx])
@@ -273,15 +224,13 @@ def optimize_register_gate(register: list[NuclearSpinParams],
     lo, hi = t_best - time_step, t_best + time_step
 
     def objective(t: float) -> float:
-        tangles = _evaluate_candidate(A, B, omega_L, electron, spacings,
-                                      t, np.array([n_best]))[:, 0]
+        tangles = tangles_at(t, np.array([n_best]))[:, 0]
         return -float(np.mean(tangles[target_idx]))
 
     res = minimize_scalar(objective, bounds=(lo, hi), method="bounded",
                           options={"xatol": 1e-13})
     t_ref = float(res.x) if res.success else t_best
-    tangles = _evaluate_candidate(A, B, omega_L, electron, spacings,
-                                  t_ref, np.array([n_best]))[:, 0]
+    tangles = tangles_at(t_ref, np.array([n_best]))[:, 0]
     ok, _, _, is_target = feasibility(tangles[:, None])
     if not (ok[0] and list(np.nonzero(is_target[:, 0])[0]) == target_idx
             and n_best * t_ref <= constraints.max_gate_time):
@@ -390,23 +339,18 @@ def estimate_position(A: float, B: float) -> tuple[float, float]:
 
     The couplings (angular rad/s) decompose as A = A0 (3 cos^2 theta - 1),
     B = 3 A0 cos theta sin theta with A0 = mu0 gamma_n gamma_e hbar/(4 pi R^3).
-    theta is eliminated by root finding; B >= 0 and (A, B) != (0, 0) required.
+    Eliminating A0 gives sin(2 theta - atan2(B, A)) = B / (3 |(A, B)|), solved
+    in closed form; B >= 0 and (A, B) != (0, 0) required.
     """
     if B < 0 or (A == 0 and B == 0):
         raise ValueError("no dipolar solution for these couplings")
     prefactor = (constants.MU0 * constants.GAMMA_E * constants.GAMMA_C13
                  * constants.HBAR / (4.0 * math.pi))
-    if B == 0:
-        theta = 0.0 if A > 0 else math.pi / 2.0
-        a0 = A / 2.0 if A > 0 else -A
-    else:
-        def g(theta: float) -> float:
-            return (B * (3.0 * math.cos(theta) ** 2 - 1.0)
-                    - 3.0 * A * math.sin(theta) * math.cos(theta))
-        theta = brentq(g, 1e-12, math.pi / 2.0 - 1e-12, xtol=1e-15)
-        a0 = B / (3.0 * math.sin(theta) * math.cos(theta))
-    if a0 <= 0:
-        raise ValueError("no dipolar solution for these couplings")
+    norm = math.hypot(A, B)
+    # abs() maps B = -0.0 onto the B = 0 branch (theta = 90 deg for A < 0)
+    theta = 0.5 * (math.atan2(abs(B), A) + math.asin(B / (3.0 * norm)))
+    c, s = math.cos(theta), math.sin(theta)
+    a0 = norm / math.hypot(3.0 * c * c - 1.0, 3.0 * s * c)
     r = (prefactor / a0) ** (1.0 / 3.0)
     return r / constants.ANGSTROM, math.degrees(theta)
 

@@ -1,15 +1,19 @@
 """Makhlin invariants, one-tangles, and iteration-count search.
 
 For the conditional gate U = |0><0| x R_{n0}(phi0) + |1><1| x R_{n1}(phi1)
-the local invariants reduce to closed forms in the branch angles and the
-axis dot product n01 = n0 . n1:
+iterated N times, the local invariants reduce to one amplitude of the
+half angles h_j = phi_j/2 and the axis dot product n01 = n0 . n1:
 
-    G1 = (cos(phi0/2) cos(phi1/2) + n01 sin(phi0/2) sin(phi1/2))^2
-    G2 = 1 + n01 sin(phi0) sin(phi1)
-           + 2 (cos^2(phi0/2) cos^2(phi1/2) + n01^2 sin^2(phi0/2) sin^2(phi1/2))
+    m  = cos(N h0) cos(N h1) + n01 sin(N h0) sin(N h1)
+       = 1/2 (1 + n01) cos(N (h0 - h1)) + 1/2 (1 - n01) cos(N (h0 + h1)),
+    G1 = m^2,
+    G2 = 1 + n01 sin(N phi0) sin(N phi1)
+           + 2 (cos^2(N h0) cos^2(N h1) + n01^2 sin^2(N h0) sin^2(N h1))
+       = 1 + 2 m^2.
 
-Both are insensitive to the [0, pi] angle convention, so iterated values use
-the raw accumulated angles N*phi directly.
+m is also the electron coherence Re tr(R0^N^dag R1^N)/2.  Both invariants
+are insensitive to the [0, pi] angle convention, so the raw accumulated
+angles are used directly.
 """
 from __future__ import annotations
 
@@ -23,43 +27,43 @@ from .spin_model import ConditionalRotation
 MAX_PAIR_TANGLE = 2.0 / 9.0
 
 
-def _half_angles(rot: ConditionalRotation, N: int) -> tuple[float, float, float]:
-    """Accumulated half angles (N*phi0/2, N*phi1/2) and the raw axis dot."""
-    out = []
-    for r in (rot.r0, rot.r1):
-        s = float(np.linalg.norm(r.v))
-        out.append(N * math.atan2(s, r.w))
-    s0 = float(np.linalg.norm(rot.r0.v))
-    s1 = float(np.linalg.norm(rot.r1.v))
-    if s0 < 1e-12 or s1 < 1e-12:
-        n01 = 1.0
-    else:
-        n01 = float(rot.r0.v @ rot.r1.v) / (s0 * s1)
-    return out[0], out[1], n01
+def branch_angles(quats) -> tuple:
+    """Unit half angles (h0, h1) and raw axis dot n01 of branch quaternions.
+
+    quats has shape (2, 4, ...): branch, then (w, x, y, z), as returned by
+    unit_quaternions or ConditionalRotation.quaternions.  n01 is 1 when
+    either branch is trivial.
+    """
+    q = np.asarray(quats, dtype=float)
+    s = np.sqrt(np.sum(q[:, 1:] ** 2, axis=1))
+    h = np.arctan2(s, q[:, 0])
+    dot = np.sum(q[0, 1:] * q[1, 1:], axis=0)
+    n01 = np.where((s[0] < 1e-12) | (s[1] < 1e-12), 1.0,
+                   dot / np.maximum(s[0] * s[1], 1e-300))
+    return h[0], h[1], n01
+
+
+def g1_amplitude(h0, h1, n01, N):
+    """The amplitude m(N) with G1 = m^2, broadcast over all arguments.
+
+    Written as cos(N(h0-h1)) minus its (1-n01)/2 share of the difference
+    to cos(N(h0+h1)), so that N = 0 gives exactly 1.
+    """
+    c_diff = np.cos(N * (h0 - h1))
+    return c_diff - 0.5 * (1.0 - n01) * (c_diff - np.cos(N * (h0 + h1)))
 
 
 def makhlin_g1(rot: ConditionalRotation, N: int) -> float:
     """First Makhlin invariant of the iterated conditional gate, in [0, 1]."""
     if N < 0:
         raise ValueError("N must be >= 0")
-    if N == 0:
-        return 1.0
-    h0, h1, n01 = _half_angles(rot, N)
-    m = math.cos(h0) * math.cos(h1) + n01 * math.sin(h0) * math.sin(h1)
+    m = float(g1_amplitude(*branch_angles(rot.quaternions), N))
     return min(1.0, m * m)
 
 
 def makhlin_g2(rot: ConditionalRotation, N: int) -> float:
     """Second Makhlin invariant, in [1, 3]."""
-    if N < 0:
-        raise ValueError("N must be >= 0")
-    if N == 0:
-        return 3.0
-    h0, h1, n01 = _half_angles(rot, N)
-    g2 = (1.0 + n01 * math.sin(2.0 * h0) * math.sin(2.0 * h1)
-          + 2.0 * (math.cos(h0) ** 2 * math.cos(h1) ** 2
-                   + n01 ** 2 * math.sin(h0) ** 2 * math.sin(h1) ** 2))
-    return min(3.0, max(1.0, g2))
+    return 1.0 + 2.0 * makhlin_g1(rot, N)
 
 
 def entangling_power(rot: ConditionalRotation, N: int) -> float:
@@ -70,8 +74,8 @@ def entangling_power(rot: ConditionalRotation, N: int) -> float:
 def nuclear_one_tangle(rot: ConditionalRotation, N: int,
                        scaled: bool = False) -> float:
     """Average one-tangle of this nucleus against the rest, (2/9)(1 - G1)."""
-    val = MAX_PAIR_TANGLE * (1.0 - makhlin_g1(rot, N))
-    return val / MAX_PAIR_TANGLE if scaled else val
+    val = 1.0 - makhlin_g1(rot, N)
+    return val if scaled else MAX_PAIR_TANGLE * val
 
 
 def electron_one_tangle(rots: list[ConditionalRotation], N: int,
@@ -79,12 +83,7 @@ def electron_one_tangle(rots: list[ConditionalRotation], N: int,
     """Average electron one-tangle, 1/3 - 3^-n prod_i (1 + 2 G1_i)."""
     if not rots:
         raise ValueError("need at least one nuclear rotation")
-    n = len(rots) + 1
-    prod = 1.0
-    for rot in rots:
-        prod *= 1.0 + 2.0 * makhlin_g1(rot, N)
-    val = 1.0 / 3.0 - prod / 3.0 ** n
-    return val / (1.0 / 3.0) if scaled else val
+    return tangle_profile(rots, N, scaled).electron_tangle
 
 
 def one_tangle_bound(n: int) -> float:
@@ -137,10 +136,7 @@ G1_MAXIMAL_THRESHOLD = 0.05
 
 def g1_over_iterations(rot: ConditionalRotation, N_max: int) -> np.ndarray:
     """Vector of G1 values for N = 1..N_max (index 0 is N=1)."""
-    h0u, h1u, n01 = _half_angles(rot, 1)
-    n = np.arange(1, N_max + 1)
-    m = (np.cos(n * h0u) * np.cos(n * h1u)
-         + n01 * np.sin(n * h0u) * np.sin(n * h1u))
+    m = g1_amplitude(*branch_angles(rot.quaternions), np.arange(1, N_max + 1))
     return np.minimum(1.0, m * m)
 
 
@@ -208,7 +204,7 @@ def udd4_jump_locations(rot: ConditionalRotation, N_max: int) -> list[int]:
     The jumps cluster around N = round[2 kappa pi / (phi0 + phi1)]; sequences
     with identical branch angles have none.
     """
-    h0u, h1u, _ = _half_angles(rot, 1)
+    h0u, h1u = (float(h) for h in branch_angles(rot.quaternions)[:2])
     phi_sum = 2.0 * (min(h0u, math.pi - h0u) + min(h1u, math.pi - h1u))
     if abs(h0u - h1u) < 1e-12 or phi_sum <= 0:
         return []

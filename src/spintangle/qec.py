@@ -23,7 +23,7 @@ State vectors use the basis |e n1 n2> with index 4*e + 2*n1 + n2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -71,15 +71,12 @@ class QecScenario:
     error: str = "none"
     gamma: float = 0.0
     delta: float = 0.0
-    correction_ideal: bool = True
 
     def __post_init__(self) -> None:
         if self.scheme not in ("sequential", "multispin"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.error not in ERROR_KINDS:
             raise ValueError(f"unknown error kind {self.error!r}")
-        if not self.correction_ideal:
-            raise ValueError("only the ideal correction circuit is supported")
 
     def resolved_gates(self) -> tuple[tuple, tuple]:
         enc = self.encode_gates or (ideal_crx(), ideal_crx())

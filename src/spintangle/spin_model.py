@@ -20,8 +20,8 @@ by 2*pi*1e3 internally.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -75,11 +75,6 @@ class ElectronQubitSpec:
 
 def branch_frequency(spin: NuclearSpinParams, s: float) -> float:
     return math.hypot(spin.omega_L + s * spin.A, s * spin.B)
-
-
-def branch_axis(spin: NuclearSpinParams, s: float) -> np.ndarray:
-    w = branch_frequency(spin, s)
-    return np.array([s * spin.B / w, 0.0, (spin.omega_L + s * spin.A) / w])
 
 
 # ---------------------------------------------------------------------------
@@ -233,11 +228,6 @@ class Rotation:
         return f"Rotation(phi={phi:.6g}, n={np.round(n, 6)}, trivial={trivial})"
 
 
-def compose_rotations(a: Rotation, b: Rotation) -> Rotation:
-    """Rodrigues composition of two rotations (a applied after b)."""
-    return a.compose(b)
-
-
 # ---------------------------------------------------------------------------
 # conditional rotations
 
@@ -248,15 +238,22 @@ class ConditionalRotation:
 
     r0: Rotation
     r1: Rotation
-    omega0: float | None = None
-    omega1: float | None = None
-    theta0: float | None = None
-    theta1: float | None = None
 
     @classmethod
     def from_axis_angles(cls, n0, phi0: float, n1, phi1: float) -> "ConditionalRotation":
         return cls(Rotation.from_axis_angle(n0, phi0),
                    Rotation.from_axis_angle(n1, phi1))
+
+    @classmethod
+    def from_quaternions(cls, q) -> "ConditionalRotation":
+        """View a (2, 4) array of branch quaternions (w, x, y, z) as rotations."""
+        return cls(Rotation(q[0, 0], q[0, 1:]), Rotation(q[1, 0], q[1, 1:]))
+
+    @property
+    def quaternions(self) -> np.ndarray:
+        """Branch quaternions as a (2, 4) array, the layout of unit_quaternions."""
+        return np.array([[self.r0.w, *self.r0.v.tolist()],
+                         [self.r1.w, *self.r1.v.tolist()]])
 
     @property
     def n0(self) -> np.ndarray:
@@ -284,39 +281,50 @@ class ConditionalRotation:
         return float(n0 @ n1)
 
 
-def unit_propagator(seq: PulseSequence, spin: NuclearSpinParams,
-                    electron: ElectronQubitSpec) -> ConditionalRotation:
-    """Exact conditional rotation of one sequence unit.
+def unit_quaternions(A, B, omega_L, electron: ElectronQubitSpec,
+                     spacings, t) -> np.ndarray:
+    """Exact branch quaternions of one sequence unit, broadcast over A, B, t.
 
     Branch j sees H_j during the odd spacings and H_{1-j} during the even
-    ones; the segment rotations are composed in time order.
+    ones; the segment rotations, about the axis (s B, 0, omega_L + s A)/omega,
+    are composed in time order.  Returns an array of shape (2, 4, *shape):
+    branch, then (w, x, y, z), over the broadcast shape of A, B and t.
     """
-    t = seq.unit_time
-    branches = []
-    for s_first, s_second in ((electron.s0, electron.s1),
-                              (electron.s1, electron.s0)):
-        acc = Rotation.identity()
-        for i, q in enumerate(seq.spacings):
-            s = s_first if i % 2 == 0 else s_second
-            w = branch_frequency(spin, s)
-            seg = Rotation.from_axis_angle(branch_axis(spin, s), w * q * t)
-            acc = seg.compose(acc)
-        branches.append(acc)
-    w0 = branch_frequency(spin, electron.s0)
-    w1 = branch_frequency(spin, electron.s1)
-    return ConditionalRotation(
-        branches[0], branches[1], w0, w1,
-        math.atan2(electron.s0 * spin.B, spin.omega_L + electron.s0 * spin.A),
-        math.atan2(electron.s1 * spin.B, spin.omega_L + electron.s1 * spin.A),
-    )
+    segments = {}
+    for s in (electron.s0, electron.s1):
+        wz = omega_L + s * A
+        wx = s * B
+        w = np.hypot(wz, wx)
+        # a branch with zero frequency does not rotate; give it the z axis
+        still = w == 0.0
+        segments[s] = (wx / (w + still), (wz + still) / (w + still), 0.5 * w * t)
+    out = []
+    for order in ((electron.s0, electron.s1), (electron.s1, electron.s0)):
+        w, x, y, z = 1.0, 0.0, 0.0, 0.0
+        for i, q in enumerate(spacings):
+            nx, nz, half_rate = segments[order[i % 2]]
+            c, sn = np.cos(half_rate * q), np.sin(half_rate * q)
+            # left-multiply by the segment quaternion (c, sn*(nx, 0, nz))
+            w, x, y, z = (c * w - sn * (nx * x + nz * z),
+                          c * x + sn * (nx * w - nz * y),
+                          c * y + sn * (nz * x - nx * z),
+                          c * z + sn * (nz * w + nx * y))
+        out.append(np.broadcast_arrays(w, x, y, z))
+    return np.array(out)
+
+
+def unit_propagator(seq: PulseSequence, spin: NuclearSpinParams,
+                    electron: ElectronQubitSpec) -> ConditionalRotation:
+    """Exact conditional rotation of one sequence unit (see unit_quaternions)."""
+    return ConditionalRotation.from_quaternions(unit_quaternions(
+        spin.A, spin.B, spin.omega_L, electron, seq.spacings, seq.unit_time))
 
 
 def iterate(rot: ConditionalRotation, N: int) -> ConditionalRotation:
     """N repetitions of the unit: exact rotation powers per branch."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    return ConditionalRotation(rot.r0.power(N), rot.r1.power(N),
-                               rot.omega0, rot.omega1, rot.theta0, rot.theta1)
+    return ConditionalRotation(rot.r0.power(N), rot.r1.power(N))
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +333,7 @@ def iterate(rot: ConditionalRotation, N: int) -> ConditionalRotation:
 
 def resonance_time(spin: NuclearSpinParams, electron: ElectronQubitSpec,
                    k: int, variant: str = "primary") -> float:
-    """k-th resonance unit time t_k = 4*pi*(2k-1)/(omega0+omega1).
+    """k-th resonance unit time t_k = 4*pi*(2k-1)/(omega_0 + omega_1).
 
     variant "udd4_extra" returns the additional UDD4 family at twice the time.
     """

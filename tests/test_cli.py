@@ -157,3 +157,21 @@ class TestSweep:
         assert main(["sweep", "--register", "nv27", "--spin", "C5",
                      "--metrics", "bogus"]) == 1
         assert "unknown metric" in capsys.readouterr().err
+
+    def test_zero_iterations_is_identity_gate(self, tmp_path, capsys):
+        out = str(tmp_path / "sweep.csv")
+        code = main(["sweep", "--register", "nv27", "--spin", "C5", "--k", "3",
+                     "--n-min", "0", "--n-max", "3",
+                     "--metrics", "g1,g2,ep,m,tangle", "--csv", out])
+        assert code == 0
+        capsys.readouterr()
+        rows = [l.split(",") for l in open(out).read().splitlines()
+                if not l.startswith("#")]
+        assert rows[0] == ["label", "t_us", "N", "g1", "g2", "ep", "m", "tangle"]
+        assert [r[2] for r in rows[1:]] == ["0", "1", "2", "3"]
+        assert [float(v) for v in rows[1][3:]] == [1.0, 3.0, 0.0, 1.0, 0.0]
+
+    def test_negative_n_min_exits_one(self, capsys):
+        assert main(["sweep", "--register", "nv27", "--spin", "C5",
+                     "--n-min", "-1"]) == 1
+        assert "--n-min" in capsys.readouterr().err

@@ -9,6 +9,7 @@ from spintangle import constants
 from spintangle.datasets import load_register
 from spintangle.designer import (
     DesignConstraints,
+    _tangle_block,
     estimate_position,
     evaluate_design,
     find_common_iterations,
@@ -26,7 +27,9 @@ from spintangle.spin_model import (
     NuclearSpinParams,
     build_sequence,
     iterate,
+    resonance_time,
     unit_propagator,
+    unit_quaternions,
 )
 
 from .conftest import random_rotation_pair
@@ -119,6 +122,24 @@ class TestOptimizeRegisterGate:
             optimize_register_gate([], ElectronQubitSpec(0.5, -0.5),
                                    DesignConstraints(), 0, 1)
 
+    @pytest.mark.parametrize("kind", ["cpmg", "udd4"])
+    def test_tangle_block_matches_scalar_path(self, kind):
+        reg = load_register("nv27")
+        electron = reg.electron()
+        t = resonance_time(reg.by_label("C23"), electron, 3)
+        seq = build_sequence(kind, t)
+        N_values = np.array([1, 2, 51, 137, 300])
+        quats = unit_quaternions(np.array([s.A for s in reg.spins]),
+                                 np.array([s.B for s in reg.spins]),
+                                 reg.spins[0].omega_L, electron, seq.spacings, t)
+        block = _tangle_block(quats, N_values)
+        assert block.shape == (len(reg.spins), len(N_values))
+        for i, spin in enumerate(reg.spins):
+            rot = unit_propagator(seq, spin, electron)
+            for j, n in enumerate(N_values):
+                ref = nuclear_one_tangle(rot, int(n), scaled=True)
+                assert block[i, j] == pytest.approx(ref, abs=1e-12)
+
 
 class TestMinimizeUnwantedTangle:
     def test_generic_pair_reaches_small_tangle(self, spin_60_30, half_electron):
@@ -195,9 +216,9 @@ class TestPositionEstimate:
 
     def test_round_trip(self):
         rng = np.random.default_rng(2)
-        for _ in range(50):
+        lo, hi = 1e-4, 90.0 - 1e-4
+        for th0 in [lo, hi] + list(rng.uniform(lo, hi, 50)):
             r0 = rng.uniform(3.0, 12.0)
-            th0 = rng.uniform(1.0, 89.0)
             a, b = position_to_hyperfine(r0, th0)
             r1, th1 = estimate_position(a, b)
             assert r1 == pytest.approx(r0, rel=1e-9)

@@ -250,7 +250,7 @@ class TestUdd4Jumps:
 
 def test_g1_invariant_under_local_conjugation():
     rng = np.random.default_rng(11)
-    from spintangle.spin_model import Rotation, compose_rotations
+    from spintangle.spin_model import Rotation
     from .conftest import random_unit_vector
 
     for _ in range(30):
@@ -259,8 +259,8 @@ def test_g1_invariant_under_local_conjugation():
                                          rng.uniform(0, 2 * math.pi))
         inv = Rotation(frame.w, -frame.v)
         conj = ConditionalRotation(
-            compose_rotations(frame, compose_rotations(rot.r0, inv)),
-            compose_rotations(frame, compose_rotations(rot.r1, inv)))
+            frame.compose(rot.r0.compose(inv)),
+            frame.compose(rot.r1.compose(inv)))
         u = conditional_unitary([conj])
         g1_ref, _ = magic_basis_invariants(u)
         assert makhlin_g1(rot, 1) == pytest.approx(g1_ref.real, abs=1e-10)

@@ -15,12 +15,12 @@ from spintangle.spin_model import (
     build_sequence,
     closed_form_angles,
     coherence,
-    compose_rotations,
     iterate,
     resonance_time,
     trivial_evolution_condition,
     trivial_evolution_radius,
     unit_propagator,
+    unit_quaternions,
 )
 from spintangle.oracle import segment_exponential_rotation
 
@@ -117,6 +117,16 @@ class TestUnitPropagator:
         for branch, r in ((0, rot.r0), (1, rot.r1)):
             ref = segment_exponential_rotation(spin_60_30, half_electron, seq, branch)
             assert np.allclose(r.matrix(), ref, atol=1e-10)
+
+    def test_zero_branch_frequency_does_not_rotate(self):
+        # A = omega_L, B = 0: the s = -1 branch Hamiltonian vanishes
+        spin = NuclearSpinParams.from_khz("c", 432.0, 0.0, 432.0)
+        electron = ElectronQubitSpec(0.0, -1.0)
+        seq = build_sequence("udd4", 3e-6)
+        rot = unit_propagator(seq, spin, electron)
+        for branch, r in ((0, rot.r0), (1, rot.r1)):
+            ref = segment_exponential_rotation(spin, electron, seq, branch)
+            assert np.allclose(r.matrix(), ref, rtol=0.0, atol=1e-12)
 
     def test_branch_swap_symmetry(self, spin_60_30):
         seq = build_sequence("cpmg", 2.5e-6)
@@ -283,12 +293,12 @@ class TestCompose:
     def test_identity_neutral(self):
         rng = np.random.default_rng(3)
         r = Rotation.from_axis_angle(random_unit_vector(rng), 1.1)
-        out = compose_rotations(r, Rotation.identity())
+        out = r.compose(Rotation.identity())
         assert np.allclose(out.matrix(), r.matrix(), atol=1e-15)
 
     def test_same_axis_addition(self):
         rx = Rotation.from_axis_angle((1.0, 0.0, 0.0), math.pi / 2.0)
-        out = compose_rotations(rx, rx)
+        out = rx.compose(rx)
         ref = Rotation.from_axis_angle((1.0, 0.0, 0.0), math.pi)
         assert np.allclose(out.matrix(), ref.matrix(), atol=1e-12)
 
@@ -299,7 +309,7 @@ class TestCompose:
                                          rng.uniform(0, 2 * math.pi))
             b = Rotation.from_axis_angle(random_unit_vector(rng),
                                          rng.uniform(0, 2 * math.pi))
-            out = compose_rotations(a, b)
+            out = a.compose(b)
             assert np.allclose(out.matrix(), a.matrix() @ b.matrix(), atol=1e-12)
 
 
@@ -348,6 +358,37 @@ def test_axis_angle_round_trip(nx, ny, nz, phi):
     rebuilt = Rotation.from_axis_angle(axis, angle)
     assert np.allclose(rebuilt.matrix(), r.matrix(), atol=1e-10)
     assert angle == pytest.approx(phi, abs=1e-10)
+
+
+_ELECTRONS = (ElectronQubitSpec(0.5, -0.5), ElectronQubitSpec(0.0, -1.0),
+              ElectronQubitSpec(1.0, 0.0))
+_couplings = st.tuples(st.floats(-200, 200),
+                       st.one_of(st.just(0.0), st.floats(0, 200)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(("cpmg", "udd3", "udd4", "custom")),
+       custom=st.lists(st.floats(0.01, 1.0), min_size=2, max_size=6),
+       electron=st.sampled_from(_ELECTRONS),
+       couplings=st.lists(_couplings, min_size=1, max_size=4),
+       t_us=st.floats(0.05, 20.0))
+def test_unit_quaternions_match_oracle(kind, custom, electron, couplings, t_us):
+    """The one rotation kernel, scalar view and register batch, vs expm."""
+    q = np.asarray(custom)
+    seq = build_sequence(kind, t_us * 1e-6, q / q.sum() if kind == "custom" else None)
+    spins = [NuclearSpinParams.from_khz("h", a, b, 314.0) for a, b in couplings]
+    batch = unit_quaternions(np.array([s.A for s in spins]),
+                             np.array([s.B for s in spins]), spins[0].omega_L,
+                             electron, seq.spacings, seq.unit_time)
+    assert batch.shape == (2, 4, len(spins))
+    for i, spin in enumerate(spins):
+        rot = unit_propagator(seq, spin, electron)
+        batched = ConditionalRotation.from_quaternions(batch[..., i])
+        for branch in (0, 1):
+            ref = segment_exponential_rotation(spin, electron, seq, branch)
+            for view in (rot, batched):
+                r = view.r0 if branch == 0 else view.r1
+                assert np.allclose(r.matrix(), ref, rtol=0.0, atol=1e-9)
 
 
 @settings(max_examples=100, deadline=None)
