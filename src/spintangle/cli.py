@@ -9,7 +9,9 @@ Subcommands:
 
 Every command prints a human-readable table (5 significant digits) and can
 also emit CSV and/or JSON files carrying the same records at 15 significant
-digits plus a provenance header (version, flags, seed, constants hash).
+digits plus a provenance header (version, flags, seed, constants hash,
+Python and numpy versions, the sha256 of the register file read and, for
+``qec`` with designed gates, the design the gates came from).
 Exit codes: 0 success (including "no design"), 1 input error, 2 capacity
 error.
 """
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import platform
 import sys
 
 import numpy as np
@@ -34,15 +37,21 @@ MACHINE_FMT = "%.15g"
 HUMAN_FMT = "%.5g"
 
 
-def _provenance(args: argparse.Namespace) -> dict:
+def _provenance(args: argparse.Namespace, reg=None, **extra) -> dict:
     flags = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-    return {
+    prov = {
         "version": __version__,
         "flags": " ".join(f"--{k.replace('_', '-')}={v}" for k, v in flags.items()
                           if v is not None),
         "seed": getattr(args, "seed", 0),
         "constants": constants.constants_hash(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
     }
+    if reg is not None:
+        prov["register_sha256"] = reg.sha256
+    prov.update(extra)
+    return prov
 
 
 def _fmt(value, fmt: str) -> str:
@@ -51,8 +60,10 @@ def _fmt(value, fmt: str) -> str:
     return str(value)
 
 
-def _emit(records: list[dict], columns: list[str], args: argparse.Namespace) -> None:
-    prov = _provenance(args)
+def _emit(records: list[dict], columns: list[str], args: argparse.Namespace,
+          reg=None, **extra) -> None:
+    """Print the table; write CSV/JSON with the provenance of _provenance."""
+    prov = _provenance(args, reg, **extra)
     widths = {c: max(len(c), *(len(_fmt(r[c], HUMAN_FMT)) for r in records)) if records
               else len(c) for c in columns}
     print("  ".join(c.ljust(widths[c]) for c in columns))
@@ -90,7 +101,7 @@ def cmd_resonances(args: argparse.Namespace) -> int:
         for k in range(args.k_min, args.k_max + 1):
             t = resonance_time(spin, electron, k, variant=args.variant)
             records.append({"label": spin.label, "k": k, "t_us": t * 1e6})
-    _emit(records, ["label", "k", "t_us"], args)
+    _emit(records, ["label", "k", "t_us"], args, reg)
     return 0
 
 
@@ -108,7 +119,7 @@ def cmd_design(args: argparse.Namespace) -> int:
                                     args.k, sequence_kind=args.sequence)
     if design is None:
         _emit([{"status": "no design", "anchor": args.anchor, "k": args.k}],
-              ["status", "anchor", "k"], args)
+              ["status", "anchor", "k"], args, reg)
         return 0
     records = [{
         "status": "ok", "anchor": design.anchor_label, "k": design.k,
@@ -118,26 +129,36 @@ def cmd_design(args: argparse.Namespace) -> int:
         "target_tangles": ";".join(MACHINE_FMT % v for v in design.target_tangles),
         "mean_unwanted_tangle": design.mean_unwanted_tangle,
     }]
-    _emit(records, list(records[0]), args)
+    _emit(records, list(records[0]), args, reg)
     return 0
 
 
 def _qec_gates(args: argparse.Namespace):
+    """Encoding gates, the register and the design: the first two targets.
+
+    Returns (None, None, {}) for the ideal gates.
+    """
     if args.ideal:
-        return None
+        return None, None, {}
     reg, electron = _load(args)
     cons = DesignConstraints()
     anchor_index = reg.labels.index(args.anchor)
     design = optimize_register_gate(reg.spins, electron, cons, anchor_index, args.k)
     if design is None:
         raise ValueError(f"no feasible gate at anchor {args.anchor}, k={args.k}")
+    used = design.target_labels[:2]
     seq = build_sequence("cpmg", design.unit_time)
-    return tuple(iterate(unit_propagator(seq, reg.by_label(l), electron),
-                         design.iterations) for l in design.target_labels[:2])
+    gates = tuple(iterate(unit_propagator(seq, reg.by_label(l), electron),
+                          design.iterations) for l in used)
+    prov = {"design_targets": ";".join(design.target_labels),
+            "design_targets_used": ";".join(used),
+            "design_iterations": design.iterations,
+            "design_unit_time_us": design.unit_time * 1e6}
+    return gates, reg, prov
 
 
 def cmd_qec(args: argparse.Namespace) -> int:
-    gates = _qec_gates(args)
+    gates, reg, prov = _qec_gates(args)
     base = QecScenario(scheme=args.scheme, encode_gates=gates,
                       error=args.error, gamma=args.gamma, delta=args.delta)
     if args.grid:
@@ -148,14 +169,14 @@ def cmd_qec(args: argparse.Namespace) -> int:
         records = [{"gamma": float(g), "delta": float(d),
                     "error_probability": float(surface[i, j])}
                    for i, g in enumerate(gammas) for j, d in enumerate(deltas)]
-        _emit(records, ["gamma", "delta", "error_probability"], args)
+        _emit(records, ["gamma", "delta", "error_probability"], args, reg, **prov)
         return 0
     out = run_bitflip_code(base)
     records = [{"scheme": args.scheme, "error": args.error,
                 "gamma": args.gamma, "delta": args.delta,
                 "recovery_probability": out.recovery_probability,
                 "electron_purity": out.electron_purity}]
-    _emit(records, list(records[0]), args)
+    _emit(records, list(records[0]), args, reg, **prov)
     return 0
 
 
@@ -187,7 +208,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     records = [{"label": spin.label, "t_us": t * 1e6, "N": n,
                 **{name: col[i] for name, col in columns.items()}}
                for i, n in enumerate(counts.tolist())]
-    _emit(records, ["label", "t_us", "N"] + metrics, args)
+    _emit(records, ["label", "t_us", "N"] + metrics, args, reg)
     return 0
 
 

@@ -8,6 +8,7 @@ overridden) by the caller.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 from dataclasses import dataclass, field
 from importlib import resources
@@ -39,6 +40,7 @@ class RegisterFile:
     s0: float | None = None
     s1: float | None = None
     source: str = "<memory>"
+    sha256: str | None = None  # of the file's bytes, when loaded from one
 
     def electron(self) -> ElectronQubitSpec:
         if self.s0 is None or self.s1 is None:
@@ -124,9 +126,14 @@ def load_register(path_or_name: str, **overrides) -> RegisterFile:
     """Load a register from a file path or a bundled dataset name."""
     if path_or_name in BUNDLED:
         ref = resources.files("spintangle.data") / f"{path_or_name}.csv"
-        return parse_register(ref.read_text(), source=path_or_name, **overrides)
-    path = Path(path_or_name)
-    if not path.exists():
-        raise RegisterFormatError(
-            f"{path_or_name!r} is neither a file nor one of {', '.join(BUNDLED)}")
-    return parse_register(path.read_text(), source=str(path), **overrides)
+        source = path_or_name
+    else:
+        ref = Path(path_or_name)
+        if not ref.exists():
+            raise RegisterFormatError(
+                f"{path_or_name!r} is neither a file nor one of {', '.join(BUNDLED)}")
+        source = str(ref)
+    data = ref.read_bytes()
+    reg = parse_register(data.decode(), source=source, **overrides)
+    reg.sha256 = hashlib.sha256(data).hexdigest()
+    return reg

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import constants
 from .entanglement import (G1_MAXIMAL_THRESHOLD, branch_angles, g1_amplitude,
@@ -61,14 +60,19 @@ def find_common_iterations(spins: list[ConditionalRotation], N_max: int,
 
 
 # ---------------------------------------------------------------------------
-# per-unit-time tangle block (for grid scans)
+# tangle blocks (for grid scans)
+
+
+def _scaled_tangles(h0, h1, n01, N) -> np.ndarray:
+    """Scaled one-tangles 1 - G1, broadcast over all arguments."""
+    m = g1_amplitude(h0, h1, n01, N)
+    return 1.0 - np.minimum(1.0, m * m)
 
 
 def _tangle_block(quats: np.ndarray, N_values: np.ndarray) -> np.ndarray:
     """Scaled one-tangles 1 - G1, shape (n_spins, n_N), from unit quaternions."""
     h0, h1, n01 = (a[:, None] for a in branch_angles(quats))
-    m = g1_amplitude(h0, h1, n01, N_values)
-    return 1.0 - np.minimum(1.0, m * m)
+    return _scaled_tangles(h0, h1, n01, N_values)
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +147,105 @@ def evaluate_design(register: list[NuclearSpinParams],
         gate_time=N * t, gate_error=float(error))
 
 
+# (unit time, spin, N) elements per chunk of the scan.  Bounds every float64
+# temporary to 4 MB, whatever the time window and even if no point is ruled
+# out before the full scoring.
+_SCAN_CHUNK_ELEMENTS = 1 << 19
+
+
+def _feasibility(tangles: np.ndarray, constraints: DesignConstraints):
+    """Feasibility and scores of each column of an (n_spins, n_points) block."""
+    is_target = tangles > constraints.target_tangle_min
+    n_targets = is_target.sum(axis=0)
+    unw_max = np.where(is_target, -np.inf, tangles).max(axis=0)
+    unw_sum = np.where(is_target, 0.0, tangles).sum(axis=0)
+    n_unw = tangles.shape[0] - n_targets
+    unw_mean = np.where(n_unw > 0, unw_sum / np.maximum(n_unw, 1), 0.0)
+    tgt_sum = np.where(is_target, tangles, 0.0).sum(axis=0)
+    tgt_mean = np.where(n_targets > 0, tgt_sum / np.maximum(n_targets, 1), 0.0)
+    ok = ((n_targets >= 2)
+          & (unw_max < constraints.unwanted_tangle_max)
+          & (unw_mean < constraints.unwanted_tangle_mean_max))
+    return ok, tgt_mean, unw_mean, is_target
+
+
+def _scan_unit_times(quats: np.ndarray, times: np.ndarray,
+                     constraints: DesignConstraints):
+    """Winning grid point (t, N, target indices) of the scan, or None.
+
+    quats holds the unit quaternions over (unit time, spin).  Every (t, N)
+    with 1 <= N <= min(N_max, max_gate_time / t) is scored, a chunk of unit
+    times at a time.  A spin whose tangle is neither above
+    target_tangle_min nor below unwanted_tangle_max rules a point out, so
+    the spins are scored one after another on the points still in play.
+    The survivors are scored in full and go through _feasibility and the
+    bookkeeping, in (t, N) order.
+    """
+    # angles as (spin, unit time) rows
+    h0, h1, n01 = (np.ascontiguousarray(a.T) for a in branch_angles(quats))
+    # spins with near-parallel branch axes stay weakly entangled and rarely
+    # rule a point out, so they go last
+    order = np.argsort(n01.mean(axis=1))
+    n_cap = np.zeros(len(times), dtype=int)
+    pos = times > 0
+    n_cap[pos] = np.minimum(constraints.N_max,
+                            constraints.max_gate_time / times[pos]).astype(int)
+    N_values = np.arange(1, max(1, n_cap.max()) + 1)
+    rows = max(1, _SCAN_CHUNK_ELEMENTS // (len(N_values) * h0.shape[0]))
+
+    # per target set: feasible unit times and the best (t, N) point within
+    set_times: dict[tuple, set] = {}
+    set_best: dict[tuple, tuple] = {}
+    for start in range(0, len(times), rows):
+        ti, ni = np.nonzero(N_values <= n_cap[start:start + rows, None])
+        ti += start
+        N = N_values[ni]
+        for s in order:
+            tangle = _scaled_tangles(h0[s, ti], h1[s, ti], n01[s, ti], N)
+            keep = ((tangle > constraints.target_tangle_min)
+                    | (tangle < constraints.unwanted_tangle_max))
+            ti, N = ti[keep], N[keep]
+        if not ti.size:
+            continue
+        # take() keeps the (spin, point) block C-ordered, as a single-time
+        # block is, so _feasibility sums over spins in the same order
+        tangles = _scaled_tangles(h0.take(ti, axis=1), h1.take(ti, axis=1),
+                                  n01.take(ti, axis=1), N)
+        ok, tgt_mean, unw_mean, targets = _feasibility(tangles, constraints)
+        for j, t, n, tgt, unw in zip(
+                np.flatnonzero(ok).tolist(), times[ti[ok]].tolist(),
+                N[ok].tolist(), tgt_mean[ok].tolist(), unw_mean[ok].tolist()):
+            tset = tuple(np.flatnonzero(targets[:, j]))
+            key = (-tgt, n * t, unw)
+            set_times.setdefault(tset, set()).add(t)
+            if tset not in set_best or key < set_best[tset][0]:
+                set_best[tset] = (key, t, n)
+
+    if not set_best:
+        return None
+    winner = max(set_best,
+                 key=lambda s: (len(set_times[s]), -set_best[s][0][0]))
+    _, t_best, n_best = set_best[winner]
+    return t_best, n_best, list(winner)
+
+
+def _golden_section(f, lo: float, hi: float, xatol: float) -> float:
+    """Minimizer of a unimodal f on [lo, hi], to within xatol."""
+    r = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = hi - r * (hi - lo), lo + r * (hi - lo)
+    fc, fd = f(c), f(d)
+    while hi - lo > xatol:
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - r * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + r * (hi - lo)
+            fd = f(d)
+    return 0.5 * (lo + hi)
+
+
 def optimize_register_gate(register: list[NuclearSpinParams],
                            electron: ElectronQubitSpec,
                            constraints: DesignConstraints,
@@ -159,7 +262,9 @@ def optimize_register_gate(register: list[NuclearSpinParams],
     target set feasible at the largest number of unit times wins (it is the
     most robust to timing errors); within that set, the point with the
     highest mean target tangle is kept, with shorter gate time and lower
-    bystander mean as tie-breakers.
+    bystander mean as tie-breakers.  The refined unit time is kept only if
+    it is feasible with the same targets and its mean target tangle is no
+    lower than at the grid point.
     """
     if not register:
         raise ValueError("empty register")
@@ -173,67 +278,29 @@ def optimize_register_gate(register: list[NuclearSpinParams],
 
     steps = int(round(constraints.time_window / time_step))
     times = t0 + np.arange(-steps, steps + 1) * time_step
-
-    def tangles_at(t: float, N_values: np.ndarray) -> np.ndarray:
-        quats = unit_quaternions(A, B, omega_L, electron, spacings, t)
-        return _tangle_block(quats, N_values)
-
-    def feasibility(tangles: np.ndarray):
-        """Per-N feasibility and scores from the (n_spins, n_N) tangle block."""
-        is_target = tangles > constraints.target_tangle_min
-        n_targets = is_target.sum(axis=0)
-        unw_max = np.where(is_target, -np.inf, tangles).max(axis=0)
-        unw_sum = np.where(is_target, 0.0, tangles).sum(axis=0)
-        n_unw = tangles.shape[0] - n_targets
-        unw_mean = np.where(n_unw > 0, unw_sum / np.maximum(n_unw, 1), 0.0)
-        tgt_sum = np.where(is_target, tangles, 0.0).sum(axis=0)
-        tgt_mean = np.where(n_targets > 0, tgt_sum / np.maximum(n_targets, 1), 0.0)
-        ok = ((n_targets >= 2)
-              & (unw_max < constraints.unwanted_tangle_max)
-              & (unw_mean < constraints.unwanted_tangle_mean_max))
-        return ok, tgt_mean, unw_mean, is_target
-
-    # per target set: feasible unit times and the best (t, N) point within
-    set_times: dict[tuple, set] = {}
-    set_best: dict[tuple, tuple] = {}
-    for t in times:
-        if t <= 0:
-            continue
-        n_cap = min(constraints.N_max, int(constraints.max_gate_time / t))
-        if n_cap < 1:
-            continue
-        N_values = np.arange(1, n_cap + 1)
-        tangles = tangles_at(t, N_values)
-        ok, tgt_mean, unw_mean, is_target = feasibility(tangles)
-        for idx in np.nonzero(ok)[0]:
-            n = int(N_values[idx])
-            tset = tuple(np.nonzero(is_target[:, idx])[0])
-            key = (-tgt_mean[idx], n * t, unw_mean[idx])
-            set_times.setdefault(tset, set()).add(t)
-            if tset not in set_best or key < set_best[tset][0]:
-                set_best[tset] = (key, t, n)
-
-    if not set_best:
+    best = _scan_unit_times(
+        unit_quaternions(A, B, omega_L, electron, spacings, times[:, None]),
+        times, constraints)
+    if best is None:
         return None
-    winner = max(set_best,
-                 key=lambda s: (len(set_times[s]), -set_best[s][0][0]))
-    _, t_best, n_best = set_best[winner]
-    target_idx = list(winner)
+    t_best, n_best, target_idx = best
 
     # local refinement of the unit time at fixed N and fixed target set
-    lo, hi = t_best - time_step, t_best + time_step
+    def tangles_at(t: float, spins=slice(None)) -> np.ndarray:
+        quats = unit_quaternions(A[spins], B[spins], omega_L, electron,
+                                 spacings, t)
+        return _tangle_block(quats, np.array([n_best]))[:, 0]
 
     def objective(t: float) -> float:
-        tangles = tangles_at(t, np.array([n_best]))[:, 0]
-        return -float(np.mean(tangles[target_idx]))
+        return -float(np.mean(tangles_at(t, target_idx)))
 
-    res = minimize_scalar(objective, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-13})
-    t_ref = float(res.x) if res.success else t_best
-    tangles = tangles_at(t_ref, np.array([n_best]))[:, 0]
-    ok, _, _, is_target = feasibility(tangles[:, None])
+    t_ref = _golden_section(objective, t_best - time_step, t_best + time_step,
+                            xatol=1e-13)
+    tangles = tangles_at(t_ref)
+    ok, _, _, is_target = _feasibility(tangles[:, None], constraints)
     if not (ok[0] and list(np.nonzero(is_target[:, 0])[0]) == target_idx
-            and n_best * t_ref <= constraints.max_gate_time):
+            and n_best * t_ref <= constraints.max_gate_time
+            and objective(t_ref) <= objective(t_best)):
         t_ref = t_best
 
     return evaluate_design(register, electron, t_ref, n_best, k,

@@ -57,8 +57,9 @@ def makhlin_g1(rot: ConditionalRotation, N: int) -> float:
     """First Makhlin invariant of the iterated conditional gate, in [0, 1]."""
     if N < 0:
         raise ValueError("N must be >= 0")
-    m = float(g1_amplitude(*branch_angles(rot.quaternions), N))
-    return min(1.0, m * m)
+    m = g1_amplitude(*branch_angles(rot.quaternions), N)
+    # np.minimum, unlike min(), keeps a NaN amplitude NaN
+    return float(np.minimum(1.0, m * m))
 
 
 def makhlin_g2(rot: ConditionalRotation, N: int) -> float:

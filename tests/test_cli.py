@@ -1,9 +1,17 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import spintangle
 from spintangle import __version__
 from spintangle.cli import main
 
@@ -96,6 +104,34 @@ class TestOutputs:
         keys = {l.split("=", 1)[0].lstrip("# ") for l in header}
         assert {"version", "flags", "seed", "constants"} <= keys
 
+    def test_provenance_versions_and_register_hash(self, tmp_path, capsys):
+        path = _write(tmp_path, "small.csv", SMALL)
+        out, js = str(tmp_path / "p.csv"), str(tmp_path / "p.json")
+        args = ["resonances", "--register", path, "--k-max", "1"]
+        assert main(args) == 0
+        table = capsys.readouterr().out
+        assert main(args + ["--csv", out, "--json", js]) == 0
+        assert capsys.readouterr().out == table
+        header = dict(l[2:].split("=", 1) for l in open(out).read().splitlines()
+                      if l.startswith("#"))
+        prov = json.loads(open(js).read())["provenance"]
+        digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        assert prov["register_sha256"] == header["register_sha256"] == digest
+        assert prov["numpy"] == header["numpy"] == np.__version__
+        assert prov["python"] == header["python"] == platform.python_version()
+
+    def test_import_loads_no_scipy(self):
+        src = str(Path(spintangle.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        code = ("import sys, spintangle, spintangle.cli; "
+                "print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy'))")
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
 
 class TestDesign:
     def test_no_design_exits_zero(self, tmp_path, capsys):
@@ -126,6 +162,27 @@ class TestQec:
         assert code == 0
         out = capsys.readouterr().out
         assert "recovery_probability" in out
+
+    def test_designed_gates_in_provenance(self, tmp_path, capsys):
+        out = str(tmp_path / "q.json")
+        code = main(["qec", "--register", "nv27", "--anchor", "C23", "--k", "3",
+                     "--json", out])
+        assert code == 0
+        capsys.readouterr()
+        prov = json.loads(open(out).read())["provenance"]
+        assert prov["design_targets"] == "C4;C5;C15"
+        assert prov["design_targets_used"] == "C4;C5"
+        assert prov["design_iterations"] == 51
+        assert prov["design_unit_time_us"] == pytest.approx(11.4043455479,
+                                                            abs=1e-6)
+        assert len(prov["register_sha256"]) == 64
+
+    def test_ideal_gates_record_no_design(self, tmp_path, capsys):
+        out = str(tmp_path / "q.json")
+        assert main(["qec", "--register", "nv27", "--ideal", "--json", out]) == 0
+        capsys.readouterr()
+        prov = json.loads(open(out).read())["provenance"]
+        assert not any(key.startswith("design_") for key in prov)
 
     def test_grid_row_count(self, tmp_path, capsys):
         out = str(tmp_path / "grid.csv")

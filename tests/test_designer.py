@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from spintangle import constants
+from spintangle import constants, designer
 from spintangle.datasets import load_register
 from spintangle.designer import (
     DesignConstraints,
+    _scan_unit_times,
     _tangle_block,
     estimate_position,
     evaluate_design,
@@ -121,6 +122,106 @@ class TestOptimizeRegisterGate:
         with pytest.raises(ValueError):
             optimize_register_gate([], ElectronQubitSpec(0.5, -0.5),
                                    DesignConstraints(), 0, 1)
+
+    @pytest.mark.parametrize("anchor, k, targets, N, t", [
+        ("C23", 3, ("C4", "C5", "C15"), 51, 11.4043455479e-6),
+        ("C13", 4, ("C10", "C12"), 39, 16.5374981760e-6),
+    ])
+    def test_pinned_nv27_designs(self, anchor, k, targets, N, t):
+        reg = load_register("nv27")
+        design = optimize_register_gate(reg.spins, reg.electron(),
+                                        DesignConstraints(),
+                                        reg.labels.index(anchor), k)
+        assert design.target_labels == targets
+        assert design.iterations == N
+        assert design.unit_time == pytest.approx(t, abs=1e-12)
+
+    @pytest.mark.parametrize("elements", [1, 1 << 40])
+    def test_chunk_size_does_not_change_design(self, monkeypatch, elements):
+        # 1: one unit time per chunk; 1 << 40: the whole window in one chunk
+        reg = load_register("nv27")
+        args = (reg.spins, reg.electron(), DesignConstraints(),
+                reg.labels.index("C13"), 4)
+        ref = optimize_register_gate(*args)
+        monkeypatch.setattr(designer, "_SCAN_CHUNK_ELEMENTS", elements)
+        assert optimize_register_gate(*args) == ref
+
+    @staticmethod
+    def _grid_point(reg, anchor, k, cons, kind="cpmg"):
+        """The scan's winning grid point (t, N, target indices)."""
+        electron = reg.electron()
+        seq = build_sequence(kind, resonance_time(reg.by_label(anchor),
+                                                  electron, k))
+        times = seq.unit_time + np.arange(-250, 251) * 1e-9
+        quats = unit_quaternions(np.array([s.A for s in reg.spins]),
+                                 np.array([s.B for s in reg.spins]),
+                                 reg.spins[0].omega_L, electron, seq.spacings,
+                                 times[:, None])
+        return _scan_unit_times(quats, times, cons)
+
+    @pytest.mark.parametrize("name, kind, anchor, k, cons", [
+        ("nv27", "cpmg", "C23", 3, DesignConstraints()),
+        ("rand-udd4-k2", "udd4", "S3", 2, DesignConstraints()),
+        # a bystander bound above the target bound rules no point out early
+        ("nv27", "cpmg", "C5", 2, DesignConstraints(
+            target_tangle_min=0.5, unwanted_tangle_max=0.9,
+            unwanted_tangle_mean_max=0.5, N_max=60)),
+    ])
+    def test_scan_matches_per_time_loop(self, name, kind, anchor, k, cons):
+        reg = load_register(name)
+        electron = reg.electron()
+        A = np.array([s.A for s in reg.spins])
+        B = np.array([s.B for s in reg.spins])
+        seq = build_sequence(kind, resonance_time(reg.by_label(anchor),
+                                                  electron, k))
+        times = seq.unit_time + np.arange(-250, 251) * 1e-9
+        # reference: one tangle block per unit time, points in (t, N) order
+        set_times, set_best = {}, {}
+        for t in times:
+            N_values = np.arange(1, min(cons.N_max,
+                                        int(cons.max_gate_time / t)) + 1)
+            quats = unit_quaternions(A, B, reg.spins[0].omega_L, electron,
+                                     seq.spacings, t)
+            ok, tgt_mean, unw_mean, is_target = designer._feasibility(
+                _tangle_block(quats, N_values), cons)
+            for j in np.nonzero(ok)[0]:
+                tset = tuple(np.nonzero(is_target[:, j])[0])
+                key = (-tgt_mean[j], N_values[j] * t, unw_mean[j])
+                set_times.setdefault(tset, set()).add(t)
+                if tset not in set_best or key < set_best[tset][0]:
+                    set_best[tset] = (key, t, int(N_values[j]))
+        assert set_best
+        winner = max(set_best,
+                     key=lambda s: (len(set_times[s]), -set_best[s][0][0]))
+        assert self._grid_point(reg, anchor, k, cons, kind) == (
+            set_best[winner][1], set_best[winner][2], list(winner))
+
+    @pytest.mark.parametrize("anchor, k", [("C23", 3), ("C13", 4), ("C4", 3),
+                                           ("C26", 1)])
+    def test_refinement_stays_near_grid_point(self, anchor, k):
+        reg = load_register("nv27")
+        cons = DesignConstraints()
+        design = optimize_register_gate(reg.spins, reg.electron(), cons,
+                                        reg.labels.index(anchor), k)
+        t_grid, n_grid, target_idx = self._grid_point(reg, anchor, k, cons)
+        grid = evaluate_design(reg.spins, reg.electron(), t_grid, n_grid, k,
+                               anchor, target_idx)
+        assert design.iterations == n_grid
+        assert design.target_labels == grid.target_labels
+        assert abs(design.unit_time - t_grid) <= 1e-9
+        assert design.mean_target_tangle >= grid.mean_target_tangle
+
+    def test_worse_refinement_falls_back_to_grid_point(self, monkeypatch):
+        reg = load_register("nv27")
+        cons = DesignConstraints()
+        t_grid, n_grid, _ = self._grid_point(reg, "C23", 3, cons)
+        # a refinement that returns the worse end of its bracket
+        monkeypatch.setattr(designer, "_golden_section",
+                            lambda f, lo, hi, xatol: max((lo, hi), key=f))
+        design = optimize_register_gate(reg.spins, reg.electron(), cons,
+                                        reg.labels.index("C23"), 3)
+        assert design.unit_time == t_grid
+        assert design.iterations == n_grid
 
     @pytest.mark.parametrize("kind", ["cpmg", "udd4"])
     def test_tangle_block_matches_scalar_path(self, kind):

@@ -66,6 +66,12 @@ class TestMakhlinInvariants:
         with pytest.raises(ValueError):
             makhlin_g1(random_rotation_pair(rng), -1)
 
+    def test_nan_rotation_stays_nan(self):
+        q = np.array([[math.nan, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0]])
+        rot = ConditionalRotation.from_quaternions(q)
+        assert math.isnan(makhlin_g1(rot, 3))
+        assert math.isnan(nuclear_one_tangle(rot, 3))
+
     def test_ranges_over_random_draws(self):
         rng = np.random.default_rng(3)
         for _ in range(500):
