@@ -90,11 +90,19 @@ def _load(args: argparse.Namespace):
     return reg, reg.electron()
 
 
+def _label_index(reg, label: str, flag: str) -> int:
+    if label not in reg.labels:
+        raise ValueError(f"{flag}: no nucleus {label!r} in register {reg.source}")
+    return reg.labels.index(label)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_resonances(args: argparse.Namespace) -> int:
+    if args.k_max < args.k_min:
+        raise ValueError(f"--k-max ({args.k_max}) must be >= --k-min ({args.k_min})")
     reg, electron = _load(args)
     records = []
     for spin in sorted(reg.spins, key=lambda s: s.label):
@@ -114,7 +122,7 @@ def cmd_design(args: argparse.Namespace) -> int:
         unwanted_tangle_mean_max=args.unwanted_tangle_mean_max,
         time_window=args.time_window,
         N_max=args.n_max)
-    anchor_index = reg.labels.index(args.anchor)
+    anchor_index = _label_index(reg, args.anchor, "--anchor")
     design = optimize_register_gate(reg.spins, electron, cons, anchor_index,
                                     args.k, sequence_kind=args.sequence)
     if design is None:
@@ -142,7 +150,7 @@ def _qec_gates(args: argparse.Namespace):
         return None, None, {}
     reg, electron = _load(args)
     cons = DesignConstraints()
-    anchor_index = reg.labels.index(args.anchor)
+    anchor_index = _label_index(reg, args.anchor, "--anchor")
     design = optimize_register_gate(reg.spins, electron, cons, anchor_index, args.k)
     if design is None:
         raise ValueError(f"no feasible gate at anchor {args.anchor}, k={args.k}")
@@ -158,6 +166,8 @@ def _qec_gates(args: argparse.Namespace):
 
 
 def cmd_qec(args: argparse.Namespace) -> int:
+    if args.grid and min(args.grid) < 1:
+        raise ValueError(f"--grid sizes must be >= 1, got {args.grid[0]} {args.grid[1]}")
     gates, reg, prov = _qec_gates(args)
     base = QecScenario(scheme=args.scheme, encode_gates=gates,
                       error=args.error, gamma=args.gamma, delta=args.delta)
@@ -193,7 +203,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise ValueError(f"unknown metric {m!r}; choose from {', '.join(METRICS)}")
     if args.n_min < 0:
         raise ValueError(f"--n-min must be >= 0, got {args.n_min}")
-    spin = reg.by_label(args.spin)
+    if args.n_max < args.n_min:
+        raise ValueError(f"--n-max ({args.n_max}) must be >= --n-min ({args.n_min})")
+    spin = reg.spins[_label_index(reg, args.spin, "--spin")]
     if args.t_us is not None:
         t = args.t_us * 1e-6
     else:

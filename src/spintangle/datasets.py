@@ -7,10 +7,8 @@ overridden) by the caller.
 """
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 

@@ -86,17 +86,20 @@ class DesignConstraints:
     unwanted_tangle_max: float = 0.14
     unwanted_tangle_mean_max: float = 0.1
     time_window: float = 0.25e-6
-    k_range: tuple = (1, 2, 3, 4, 5)
     N_max: int = 300
 
     def __post_init__(self) -> None:
+        for name in ("max_gate_time", "time_window"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if self.N_max < 1:
+            raise ValueError(f"N_max must be >= 1, got {self.N_max}")
         if not (0 < self.target_tangle_min <= 1):
             raise ValueError("target_tangle_min must be in (0, 1]")
         for name in ("unwanted_tangle_max", "unwanted_tangle_mean_max"):
             if not (0 <= getattr(self, name) < 1):
                 raise ValueError(f"{name} must be in [0, 1)")
-        if self.max_gate_time <= 0 or self.time_window <= 0 or self.N_max < 1:
-            raise ValueError("time/iteration bounds must be positive")
 
 
 @dataclass(frozen=True)
@@ -146,6 +149,9 @@ def evaluate_design(register: list[NuclearSpinParams],
         unwanted_tangles={register[i].label: float(tangles[i]) for i in others},
         gate_time=N * t, gate_error=float(error))
 
+
+# spacing of the unit-time grid the search scans
+_TIME_STEP = 1e-9
 
 # (unit time, spin, N) elements per chunk of the scan.  Bounds every float64
 # temporary to 4 MB, whatever the time window and even if no point is ruled
@@ -250,8 +256,7 @@ def optimize_register_gate(register: list[NuclearSpinParams],
                            electron: ElectronQubitSpec,
                            constraints: DesignConstraints,
                            anchor_index: int, k: int,
-                           sequence_kind: str = "cpmg",
-                           time_step: float = 1e-9) -> GateDesign | None:
+                           sequence_kind: str = "cpmg") -> GateDesign | None:
     """Search (t, N) near the anchor's k-th resonance for a feasible gate.
 
     The unit time is scanned on a fixed grid across the constraint window,
@@ -276,8 +281,8 @@ def optimize_register_gate(register: list[NuclearSpinParams],
     B = np.array([s.B for s in register])
     omega_L = register[0].omega_L
 
-    steps = int(round(constraints.time_window / time_step))
-    times = t0 + np.arange(-steps, steps + 1) * time_step
+    steps = int(round(constraints.time_window / _TIME_STEP))
+    times = t0 + np.arange(-steps, steps + 1) * _TIME_STEP
     best = _scan_unit_times(
         unit_quaternions(A, B, omega_L, electron, spacings, times[:, None]),
         times, constraints)
@@ -294,7 +299,7 @@ def optimize_register_gate(register: list[NuclearSpinParams],
     def objective(t: float) -> float:
         return -float(np.mean(tangles_at(t, target_idx)))
 
-    t_ref = _golden_section(objective, t_best - time_step, t_best + time_step,
+    t_ref = _golden_section(objective, t_best - _TIME_STEP, t_best + _TIME_STEP,
                             xatol=1e-13)
     tangles = tangles_at(t_ref)
     ok, _, _, is_target = _feasibility(tangles[:, None], constraints)

@@ -21,8 +21,7 @@ per unwanted spin.  Evaluation cost is linear in the register size.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -14,6 +14,11 @@ against a single bit-flip.  Two schemes are supported:
   activates the correcting Toffoli; the residual x-axis component of the
   composite rotation makes recovery probabilistic.
 
+In this model the sequential scheme's two one-nucleus gates act on
+different nuclei and are both diagonal in the electron, so they commute and
+their product is the two-nucleus gate of the multispin scheme: the two
+schemes differ only by the R_y(-pi) pair.
+
 The correction sub-circuit (the Toffoli controlled on the nuclei) is taken
 as ideal.  The simulation covers the three protocol qubits only; spectator
 nuclei enter through the separately reported gate error.
@@ -23,7 +28,7 @@ State vectors use the basis |e n1 n2> with index 4*e + 2*n1 + n2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,8 +37,14 @@ from .spin_model import ConditionalRotation, ElectronQubitSpec, NuclearSpinParam
 STAGES = ("initial", "encoded", "error", "decoded", "corrected")
 ERROR_KINDS = ("none", "electron", "nucleus1", "nucleus2")
 
-_I2 = np.eye(2)
-_SX = np.array([[0.0, 1.0], [1.0, 0.0]])
+# the multispin scheme's R_y(-pi) on one nucleus, the same on both branches
+_RY = Rotation.from_axis_angle((0.0, 1.0, 0.0), -math.pi)
+_RY_ON_BOTH_BRANCHES = ConditionalRotation(_RY, _RY)
+# flip the electron when both nuclei are |1> (controls on the nuclei)
+_TOFFOLI = np.eye(8, dtype=complex)[[0, 1, 2, 7, 4, 5, 6, 3]]
+# a bit-flip of one qubit XORs its bit into the basis index
+_ERRORS = {kind: np.eye(8, dtype=complex)[np.arange(8) ^ bit]
+           for kind, bit in zip(ERROR_KINDS, (0, 4, 2, 1))}
 
 
 def ideal_crx() -> ConditionalRotation:
@@ -77,6 +88,9 @@ class QecScenario:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.error not in ERROR_KINDS:
             raise ValueError(f"unknown error kind {self.error!r}")
+        for name in ("gamma", "delta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
     def resolved_gates(self) -> tuple[tuple, tuple]:
         enc = self.encode_gates or (ideal_crx(), ideal_crx())
@@ -94,87 +108,71 @@ class QecOutcome:
     snapshots: dict
 
 
-def _conditional_gate(rot1: ConditionalRotation | None,
-                      rot2: ConditionalRotation | None) -> np.ndarray:
-    """8x8 gate applying per-branch rotations to nucleus 1 and/or 2."""
+def _nuclear_gates(scenario: QecScenario) -> list[tuple[list, list]]:
+    """Per data nucleus, its encode and its decode rotations in time order."""
+    enc, dec = scenario.resolved_gates()
+    after = [_RY_ON_BOTH_BRANCHES] if scenario.scheme == "multispin" else []
+    return [([e, *after], [d]) for e, d in zip(enc, dec)]
+
+
+def _conditional_gate(rots1: list, rots2: list) -> np.ndarray:
+    """8x8 gate: per electron branch, each nucleus runs through its rotations."""
     u = np.zeros((8, 8), dtype=complex)
-    for branch, pick in enumerate((lambda r: r.r0, lambda r: r.r1)):
-        m1 = pick(rot1).matrix() if rot1 is not None else _I2
-        m2 = pick(rot2).matrix() if rot2 is not None else _I2
-        block = np.kron(m1, m2)
+    for branch in (0, 1):
+        block = np.eye(4)
+        for rot1, rot2 in zip(rots1, rots2):
+            m1, m2 = ((rot.r0, rot.r1)[branch].matrix() for rot in (rot1, rot2))
+            block = np.kron(m1, m2) @ block
         u[4 * branch:4 * branch + 4, 4 * branch:4 * branch + 4] = block
     return u
 
 
-def _single_qubit(op: np.ndarray, qubit: int) -> np.ndarray:
-    mats = [_I2, _I2, _I2]
-    mats[qubit] = op
-    return np.kron(np.kron(mats[0], mats[1]), mats[2])
+def _circuit(scenario: QecScenario) -> tuple:
+    """The 8x8 operators of the encoded, error, decoded and corrected stages."""
+    (enc1, dec1), (enc2, dec2) = _nuclear_gates(scenario)
+    return (_conditional_gate(enc1, enc2), _ERRORS[scenario.error],
+            _conditional_gate(dec1, dec2), _TOFFOLI)
 
 
-def _toffoli_on_electron() -> np.ndarray:
-    """Flip the electron when both nuclei are |1> (controls on the nuclei)."""
-    u = np.eye(8, dtype=complex)
-    u[[3, 7], :] = u[[7, 3], :]
-    return u
+def _run(circuit: tuple, gamma: float, delta: float) -> QecOutcome:
+    """Run one electron input state through the stage operators of circuit."""
+    alpha = math.cos(gamma / 2.0)
+    beta = complex(math.cos(delta), math.sin(delta)) * math.sin(gamma / 2.0)
+    psi_el = np.array([alpha, beta], dtype=complex)
+    psi = np.kron(psi_el, np.array([0, 0, 0, 1], dtype=complex))
+    snapshots = {"initial": psi}
+    for stage, op in zip(STAGES[1:], circuit):
+        psi = op @ psi
+        snapshots[stage] = psi
 
-
-def _error_operator(kind: str) -> np.ndarray:
-    if kind == "none":
-        return np.eye(8, dtype=complex)
-    qubit = {"electron": 0, "nucleus1": 1, "nucleus2": 2}[kind]
-    return _single_qubit(_SX, qubit)
+    amp = psi.reshape(2, 4)
+    proj = psi_el.conj() @ amp
+    recovery = np.real(proj @ proj.conj())
+    rho_el = amp @ amp.conj().T
+    purity = np.real(np.trace(rho_el @ rho_el))
+    # np.minimum, unlike min(), keeps a NaN
+    return QecOutcome(final_state=psi,
+                      recovery_probability=float(np.minimum(1.0, recovery)),
+                      electron_purity=float(np.minimum(1.0, purity)),
+                      snapshots=snapshots)
 
 
 def run_bitflip_code(scenario: QecScenario) -> QecOutcome:
     """Simulate the five stages of the code and report recovery figures."""
-    enc, dec = scenario.resolved_gates()
-    alpha = math.cos(scenario.gamma / 2.0)
-    beta = complex(math.cos(scenario.delta), math.sin(scenario.delta)) \
-        * math.sin(scenario.gamma / 2.0)
-    psi_el = np.array([alpha, beta], dtype=complex)
-    psi = np.kron(psi_el, np.array([0, 0, 0, 1], dtype=complex))
-
-    snapshots = {"initial": psi.copy()}
-
-    if scenario.scheme == "sequential":
-        psi = _conditional_gate(enc[0], None) @ psi
-        psi = _conditional_gate(None, enc[1]) @ psi
-    else:
-        psi = _conditional_gate(enc[0], enc[1]) @ psi
-        ry = Rotation.from_axis_angle((0.0, 1.0, 0.0), -math.pi).matrix()
-        psi = _single_qubit(ry, 1) @ _single_qubit(ry, 2) @ psi
-    snapshots["encoded"] = psi.copy()
-
-    psi = _error_operator(scenario.error) @ psi
-    snapshots["error"] = psi.copy()
-
-    if scenario.scheme == "sequential":
-        psi = _conditional_gate(dec[0], None) @ psi
-        psi = _conditional_gate(None, dec[1]) @ psi
-    else:
-        psi = _conditional_gate(dec[0], dec[1]) @ psi
-    snapshots["decoded"] = psi.copy()
-
-    psi = _toffoli_on_electron() @ psi
-    snapshots["corrected"] = psi.copy()
-
-    amp = psi.reshape(2, 4)
-    proj = psi_el.conj() @ amp
-    recovery = float(np.real(proj @ proj.conj()))
-    rho_el = amp @ amp.conj().T
-    purity = float(np.real(np.trace(rho_el @ rho_el)))
-    return QecOutcome(final_state=psi, recovery_probability=min(1.0, recovery),
-                      electron_purity=min(1.0, purity), snapshots=snapshots)
+    return _run(_circuit(scenario), scenario.gamma, scenario.delta)
 
 
 def error_surface(scenario: QecScenario, gammas, deltas) -> np.ndarray:
-    """Error probability 1 - recovery over a grid of electron input states."""
+    """Error probability 1 - recovery over a grid of electron input states.
+
+    The circuit is built once; each point equals run_bitflip_code at its
+    (gamma, delta).
+    """
+    circuit = _circuit(scenario)
     out = np.empty((len(gammas), len(deltas)))
     for i, g in enumerate(gammas):
         for j, d in enumerate(deltas):
-            run = run_bitflip_code(replace(scenario, gamma=float(g), delta=float(d)))
-            out[i, j] = 1.0 - run.recovery_probability
+            out[i, j] = 1.0 - _run(circuit, float(g), float(d)).recovery_probability
     return out
 
 
@@ -185,21 +183,15 @@ def nuclear_trajectories(scenario: QecScenario, samples: int = 64) -> dict:
     Each gate segment is swept by fractional powers of its rotation; the
     branch labels follow the electron state before the (possible) bit-flip.
     """
-    enc, dec = scenario.resolved_gates()
     flip = scenario.error == "electron"
     fracs = np.linspace(0.0, 1.0, samples)
-    ry = Rotation.from_axis_angle((0.0, 1.0, 0.0), -math.pi)
     out = {}
-    for nuc, (e_rot, d_rot) in enumerate(zip(enc, dec)):
+    for nuc, (encode, decode) in enumerate(_nuclear_gates(scenario)):
         branches = {}
         for branch in (0, 1):
-            first = (e_rot.r0, e_rot.r1)[branch]
             dec_branch = branch ^ 1 if flip else branch
-            second = (d_rot.r0, d_rot.r1)[dec_branch]
-            segments = [first]
-            if scenario.scheme == "multispin":
-                segments.append(ry)
-            segments.append(second)
+            segments = ([(rot.r0, rot.r1)[branch] for rot in encode]
+                        + [(rot.r0, rot.r1)[dec_branch] for rot in decode])
             psi = np.array([0.0, 1.0], dtype=complex)
             path = []
             for seg in segments:

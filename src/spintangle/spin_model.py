@@ -89,8 +89,8 @@ class PulseSequence:
     unit_time: float
 
     def __post_init__(self) -> None:
-        if self.unit_time <= 0:
-            raise ValueError("unit_time must be positive")
+        if not (math.isfinite(self.unit_time) and self.unit_time > 0):
+            raise ValueError(f"unit_time must be positive and finite, got {self.unit_time}")
         q = np.asarray(self.spacings, dtype=float)
         if np.any(q < 0):
             raise ValueError("spacings must be nonnegative")
@@ -179,14 +179,6 @@ class Rotation:
         return cls(math.cos(angle / 2.0), math.sin(angle / 2.0) * (n / norm))
 
     # -- queries ----------------------------------------------------------
-
-    @property
-    def near_identity(self) -> bool:
-        return float(np.linalg.norm(self.v)) < _EPS_AXIS
-
-    def su2_angle(self) -> float:
-        """Rotation angle in [0, 2*pi) of the stored SU(2) element."""
-        return 2.0 * math.atan2(float(np.linalg.norm(self.v)), self.w)
 
     def axis_angle(self) -> tuple[np.ndarray, float, bool]:
         """Extract (axis, angle, near_identity) with angle folded into [0, pi].
@@ -352,7 +344,7 @@ def resonance_time(spin: NuclearSpinParams, electron: ElectronQubitSpec,
 def coherence(rot: ConditionalRotation) -> tuple[float, float]:
     """Electron coherence M = Re tr(R0^dag R1)/2 and the probability (1+M)/2."""
     m = rot.r0.w * rot.r1.w + float(rot.r0.v @ rot.r1.v)
-    m = min(1.0, max(-1.0, m))
+    m = float(np.clip(m, -1.0, 1.0))  # keeps a NaN, unlike min/max
     return m, 0.5 * (1.0 + m)
 
 
@@ -453,8 +445,7 @@ def closed_form_angles(kind: str, spin: NuclearSpinParams,
                    * math.sin(q1 * wa + q2 * wa / 2.0))
         else:
             raise ValueError(f"unsupported kind: {kind!r}")
-        val = min(1.0, max(-1.0, val))
-        return 2.0 * math.acos(val)
+        return 2.0 * math.acos(np.clip(val, -1.0, 1.0))  # keeps a NaN
 
     phi0 = one_branch(w0, w1, th0 - th1)
     phi1 = one_branch(w1, w0, th1 - th0)

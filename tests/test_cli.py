@@ -232,3 +232,49 @@ class TestSweep:
         assert main(["sweep", "--register", "nv27", "--spin", "C5",
                      "--n-min", "-1"]) == 1
         assert "--n-min" in capsys.readouterr().err
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("argv, names", [
+        (["design", "--register", "nv27", "--anchor", "XX", "--k", "3"],
+         ["--anchor", "XX"]),
+        (["qec", "--register", "nv27", "--anchor", "XX"], ["--anchor", "XX"]),
+        (["sweep", "--register", "nv27", "--spin", "XX"], ["--spin", "XX"]),
+    ], ids=["design-anchor", "qec-anchor", "sweep-spin"])
+    def test_unknown_label_names_flag_and_label(self, argv, names, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert all(name in err for name in names), err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["resonances", "--register", "nv27", "--k-min", "3", "--k-max", "1"],
+         "--k-max"),
+        (["sweep", "--register", "nv27", "--spin", "C5", "--n-min", "5",
+          "--n-max", "2"], "--n-max"),
+        (["qec", "--register", "nv27", "--ideal", "--grid", "0", "3"],
+         "--grid"),
+        (["qec", "--register", "nv27", "--ideal", "--grid", "-1", "3"],
+         "--grid"),
+    ], ids=["resonances-k", "sweep-n", "qec-grid-zero", "qec-grid-negative"])
+    def test_empty_range_exits_one(self, argv, flag, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert flag in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, field", [
+        (["design", "--register", "nv27", "--anchor", "C5", "--k", "3",
+          "--max-gate-time", "nan"], "max_gate_time"),
+        (["design", "--register", "nv27", "--anchor", "C5", "--k", "3",
+          "--time-window", "inf"], "time_window"),
+        (["design", "--register", "nv27", "--anchor", "C5", "--k", "3",
+          "--time-window", "nan"], "time_window"),
+        (["sweep", "--register", "nv27", "--spin", "C5", "--t-us", "nan"],
+         "unit_time"),
+        (["qec", "--register", "nv27", "--ideal", "--delta", "inf"], "delta"),
+        (["qec", "--register", "nv27", "--ideal", "--gamma", "nan"], "gamma"),
+    ], ids=["max-gate-time-nan", "time-window-inf", "time-window-nan",
+            "t-us-nan", "delta-inf", "gamma-nan"])
+    def test_non_finite_value_exits_one(self, argv, field, capsys):
+        assert main(argv) == 1
+        assert field in capsys.readouterr().err

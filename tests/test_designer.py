@@ -390,3 +390,11 @@ class TestGateErrorVsBath:
         errors = [r["mean_error"] for r in records]
         assert errors[-1] > errors[0]
         assert all(e >= -1e-12 for e in errors)
+
+
+class TestDesignConstraintsValidation:
+    @pytest.mark.parametrize("field", ["max_gate_time", "time_window"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_bound_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            DesignConstraints(**{field: value})

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from spintangle.datasets import load_register
+from spintangle.designer import DesignConstraints, optimize_register_gate
 from spintangle.qec import (
     QecScenario,
     disentanglement_residual,
@@ -19,7 +22,9 @@ from spintangle.spin_model import (
     ConditionalRotation,
     ElectronQubitSpec,
     NuclearSpinParams,
+    Rotation,
     build_sequence,
+    iterate,
     resonance_time,
     unit_propagator,
 )
@@ -187,3 +192,69 @@ class TestDisentanglementResidual:
         rot = ConditionalRotation.from_axis_angles(
             (0.0, 0.0, 1.0), 0.8, (0.0, 0.0, 1.0), 0.8)
         assert disentanglement_residual(rot) == 0.0
+
+
+def _designed_gates(anchor: str, k: int) -> tuple:
+    """The CLI's encode gates for one nv27 design: its first two targets."""
+    reg = load_register("nv27")
+    electron = reg.electron()
+    design = optimize_register_gate(reg.spins, electron, DesignConstraints(),
+                                    reg.labels.index(anchor), k)
+    seq = build_sequence("cpmg", design.unit_time)
+    return tuple(iterate(unit_propagator(seq, reg.by_label(l), electron),
+                         design.iterations) for l in design.target_labels[:2])
+
+
+def _one_nucleus_gate(rot: ConditionalRotation, nucleus: int) -> np.ndarray:
+    """8x8 gate rotating one nucleus per electron branch, the other idle."""
+    u = np.zeros((8, 8), dtype=complex)
+    for branch, r in enumerate((rot.r0, rot.r1)):
+        mats = [np.eye(2), np.eye(2)]
+        mats[nucleus] = r.matrix()
+        u[4 * branch:4 * branch + 4, 4 * branch:4 * branch + 4] = np.kron(*mats)
+    return u
+
+
+class TestCircuitBuiltOnce:
+    @pytest.mark.parametrize("scheme", ["sequential", "multispin"])
+    def test_surface_points_equal_single_runs(self, scheme):
+        gates = _designed_gates("C4", 3)
+        gammas = np.linspace(0.0, math.pi, 5)
+        deltas = np.linspace(0.0, 2.0 * math.pi, 6)
+        for error in ERRORS:
+            base = QecScenario(scheme=scheme, encode_gates=gates, error=error)
+            surf = error_surface(base, gammas, deltas)
+            for i, g in enumerate(gammas):
+                for j, d in enumerate(deltas):
+                    run = run_bitflip_code(replace(base, gamma=float(g),
+                                                   delta=float(d)))
+                    assert surf[i, j] == 1.0 - run.recovery_probability
+
+    @pytest.mark.parametrize("error", ERRORS)
+    def test_sequential_is_one_nucleus_gates_in_turn(self, error):
+        enc = _designed_gates("C23", 3)
+        dec = (_tilted_crx(0.02), _tilted_crx(0.03))
+        out = run_bitflip_code(QecScenario(encode_gates=enc, decode_gates=dec,
+                                           error=error, gamma=1.1, delta=0.7))
+        snaps = out.snapshots
+        for before, after, gates in (("initial", "encoded", enc),
+                                     ("error", "decoded", dec)):
+            want = (_one_nucleus_gate(gates[1], 1)
+                    @ (_one_nucleus_gate(gates[0], 0) @ snaps[before]))
+            assert np.max(np.abs(snaps[after] - want)) <= 1e-15
+
+
+class TestNonFiniteInputs:
+    def test_nan_gate_gives_nan_recovery(self):
+        nan = Rotation(math.nan, (math.nan,) * 3)
+        gate = ConditionalRotation(nan, nan)
+        out = run_bitflip_code(QecScenario(encode_gates=(gate, gate),
+                                           error="electron", gamma=1.0))
+        assert math.isnan(out.recovery_probability)
+        assert math.isnan(out.electron_purity)
+
+    @pytest.mark.parametrize("field", ["gamma", "delta"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_input_state_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            QecScenario(**{field: value})

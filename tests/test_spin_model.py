@@ -420,3 +420,22 @@ def test_small_tilt_dot_product_quadratic_scaling(half_electron):
 
     # 10x larger Larmor frequency shrinks B/wL 10x, the mismatch ~100x
     assert mismatch(314.0) / mismatch(3140.0) > 50.0
+
+
+class TestNonFiniteInputs:
+    NAN_ROT = ConditionalRotation(Rotation(math.nan, (math.nan,) * 3),
+                                  Rotation(math.nan, (math.nan,) * 3))
+
+    def test_coherence_keeps_nan(self):
+        m, px = coherence(self.NAN_ROT)
+        assert math.isnan(m) and math.isnan(px)
+
+    def test_closed_form_angles_keep_nan(self, spin_60_30, half_electron):
+        phi0, phi1 = closed_form_angles("two_pi", spin_60_30, half_electron,
+                                        math.nan)
+        assert math.isnan(phi0) and math.isnan(phi1)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_unit_time_rejected(self, t):
+        with pytest.raises(ValueError, match="unit_time"):
+            build_sequence("cpmg", t)
