@@ -12,8 +12,8 @@ also emit CSV and/or JSON files carrying the same records at 15 significant
 digits plus a provenance header (version, flags, seed, constants hash,
 Python and numpy versions, the sha256 of the register file read and, for
 ``qec`` with designed gates, the design the gates came from).
-Exit codes: 0 success (including "no design"), 1 input error, 2 capacity
-error.
+Exit codes: 0 success (including "no design"), 1 input error; argparse
+usage errors exit 2.
 """
 from __future__ import annotations
 
@@ -29,7 +29,6 @@ from . import __version__, constants
 from .datasets import RegisterFormatError, load_register
 from .designer import DesignConstraints, optimize_register_gate
 from .entanglement import MAX_PAIR_TANGLE, branch_angles, g1_amplitude
-from .fidelity import CapacityError
 from .qec import QecScenario, error_surface, run_bitflip_code
 from .spin_model import build_sequence, iterate, resonance_time, unit_propagator
 
@@ -141,14 +140,13 @@ def cmd_design(args: argparse.Namespace) -> int:
     return 0
 
 
-def _qec_gates(args: argparse.Namespace):
-    """Encoding gates, the register and the design: the first two targets.
+def _qec_gates(args: argparse.Namespace, reg, electron):
+    """Encoding gates and the design provenance: the first two targets.
 
-    Returns (None, None, {}) for the ideal gates.
+    Returns (None, {}) for the ideal gates.
     """
     if args.ideal:
-        return None, None, {}
-    reg, electron = _load(args)
+        return None, {}
     cons = DesignConstraints()
     anchor_index = _label_index(reg, args.anchor, "--anchor")
     design = optimize_register_gate(reg.spins, electron, cons, anchor_index, args.k)
@@ -162,13 +160,14 @@ def _qec_gates(args: argparse.Namespace):
             "design_targets_used": ";".join(used),
             "design_iterations": design.iterations,
             "design_unit_time_us": design.unit_time * 1e6}
-    return gates, reg, prov
+    return gates, prov
 
 
 def cmd_qec(args: argparse.Namespace) -> int:
     if args.grid and min(args.grid) < 1:
         raise ValueError(f"--grid sizes must be >= 1, got {args.grid[0]} {args.grid[1]}")
-    gates, reg, prov = _qec_gates(args)
+    reg, electron = _load(args)
+    gates, prov = _qec_gates(args, reg, electron)
     base = QecScenario(scheme=args.scheme, encode_gates=gates,
                       error=args.error, gamma=args.gamma, delta=args.delta)
     if args.grid:
@@ -306,9 +305,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (RegisterFormatError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

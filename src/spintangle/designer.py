@@ -125,14 +125,18 @@ class GateDesign:
         return float(np.mean(list(self.unwanted_tangles.values())))
 
 
+def _spin_arrays(register: list[NuclearSpinParams]) -> np.ndarray:
+    """A, B and omega_L of every spin, as the rows of a (3, n_spins) array."""
+    return np.array([[s.A for s in register], [s.B for s in register],
+                     [s.omega_L for s in register]])
+
+
 def evaluate_design(register: list[NuclearSpinParams],
                     electron: ElectronQubitSpec, t: float, N: int, k: int,
                     anchor_label: str, target_indices: list[int],
                     sequence_kind: str = "cpmg") -> GateDesign:
     """Recompute all GateDesign figures of merit from (t, N) alone."""
-    quats = unit_quaternions(np.array([s.A for s in register]),
-                             np.array([s.B for s in register]),
-                             register[0].omega_L, electron,
+    quats = unit_quaternions(*_spin_arrays(register), electron,
                              build_sequence(sequence_kind, t).spacings, t)
     rots = [iterate(ConditionalRotation.from_quaternions(quats[..., i]), N)
             for i in range(len(register))]
@@ -277,23 +281,20 @@ def optimize_register_gate(register: list[NuclearSpinParams],
     seq0 = build_sequence(sequence_kind, resonance_time(anchor, electron, k))
     spacings = seq0.spacings
     t0 = seq0.unit_time
-    A = np.array([s.A for s in register])
-    B = np.array([s.B for s in register])
-    omega_L = register[0].omega_L
+    spins = _spin_arrays(register)
 
     steps = int(round(constraints.time_window / _TIME_STEP))
     times = t0 + np.arange(-steps, steps + 1) * _TIME_STEP
     best = _scan_unit_times(
-        unit_quaternions(A, B, omega_L, electron, spacings, times[:, None]),
+        unit_quaternions(*spins, electron, spacings, times[:, None]),
         times, constraints)
     if best is None:
         return None
     t_best, n_best, target_idx = best
 
     # local refinement of the unit time at fixed N and fixed target set
-    def tangles_at(t: float, spins=slice(None)) -> np.ndarray:
-        quats = unit_quaternions(A[spins], B[spins], omega_L, electron,
-                                 spacings, t)
+    def tangles_at(t: float, idx=slice(None)) -> np.ndarray:
+        quats = unit_quaternions(*spins[:, idx], electron, spacings, t)
         return _tangle_block(quats, np.array([n_best]))[:, 0]
 
     def objective(t: float) -> float:
@@ -488,10 +489,10 @@ def gate_error_vs_bath(targets: list[ConditionalRotation],
     """Mean gate error as the unwanted bath grows, per one-tangle bin.
 
     unwanted_pool holds (scaled one-tangle, iterated rotation) pairs.  For
-    each bin, each ensemble draws a random ordering of the bin's spins and
-    the error is evaluated on growing prefixes; bins holding fewer spins
-    than requested report the largest available bath.  Returns one record
-    per (bin, bath size) with the ensemble-mean error.
+    each bin, bath size and ensemble, a fresh random permutation of the
+    bin's spins is drawn and its first bath-size spins form the bath; bins
+    holding fewer spins than requested report the largest available bath.
+    Returns one record per (bin, bath size) with the ensemble-mean error.
     """
     rng = np.random.Generator(np.random.Philox(seed))
     records = []

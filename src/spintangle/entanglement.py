@@ -81,7 +81,7 @@ def nuclear_one_tangle(rot: ConditionalRotation, N: int,
 
 def electron_one_tangle(rots: list[ConditionalRotation], N: int,
                         scaled: bool = False) -> float:
-    """Average electron one-tangle, 1/3 - 3^-n prod_i (1 + 2 G1_i)."""
+    """Average electron one-tangle, (1 - prod_i (1 + 2 G1_i)/3) / 3."""
     if not rots:
         raise ValueError("need at least one nuclear rotation")
     return tangle_profile(rots, N, scaled).electron_tangle
@@ -116,12 +116,9 @@ class TangleProfile:
 
     @property
     def electron_tangle(self) -> float:
-        n = len(self.g1_values) + 1
-        prod = 1.0
-        for g in self.g1_values:
-            prod *= 1.0 + 2.0 * g
-        val = 1.0 / 3.0 - prod / 3.0 ** n
-        return 3.0 * val if self.scaled else val
+        # each factor lies in [1/3, 1], so the product cannot overflow
+        val = 1.0 - math.prod((1.0 + 2.0 * g) / 3.0 for g in self.g1_values)
+        return val if self.scaled else val / 3.0
 
 
 def tangle_profile(rots: list[ConditionalRotation], N: int,

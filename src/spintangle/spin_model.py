@@ -122,8 +122,9 @@ def build_sequence(kind: str, unit_time: float,
                    custom_spacings: Sequence[float] | None = None) -> PulseSequence:
     """Build a pi-pulse sequence unit.
 
-    kind is "cpmg", "uddN" for N >= 3, or "custom" (with custom_spacings).
-    Odd-pulse bases are symmetrized by doubling at half scale.
+    kind is "cpmg", "uddN" for N >= 1, or "custom" (with custom_spacings).
+    Odd-pulse bases are symmetrized by doubling at half scale, so udd1 and
+    udd2 both give the CPMG spacings (0.25, 0.5, 0.25), up to rounding.
     """
     kind = kind.lower()
     if kind == "cpmg":
@@ -275,12 +276,12 @@ class ConditionalRotation:
 
 def unit_quaternions(A, B, omega_L, electron: ElectronQubitSpec,
                      spacings, t) -> np.ndarray:
-    """Exact branch quaternions of one sequence unit, broadcast over A, B, t.
+    """Exact branch quaternions of one unit, broadcast over A, B, omega_L and t.
 
     Branch j sees H_j during the odd spacings and H_{1-j} during the even
     ones; the segment rotations, about the axis (s B, 0, omega_L + s A)/omega,
     are composed in time order.  Returns an array of shape (2, 4, *shape):
-    branch, then (w, x, y, z), over the broadcast shape of A, B and t.
+    branch, then (w, x, y, z), over the broadcast shape of A, B, omega_L, t.
     """
     segments = {}
     for s in (electron.s0, electron.s1):
@@ -301,7 +302,8 @@ def unit_quaternions(A, B, omega_L, electron: ElectronQubitSpec,
                           c * x + sn * (nx * w - nz * y),
                           c * y + sn * (nz * x - nx * z),
                           c * z + sn * (nz * w + nx * y))
-        out.append(np.broadcast_arrays(w, x, y, z))
+        # after the first segment every component has the full shape
+        out.append((w, x, y, z))
     return np.array(out)
 
 

@@ -154,6 +154,22 @@ class TestDesign:
                      "--k", "1"]) == 1
         capsys.readouterr()
 
+    def test_register_with_many_weak_bystanders(self, tmp_path, capsys):
+        # nv27 plus 20 weakly coupled spins: 44 bystanders in all
+        nv27 = (Path(spintangle.__file__).parent / "data" / "nv27.csv").read_text()
+        weak = [f"W{i + 1},{a:.4f},{b:.4f}" for i, (a, b) in enumerate(zip(
+            np.linspace(-3.0, 3.0, 20), np.linspace(0.5, 3.0, 20)))]
+        path = _write(tmp_path, "nv47.csv", nv27.rstrip("\n") + "\n"
+                      + "\n".join(weak) + "\n")
+        out = str(tmp_path / "d.json")
+        assert main(["design", "--register", path, "--anchor", "C23",
+                     "--k", "3", "--json", out]) == 0
+        capsys.readouterr()
+        rec = json.loads(open(out).read())["records"][0]
+        assert rec["targets"] == "C4;C5;C15"
+        assert rec["iterations"] == 51
+        assert 0.0 < rec["gate_error"] < 1.0
+
 
 class TestQec:
     def test_single_run(self, capsys):
@@ -183,6 +199,13 @@ class TestQec:
         capsys.readouterr()
         prov = json.loads(open(out).read())["provenance"]
         assert not any(key.startswith("design_") for key in prov)
+
+    def test_ideal_gates_record_register_hash(self, tmp_path, capsys):
+        out = str(tmp_path / "q.json")
+        assert main(["qec", "--register", "nv27", "--ideal", "--json", out]) == 0
+        capsys.readouterr()
+        prov = json.loads(open(out).read())["provenance"]
+        assert len(prov["register_sha256"]) == 64
 
     def test_grid_row_count(self, tmp_path, capsys):
         out = str(tmp_path / "grid.csv")
@@ -273,8 +296,10 @@ class TestInputErrors:
          "unit_time"),
         (["qec", "--register", "nv27", "--ideal", "--delta", "inf"], "delta"),
         (["qec", "--register", "nv27", "--ideal", "--gamma", "nan"], "gamma"),
+        (["qec", "--register", "nv27", "--ideal", "--larmor-khz", "nan"],
+         "omega_L"),
     ], ids=["max-gate-time-nan", "time-window-inf", "time-window-nan",
-            "t-us-nan", "delta-inf", "gamma-nan"])
+            "t-us-nan", "delta-inf", "gamma-nan", "qec-ideal-larmor-nan"])
     def test_non_finite_value_exits_one(self, argv, field, capsys):
         assert main(argv) == 1
         assert field in capsys.readouterr().err

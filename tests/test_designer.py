@@ -223,6 +223,23 @@ class TestOptimizeRegisterGate:
         assert design.unit_time == t_grid
         assert design.iterations == n_grid
 
+    def test_mixed_larmor_register_uses_each_spins_frequency(self):
+        reg = load_register("nv27")
+        electron = reg.electron()
+        spins = reg.spins[:-5] + [
+            NuclearSpinParams(s.label, s.A, s.B, 0.8 * s.omega_L)
+            for s in reg.spins[-5:]]
+        design = optimize_register_gate(spins, electron, DesignConstraints(),
+                                        reg.labels.index("C23"), 4)
+        assert design is not None
+        tangles = dict(zip(design.target_labels, design.target_tangles))
+        tangles.update(design.unwanted_tangles)
+        seq = build_sequence("cpmg", design.unit_time)
+        for spin in spins:
+            expected = nuclear_one_tangle(unit_propagator(seq, spin, electron),
+                                          design.iterations, scaled=True)
+            assert tangles[spin.label] == pytest.approx(expected, abs=1e-12)
+
     @pytest.mark.parametrize("kind", ["cpmg", "udd4"])
     def test_tangle_block_matches_scalar_path(self, kind):
         reg = load_register("nv27")
@@ -367,6 +384,16 @@ class TestGateErrorVsBath:
         assert records
         for rec in records:
             assert rec["mean_error"] == pytest.approx(0.0, abs=1e-12)
+
+    def test_large_identity_bath_gives_zero_error(self):
+        rng = np.random.default_rng(8)
+        identity = ConditionalRotation.from_axis_angles(
+            (0.0, 0.0, 1.0), 0.0, (0.0, 0.0, 1.0), 0.0)
+        records = gate_error_vs_bath([random_rotation_pair(rng)],
+                                     [(0.0, identity)] * 64, [(0.0, 1.0)],
+                                     [64], 2, seed=0)
+        assert [r["bath_size"] for r in records] == [64]
+        assert records[0]["mean_error"] == 0.0
 
     def test_empty_pool_empty_table(self):
         rng = np.random.default_rng(5)

@@ -150,6 +150,15 @@ class TestOneTangles:
         mean, err = mc_bipartition_entangling_power(u, 0, 100_000, seed=10)
         assert abs(electron_one_tangle(rots, 1) - mean) < 3.0 * err
 
+    def test_electron_tangle_of_a_large_register(self):
+        rng = np.random.default_rng(11)
+        rot = random_rotation_pair(rng)
+        g1 = makhlin_g1(rot, 2)
+        val = electron_one_tangle([rot] * 700, 2)
+        assert math.isfinite(val)
+        expected = (1.0 - ((1.0 + 2.0 * g1) / 3.0) ** 700) / 3.0
+        assert val == pytest.approx(expected, abs=1e-12)
+
     def test_profile_consistency(self):
         rng = np.random.default_rng(10)
         rots = [random_rotation_pair(rng) for _ in range(4)]

@@ -117,10 +117,19 @@ class TestTargetSubspaceFidelity:
     def test_capacity_error(self):
         rng = np.random.default_rng(8)
         part = _partition(rng, 1, 41)
-        with pytest.raises(CapacityError):
-            target_subspace_fidelity(part)
+        assert 0.0 <= target_subspace_fidelity(part) <= 1.0
         with pytest.raises(CapacityError):
             kraus_sum_by_enumeration(_partition(rng, 1, 21))
+
+    def test_identity_bystanders_do_not_change_fidelity(self):
+        rng = np.random.default_rng(10)
+        targets = [random_rotation_pair(rng) for _ in range(2)]
+        identity = ConditionalRotation.from_axis_angles(
+            (0.0, 0.0, 1.0), 0.0, (0.0, 0.0, 1.0), 0.0)
+        alone = target_subspace_fidelity(RegisterPartition(targets, []))
+        crowded = target_subspace_fidelity(
+            RegisterPartition(targets, [identity] * 1000))
+        assert crowded == alone
 
     def test_large_register_runs_fast(self):
         rng = np.random.default_rng(9)

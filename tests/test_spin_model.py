@@ -59,6 +59,12 @@ class TestBuildSequence:
         assert tuple(seq.spacings) == (0.25, 0.5, 0.25)
         assert seq.pulse_count == 2
 
+    @pytest.mark.parametrize("kind", ["udd1", "udd2"])
+    def test_low_udd_orders_give_cpmg_spacings(self, kind):
+        q = build_sequence(kind, 1e-6).spacings
+        assert np.asarray(q) == pytest.approx(
+            build_sequence("cpmg", 1e-6).spacings, abs=1e-15)
+
     def test_udd4_five_symmetric_spacings(self):
         seq = build_sequence("udd4", 1e-6)
         q = np.asarray(seq.spacings)
