@@ -143,12 +143,12 @@ def cmd_design(args: argparse.Namespace) -> int:
 def _qec_gates(args: argparse.Namespace, reg, electron):
     """Encoding gates and the design provenance: the first two targets.
 
-    Returns (None, {}) for the ideal gates.
+    Returns (None, {}) for the ideal gates.  --anchor is checked either way.
     """
+    anchor_index = _label_index(reg, args.anchor, "--anchor")
     if args.ideal:
         return None, {}
     cons = DesignConstraints()
-    anchor_index = _label_index(reg, args.anchor, "--anchor")
     design = optimize_register_gate(reg.spins, electron, cons, anchor_index, args.k)
     if design is None:
         raise ValueError(f"no feasible gate at anchor {args.anchor}, k={args.k}")
@@ -304,6 +304,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # design, qec and sweep check --k even where the value goes unused
+        if getattr(args, "k", 1) < 1:
+            raise ValueError(f"--k must be >= 1, got {args.k}")
         return args.func(args)
     except (RegisterFormatError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,7 +15,8 @@ import numpy as np
 from . import constants
 from .entanglement import (G1_MAXIMAL_THRESHOLD, branch_angles, g1_amplitude,
                            g1_over_iterations, optimal_iterations)
-from .fidelity import RegisterPartition, target_subspace_fidelity
+from .fidelity import (RegisterPartition, _overlaps, _subspace_fidelity,
+                       target_subspace_fidelity)
 from .spin_model import (ConditionalRotation, ElectronQubitSpec,
                          NuclearSpinParams, build_sequence, iterate,
                          resonance_time, unit_propagator, unit_quaternions)
@@ -494,20 +495,21 @@ def gate_error_vs_bath(targets: list[ConditionalRotation],
     holding fewer spins than requested report the largest available bath.
     Returns one record per (bin, bath size) with the ensemble-mean error.
     """
+    k = RegisterPartition(targets, ()).K
     rng = np.random.Generator(np.random.Philox(seed))
     records = []
     for lo, hi in tangle_bins:
-        members = [rot for tangle, rot in unwanted_pool if lo <= tangle < hi]
+        overlaps = _overlaps([rot for tangle, rot in unwanted_pool
+                              if lo <= tangle < hi])
         for size in bath_sizes:
-            eff = min(size, len(members))
+            eff = min(size, len(overlaps))
             if eff == 0:
                 continue
             errors = []
             for _ in range(n_ensembles):
-                order = rng.permutation(len(members))[:eff]
-                part = RegisterPartition(tuple(targets),
-                                         tuple(members[i] for i in order))
-                errors.append(1.0 - target_subspace_fidelity(part))
+                order = rng.permutation(len(overlaps))[:eff]
+                cross = np.prod(overlaps[order]).real
+                errors.append(1.0 - _subspace_fidelity(k, 2.0 + 2.0 * cross))
             records.append({"bin": (lo, hi), "bath_size": eff,
                             "requested_size": size,
                             "mean_error": float(np.mean(errors)),

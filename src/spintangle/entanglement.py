@@ -138,27 +138,16 @@ def g1_over_iterations(rot: ConditionalRotation, N_max: int) -> np.ndarray:
     return np.minimum(1.0, m * m)
 
 
-def optimal_iterations(rot: ConditionalRotation, kappa_range=None,
-                       N_max: int = 300,
+def optimal_iterations(rot: ConditionalRotation, N_max: int = 300,
                        threshold: float = G1_MAXIMAL_THRESHOLD) -> list[int]:
     """Iteration counts with nearly maximal one-tangle (G1 below threshold).
 
     Membership is decided by direct evaluation of G1 at every integer
     N <= N_max, which subsumes the closed-form minima estimates (see
     analytic_iteration_candidates) and also covers unequal-angle sequences.
-    kappa_range, when given, restricts results to the corresponding angle
-    revolutions: N*(phi0+phi1)/2 within [min, max+1] half-turn windows.
     """
     g1 = g1_over_iterations(rot, N_max)
     hits = np.nonzero(g1 < threshold)[0] + 1
-    if kappa_range is not None:
-        kmin, kmax = min(kappa_range), max(kappa_range)
-        mean_angle = (rot.phi0 + rot.phi1) / 2.0
-        if mean_angle > 0:
-            # the kappa-th tangle maximum sits near N*mean_angle = kappa*pi
-            lo = (kmin - 0.5) * math.pi / mean_angle
-            hi = (kmax + 0.5) * math.pi / mean_angle
-            hits = hits[(hits >= lo) & (hits <= hi)]
     return [int(v) for v in hits]
 
 

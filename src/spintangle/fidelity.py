@@ -1,11 +1,13 @@
 """Analytic target-subspace gate fidelity over the unwanted-spin bath.
 
 Tracing out the L-K unwanted nuclei (environment initialized to |0...0>)
-yields Kraus operators indexed by the environment basis state i.  Each index
-contributes a complex pair per electron branch,
+yields Kraus operators indexed by the environment basis state i.  In terms
+of a branch quaternion q_j = (w_j, x_j, y_j, z_j), a nucleus keeps |0> with
+amplitude a_j = <0|R_j|0> = w_j - i z_j and flips with b_j = <1|R_j|0> =
+y_j - i x_j.  Each index contributes a complex pair per electron branch,
 
-    c_j^(i) = prod over |0>-positions of (cos(phi_j/2) - i n_z,j sin(phi_j/2)),
-    p_j^(i) = prod over |1>-positions of (-i (n_x,j + i n_y,j) sin(phi_j/2)),
+    c_j^(i) = prod over |0>-positions of a_j,
+    p_j^(i) = prod over |1>-positions of b_j,
 
 and the average gate fidelity on the K-target subspace is
 
@@ -15,10 +17,12 @@ Unitarity of each branch rotation makes the diagonal parts of the sum equal
 to 1 exactly, and the cross part factorizes over unwanted spins:
 
     sum_i c_0 p_0 conj(c_1 p_1) = prod_m (a_0 conj(a_1) + b_0 conj(b_1))_m,
+    a_0 conj(a_1) + b_0 conj(b_1) = (q_0 . q_1) + i (w_0 z_1 - z_0 w_1 + y_0 x_1 - x_0 y_1),
 
 so the whole 2^(L-K)-term sum collapses to a product with one complex factor
-per unwanted spin.  Evaluation cost is linear in the register size, and no
-bystander count is too large: each factor has modulus at most 1, so the
+per unwanted spin.  The real part of a factor is the spin's coherence
+(spin_model.coherence).  Evaluation cost is linear in the register size, and
+no bystander count is too large: each factor has modulus at most 1, so the
 product can only shrink towards 0.
 """
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_model import ConditionalRotation, Rotation
+from .spin_model import ConditionalRotation
 
 
 class CapacityError(Exception):
@@ -51,22 +55,22 @@ class RegisterPartition:
     def K(self) -> int:
         return len(self.targets)
 
-    @property
-    def L(self) -> int:
-        return len(self.targets) + len(self.unwanted)
+
+def _amplitudes(rots) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitudes a_j and b_j (see module doc), each of shape (n_spins, 2)."""
+    q = np.array([r.quaternions for r in rots]).reshape(-1, 2, 4)
+    return q[..., 0] - 1j * q[..., 3], q[..., 2] - 1j * q[..., 1]
 
 
-def _branch_amplitudes(rot: ConditionalRotation) -> tuple[complex, complex, complex, complex]:
-    """Flip-free and flip amplitudes (a0, b0, a1, b1) of one nucleus.
+def _overlaps(rots) -> np.ndarray:
+    """Per-spin branch overlaps a0 conj(a1) + b0 conj(b1)."""
+    a, b = _amplitudes(rots)
+    return a[:, 0] * a[:, 1].conj() + b[:, 0] * b[:, 1].conj()
 
-    a_j = <0|R_j|0>, b_j = <1|R_j|0> in terms of the stored quadruple.
-    """
-    out = []
-    for r in (rot.r0, rot.r1):
-        x, y, z = r.v
-        out.append(complex(r.w, -z))
-        out.append(complex(y, -x))
-    return out[0], out[1], out[2], out[3]
+
+def _subspace_fidelity(k: int, total):
+    """Average gate fidelity on K targets from the Kraus sum (see module doc)."""
+    return (1.0 + 2.0 ** (k - 1) * total) / (2.0 ** (k + 1) + 1.0)
 
 
 def kraus_coefficients(unwanted, i: int) -> tuple[tuple[complex, complex],
@@ -79,34 +83,20 @@ def kraus_coefficients(unwanted, i: int) -> tuple[tuple[complex, complex],
     m = len(unwanted)
     if not 0 <= i < 2 ** m:
         raise IndexError("environment basis index out of range")
-    c0 = p0 = c1 = p1 = complex(1.0)
-    for pos, rot in enumerate(unwanted):
-        bit = (i >> (m - 1 - pos)) & 1
-        a0, b0, a1, b1 = _branch_amplitudes(rot)
-        if bit == 0:
-            c0 *= a0
-            c1 *= a1
+    a, b = _amplitudes(unwanted)
+    c, p = np.ones(2, dtype=complex), np.ones(2, dtype=complex)
+    for pos in range(m):
+        if (i >> (m - 1 - pos)) & 1:
+            p *= b[pos]
         else:
-            p0 *= b0
-            p1 *= b1
-    return (c0, p0), (c1, p1)
-
-
-def _branch_overlap_product(unwanted) -> complex:
-    """prod_m (a0 conj(a1) + b0 conj(b1)): the factorized Kraus cross sum."""
-    chi = complex(1.0)
-    for rot in unwanted:
-        a0, b0, a1, b1 = _branch_amplitudes(rot)
-        chi *= a0 * a1.conjugate() + b0 * b1.conjugate()
-    return chi
+            c *= a[pos]
+    return (c[0], p[0]), (c[1], p[1])
 
 
 def target_subspace_fidelity(partition: RegisterPartition) -> float:
     """Average gate fidelity of the iterated gate on the target subspace."""
-    k = partition.K
-    cross = _branch_overlap_product(partition.unwanted).real
-    total = 2.0 + 2.0 * cross
-    return (1.0 + 2.0 ** (k - 1) * total) / (2.0 ** (k + 1) + 1.0)
+    cross = np.prod(_overlaps(partition.unwanted)).real
+    return float(_subspace_fidelity(partition.K, 2.0 + 2.0 * cross))
 
 
 def fidelity_with_local_target(partition: RegisterPartition,
@@ -123,22 +113,17 @@ def fidelity_with_local_target(partition: RegisterPartition,
     """
     if len(primed_axes) != partition.K or len(primed_angles) != partition.K:
         raise ValueError("primed lists must have one entry per target")
-    k = partition.K
-    f0 = f1 = 1.0
+    f = np.ones(2)
     for rot, axis, angle in zip(partition.targets, primed_axes, primed_angles):
-        ax = np.asarray(axis, dtype=float)
-        ang = np.atleast_1d(np.asarray(angle, dtype=float))
-        if ax.ndim == 1:
-            ax = np.stack([ax, ax])
-        if ang.size == 1:
-            ang = np.repeat(ang, 2)
-        ref0 = Rotation.from_axis_angle(ax[0], float(ang[0]))
-        ref1 = Rotation.from_axis_angle(ax[1], float(ang[1]))
-        f0 *= rot.r0.w * ref0.w + float(rot.r0.v @ ref0.v)
-        f1 *= rot.r1.w * ref1.w + float(rot.r1.v @ ref1.v)
-    cross = _branch_overlap_product(partition.unwanted).real
+        ax = np.broadcast_to(np.asarray(axis, dtype=float), (2, 3))
+        ang = np.broadcast_to(np.asarray(angle, dtype=float), (2,))
+        ref = ConditionalRotation.from_axis_angles(ax[0], float(ang[0]),
+                                                   ax[1], float(ang[1]))
+        f *= np.sum(rot.quaternions * ref.quaternions, axis=1)
+    f0, f1 = f
+    cross = np.prod(_overlaps(partition.unwanted)).real
     total = f0 * f0 + f1 * f1 + 2.0 * f0 * f1 * cross
-    return (1.0 + 2.0 ** (k - 1) * total) / (2.0 ** (k + 1) + 1.0)
+    return float(_subspace_fidelity(partition.K, total))
 
 
 def kraus_sum_by_enumeration(partition: RegisterPartition) -> float:
@@ -149,10 +134,8 @@ def kraus_sum_by_enumeration(partition: RegisterPartition) -> float:
     m = len(partition.unwanted)
     if m > 20:
         raise CapacityError("enumeration limited to 20 unwanted spins")
-    amps0 = np.ones(1, dtype=complex)
-    amps1 = np.ones(1, dtype=complex)
-    for rot in partition.unwanted:
-        a0, b0, a1, b1 = _branch_amplitudes(rot)
-        amps0 = np.concatenate([amps0 * a0, amps0 * b0])
-        amps1 = np.concatenate([amps1 * a1, amps1 * b1])
-    return float(np.sum(np.abs(amps0 + amps1) ** 2))
+    # one row per environment basis state, one column per electron branch
+    amps = np.ones((1, 2), dtype=complex)
+    for a, b in zip(*_amplitudes(partition.unwanted)):
+        amps = np.concatenate([amps * a, amps * b])
+    return float(np.sum(np.abs(amps.sum(axis=1)) ** 2))

@@ -28,7 +28,6 @@ import numpy as np
 from .constants import KHZ
 
 _EPS_AXIS = 1e-12
-_Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +188,7 @@ class Rotation:
         """
         s = float(np.linalg.norm(self.v))
         if s < _EPS_AXIS:
-            return _Z_AXIS.copy(), 0.0, True
+            return np.array([0.0, 0.0, 1.0]), 0.0, True
         phi = 2.0 * math.atan2(s, self.w)
         if phi > math.pi:
             return -self.v / s, 2.0 * math.pi - phi, False
@@ -209,12 +208,10 @@ class Rotation:
         return Rotation(w1 * w2 - float(v1 @ v2),
                         w1 * v2 + w2 * v1 + np.cross(v1, v2))
 
-    def power(self, n: int) -> "Rotation":
+    def power(self, n: float) -> "Rotation":
         """Exact n-th power: the angle scales on a fixed axis."""
-        s = float(np.linalg.norm(self.v))
-        half = n * math.atan2(s, self.w)
-        axis = self.v / s if s >= _EPS_AXIS else _Z_AXIS
-        return Rotation(math.cos(half), math.sin(half) * axis)
+        w, *v = _quaternion_power(self.w, *self.v.tolist(), n)
+        return Rotation(w, v)
 
     def __repr__(self) -> str:  # pragma: no cover
         n, phi, trivial = self.axis_angle()
@@ -225,12 +222,29 @@ class Rotation:
 # conditional rotations
 
 
-@dataclass(frozen=True)
-class ConditionalRotation:
-    """Per-branch nuclear rotations effected by one sequence unit (or N of them)."""
+def _quaternion_power(w: float, x: float, y: float, z: float,
+                      n: float) -> tuple[float, float, float, float]:
+    """n-th power of one quaternion: the half angle scales on a fixed axis.
 
-    r0: Rotation
-    r1: Rotation
+    A near-identity quaternion keeps the z axis; NaN stays NaN.
+    """
+    s = math.sqrt(x * x + y * y + z * z)
+    half = n * math.atan2(s, w)
+    axis = (x / s, y / s, z / s) if s >= _EPS_AXIS else (0.0, 0.0, 1.0)
+    sn = math.sin(half)
+    return math.cos(half), sn * axis[0], sn * axis[1], sn * axis[2]
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class ConditionalRotation:
+    """Per-branch rotations of one unit (or N), as read-only (2, 4) quaternions."""
+
+    quaternions: np.ndarray
+
+    def __init__(self, r0: Rotation, r1: Rotation) -> None:
+        q = np.array([[r0.w, *r0.v.tolist()], [r1.w, *r1.v.tolist()]])
+        q.flags.writeable = False
+        object.__setattr__(self, "quaternions", q)
 
     @classmethod
     def from_axis_angles(cls, n0, phi0: float, n1, phi1: float) -> "ConditionalRotation":
@@ -239,14 +253,20 @@ class ConditionalRotation:
 
     @classmethod
     def from_quaternions(cls, q) -> "ConditionalRotation":
-        """View a (2, 4) array of branch quaternions (w, x, y, z) as rotations."""
-        return cls(Rotation(q[0, 0], q[0, 1:]), Rotation(q[1, 0], q[1, 1:]))
+        """Hold a (2, 4) array of branch quaternions (w, x, y, z) as a read-only view."""
+        view = np.asarray(q, dtype=float).view()
+        view.flags.writeable = False
+        rot = cls.__new__(cls)
+        object.__setattr__(rot, "quaternions", view)
+        return rot
 
     @property
-    def quaternions(self) -> np.ndarray:
-        """Branch quaternions as a (2, 4) array, the layout of unit_quaternions."""
-        return np.array([[self.r0.w, *self.r0.v.tolist()],
-                         [self.r1.w, *self.r1.v.tolist()]])
+    def r0(self) -> Rotation:
+        return Rotation(self.quaternions[0, 0], self.quaternions[0, 1:])
+
+    @property
+    def r1(self) -> Rotation:
+        return Rotation(self.quaternions[1, 0], self.quaternions[1, 1:])
 
     @property
     def n0(self) -> np.ndarray:
@@ -318,7 +338,8 @@ def iterate(rot: ConditionalRotation, N: int) -> ConditionalRotation:
     """N repetitions of the unit: exact rotation powers per branch."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    return ConditionalRotation(rot.r0.power(N), rot.r1.power(N))
+    return ConditionalRotation.from_quaternions(
+        np.array([_quaternion_power(*q, N) for q in rot.quaternions.tolist()]))
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +366,8 @@ def resonance_time(spin: NuclearSpinParams, electron: ElectronQubitSpec,
 
 def coherence(rot: ConditionalRotation) -> tuple[float, float]:
     """Electron coherence M = Re tr(R0^dag R1)/2 and the probability (1+M)/2."""
-    m = rot.r0.w * rot.r1.w + float(rot.r0.v @ rot.r1.v)
-    m = float(np.clip(m, -1.0, 1.0))  # keeps a NaN, unlike min/max
+    q0, q1 = rot.quaternions
+    m = float(np.clip(q0 @ q1, -1.0, 1.0))  # keeps a NaN, unlike min/max
     return m, 0.5 * (1.0 + m)
 
 

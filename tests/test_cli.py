@@ -263,7 +263,9 @@ class TestInputErrors:
          ["--anchor", "XX"]),
         (["qec", "--register", "nv27", "--anchor", "XX"], ["--anchor", "XX"]),
         (["sweep", "--register", "nv27", "--spin", "XX"], ["--spin", "XX"]),
-    ], ids=["design-anchor", "qec-anchor", "sweep-spin"])
+        (["qec", "--register", "nv27", "--ideal", "--anchor", "XX"],
+         ["--anchor", "XX"]),
+    ], ids=["design-anchor", "qec-anchor", "sweep-spin", "qec-ideal-anchor"])
     def test_unknown_label_names_flag_and_label(self, argv, names, capsys):
         assert main(argv) == 1
         err = capsys.readouterr().err
@@ -278,7 +280,15 @@ class TestInputErrors:
          "--grid"),
         (["qec", "--register", "nv27", "--ideal", "--grid", "-1", "3"],
          "--grid"),
-    ], ids=["resonances-k", "sweep-n", "qec-grid-zero", "qec-grid-negative"])
+        (["design", "--register", "nv27", "--anchor", "C5", "--k", "0"], "--k"),
+        (["qec", "--register", "nv27", "--k", "-3"], "--k"),
+        (["qec", "--register", "nv27", "--ideal", "--anchor", "XX", "--k", "-3"],
+         "--k"),
+        (["sweep", "--register", "nv27", "--spin", "C4", "--k", "0", "--t-us", "3"],
+         "--k"),
+    ], ids=["resonances-k", "sweep-n", "qec-grid-zero", "qec-grid-negative",
+            "design-k-zero", "qec-k-negative", "qec-ideal-k-negative",
+            "sweep-t-us-k-zero"])
     def test_empty_range_exits_one(self, argv, flag, capsys):
         assert main(argv) == 1
         captured = capsys.readouterr()

@@ -22,6 +22,7 @@ from spintangle.designer import (
     spins_on_trivial_circle,
 )
 from spintangle.entanglement import nuclear_one_tangle
+from spintangle.fidelity import RegisterPartition, target_subspace_fidelity
 from spintangle.spin_model import (
     ConditionalRotation,
     ElectronQubitSpec,
@@ -408,6 +409,35 @@ class TestGateErrorVsBath:
         assert len(records) == 1
         assert records[0]["bath_size"] == 3
         assert records[0]["requested_size"] == 10
+
+    def test_matches_per_ensemble_partitions(self):
+        """The gather over each bin's overlaps against one partition per ensemble."""
+        rng = np.random.default_rng(9)
+        pool = self._pool(rng, 40)
+        targets = [random_rotation_pair(rng), random_rotation_pair(rng)]
+        bins = [(0.0, 0.3), (0.3, 0.7), (0.7, 1.01)]
+        sizes = [1, 3, 8, 40]
+        records = gate_error_vs_bath(targets, pool, bins, sizes, 7, seed=11)
+
+        ref_rng = np.random.Generator(np.random.Philox(11))
+        expected = []
+        for lo, hi in bins:
+            members = [rot for tangle, rot in pool if lo <= tangle < hi]
+            for size in sizes:
+                eff = min(size, len(members))
+                if eff == 0:
+                    continue
+                errors = []
+                for _ in range(7):
+                    order = ref_rng.permutation(len(members))[:eff]
+                    part = RegisterPartition(tuple(targets),
+                                             tuple(members[i] for i in order))
+                    errors.append(1.0 - target_subspace_fidelity(part))
+                expected.append(((lo, hi), eff, float(np.mean(errors))))
+        assert len(records) == len(expected) > 4
+        for rec, (b, eff, err) in zip(records, expected):
+            assert (rec["bin"], rec["bath_size"]) == (b, eff)
+            assert rec["mean_error"] == pytest.approx(err, rel=0.0, abs=1e-15)
 
     def test_error_grows_with_bath_size(self):
         rng = np.random.default_rng(7)

@@ -56,6 +56,26 @@ class TestKrausCoefficients:
         with pytest.raises(IndexError):
             kraus_coefficients([random_rotation_pair(rng)], 2)
 
+    def test_index_beyond_int64(self):
+        # 70 bystanders: the index needs Python-int bit arithmetic
+        rng = np.random.default_rng(15)
+        unwanted = [random_rotation_pair(rng) for _ in range(70)]
+        i = 2 ** 69 + 5
+        c0 = p0 = c1 = p1 = complex(1.0)
+        for pos, rot in enumerate(unwanted):
+            u0, u1 = rot.r0.matrix(), rot.r1.matrix()
+            # big-endian: spin 0 owns bit 69; bits 69, 2 and 0 are set
+            if pos in (0, 67, 69):
+                p0 *= u0[1, 0]
+                p1 *= u1[1, 0]
+            else:
+                c0 *= u0[0, 0]
+                c1 *= u1[0, 0]
+        (g0, q0), (g1, q1) = kraus_coefficients(unwanted, i)
+        assert (g0, q0, g1, q1) == pytest.approx((c0, p0, c1, p1), rel=1e-12)
+        with pytest.raises(IndexError):
+            kraus_coefficients(unwanted, 2 ** 70)
+
     def test_completeness(self):
         # sum_i |c0 p0|^2 = 1 for each branch (unitarity of the product)
         rng = np.random.default_rng(2)

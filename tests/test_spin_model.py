@@ -156,12 +156,21 @@ class TestIterate:
         assert out.phi0 == pytest.approx(math.pi / 2.0, abs=1e-12)
         assert np.allclose(out.n0, (1.0, 0.0, 0.0), atol=1e-12)
 
-    def test_matches_dense_matrix_power(self):
+    @pytest.mark.parametrize("branch", [0, 1], ids=["r0", "r1"])
+    @pytest.mark.parametrize("N, atol", [(1, 1e-10), (37, 1e-10), (10 ** 5, 1e-8)],
+                             ids=["N1", "N37", "N100000"])
+    def test_matches_dense_matrix_power(self, N, atol, branch):
         rng = np.random.default_rng(7)
         rot = random_rotation_pair(rng)
-        out = iterate(rot, 37)
-        ref = np.linalg.matrix_power(rot.r0.matrix(), 37)
-        assert np.allclose(out.r0.matrix(), ref, atol=1e-10)
+        out = iterate(rot, N)
+        unit, got = ((r.r0, r.r1)[branch] for r in (rot, out))
+        ref = np.linalg.matrix_power(unit.matrix(), N)
+        assert np.allclose(got.matrix(), ref, atol=atol)
+
+    def test_nan_stays_nan(self):
+        nan = Rotation(math.nan, (math.nan,) * 3)
+        out = iterate(ConditionalRotation(nan, nan), 5)
+        assert np.isnan(out.quaternions).all()
 
     def test_invalid_count(self):
         rng = np.random.default_rng(8)
@@ -317,6 +326,54 @@ class TestCompose:
                                          rng.uniform(0, 2 * math.pi))
             out = a.compose(b)
             assert np.allclose(out.matrix(), a.matrix() @ b.matrix(), atol=1e-12)
+
+
+class TestPower:
+    @pytest.mark.parametrize("n", [0.5, 0.25, 2.5])
+    def test_fractional_power_of_identity_keeps_z_axis(self, n):
+        out = Rotation(1.0, (0.0, 0.0, 0.0)).power(n)
+        assert out.w == 1.0
+        assert np.array_equal(out.v, (0.0, 0.0, 0.0))
+        axis, angle, trivial = out.axis_angle()
+        assert trivial and angle == 0.0 and np.array_equal(axis, (0.0, 0.0, 1.0))
+
+    def test_half_powers_compose_to_the_rotation(self):
+        rng = np.random.default_rng(12)
+        r = Rotation.from_axis_angle(random_unit_vector(rng), 2.3)
+        half = r.power(0.5)
+        assert np.allclose(half.compose(half).matrix(), r.matrix(), atol=1e-14)
+
+
+class TestConditionalRotationStorage:
+    def test_from_quaternions_stores_the_array(self):
+        rng = np.random.default_rng(13)
+        q = random_rotation_pair(rng).quaternions.copy()
+        rot = ConditionalRotation.from_quaternions(q)
+        assert rot.quaternions.shape == (2, 4)
+        assert np.array_equal(rot.quaternions, q)
+        assert np.shares_memory(rot.quaternions, q)
+        for row, r in zip(q, (rot.r0, rot.r1)):
+            assert r.w == row[0]
+            assert np.array_equal(r.v, row[1:])
+
+    def test_quaternions_are_read_only(self):
+        rng = np.random.default_rng(14)
+        q = random_rotation_pair(rng).quaternions.copy()
+        rot = ConditionalRotation.from_quaternions(q)
+        with pytest.raises(ValueError):
+            rot.quaternions[0, 0] = 0.5
+        with pytest.raises(ValueError):
+            rot.r1.v[0] = 0.5
+        # the caller's array stays writable
+        q[0, 0] = q[0, 0]
+
+    def test_rotation_pair_constructor_matches_rows(self):
+        r0 = Rotation.from_axis_angle((0.0, 1.0, 0.0), 0.7)
+        r1 = Rotation.from_axis_angle((1.0, 0.0, 0.0), 1.9)
+        rot = ConditionalRotation(r0, r1)
+        assert np.array_equal(rot.quaternions, [[r0.w, *r0.v], [r1.w, *r1.v]])
+        with pytest.raises(ValueError):
+            rot.quaternions[1, 2] = 0.0
 
 
 class TestClosedFormAngles:
