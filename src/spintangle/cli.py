@@ -18,6 +18,7 @@ usage errors exit 2.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import platform
@@ -28,8 +29,8 @@ import numpy as np
 from . import __version__, constants
 from .datasets import RegisterFormatError, load_register
 from .designer import DesignConstraints, optimize_register_gate
-from .entanglement import MAX_PAIR_TANGLE, branch_angles, g1_amplitude
-from .qec import QecScenario, error_surface, run_bitflip_code
+from .entanglement import MAX_PAIR_TANGLE, branch_angles, g1_amplitude, g1_from_angles
+from .qec import ERROR_KINDS, SCHEMES, QecScenario, error_surface, run_bitflip_code
 from .spin_model import build_sequence, iterate, resonance_time, unit_propagator
 
 MACHINE_FMT = "%.15g"
@@ -100,6 +101,8 @@ def _label_index(reg, label: str, flag: str) -> int:
 
 
 def cmd_resonances(args: argparse.Namespace) -> int:
+    if args.k_min < 1:
+        raise ValueError(f"--k-min must be >= 1, got {args.k_min}")
     if args.k_max < args.k_min:
         raise ValueError(f"--k-max ({args.k_max}) must be >= --k-min ({args.k_min})")
     reg, electron = _load(args)
@@ -114,13 +117,8 @@ def cmd_resonances(args: argparse.Namespace) -> int:
 
 def cmd_design(args: argparse.Namespace) -> int:
     reg, electron = _load(args)
-    cons = DesignConstraints(
-        max_gate_time=args.max_gate_time,
-        target_tangle_min=args.target_tangle_min,
-        unwanted_tangle_max=args.unwanted_tangle_max,
-        unwanted_tangle_mean_max=args.unwanted_tangle_mean_max,
-        time_window=args.time_window,
-        N_max=args.n_max)
+    cons = DesignConstraints(**{f.name: getattr(args, f.name.lower())
+                                for f in dataclasses.fields(DesignConstraints)})
     anchor_index = _label_index(reg, args.anchor, "--anchor")
     design = optimize_register_gate(reg.spins, electron, cons, anchor_index,
                                     args.k, sequence_kind=args.sequence)
@@ -211,10 +209,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         t = resonance_time(spin, electron, args.k, variant="primary")
     rot = unit_propagator(build_sequence(args.sequence, t), spin, electron)
     counts = np.arange(args.n_min, args.n_max + 1)
-    amp = g1_amplitude(*branch_angles(rot.quaternions), counts)
-    g1 = np.minimum(1.0, amp * amp)
+    angles = branch_angles(rot.quaternions)
+    g1 = g1_from_angles(*angles, counts)
     series = {"g1": g1, "g2": 1.0 + 2.0 * g1, "ep": MAX_PAIR_TANGLE * (1.0 - g1),
-              "m": np.clip(amp, -1.0, 1.0), "tangle": 1.0 - g1}
+              "m": np.clip(g1_amplitude(*angles, counts), -1.0, 1.0),
+              "tangle": 1.0 - g1}
     columns = {name: series[name].tolist() for name in metrics}
     records = [{"label": spin.label, "t_us": t * 1e6, "N": n,
                 **{name: col[i] for name, col in columns.items()}}
@@ -261,24 +260,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--anchor", required=True, help="anchor nucleus label")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--sequence", default="cpmg")
-    p.add_argument("--max-gate-time", type=float, default=1.5e-3)
-    p.add_argument("--target-tangle-min", type=float, default=0.8)
-    p.add_argument("--unwanted-tangle-max", type=float, default=0.14)
-    p.add_argument("--unwanted-tangle-mean-max", type=float, default=0.1)
-    p.add_argument("--time-window", type=float, default=0.25e-6)
-    p.add_argument("--n-max", type=int, default=300)
+    for f in dataclasses.fields(DesignConstraints):
+        p.add_argument("--" + f.name.lower().replace("_", "-"),
+                       type=type(f.default), default=f.default)
     p.set_defaults(func=cmd_design)
 
     p = sub.add_parser("qec", help="three-qubit bit-flip code")
     _add_common(p)
-    p.add_argument("--scheme", choices=("sequential", "multispin"),
-                   default="sequential")
+    p.add_argument("--scheme", choices=SCHEMES, default="sequential")
     p.add_argument("--ideal", action="store_true",
                    help="use the ideal conditional gates")
     p.add_argument("--anchor", default="C22", help="designer anchor label")
     p.add_argument("--k", type=int, default=4)
-    p.add_argument("--error", choices=("none", "electron", "nucleus1", "nucleus2"),
-                   default="electron")
+    p.add_argument("--error", choices=ERROR_KINDS, default="electron")
     p.add_argument("--gamma", type=float, default=math.pi / 2.0)
     p.add_argument("--delta", type=float, default=math.pi / 2.0)
     p.add_argument("--grid", type=int, nargs=2, metavar=("NGAMMA", "NDELTA"),
@@ -304,9 +298,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # design, qec and sweep check --k even where the value goes unused
+        # design, qec and sweep check --k even where the value goes unused;
+        # design and sweep check --sequence before they load the register
         if getattr(args, "k", 1) < 1:
             raise ValueError(f"--k must be >= 1, got {args.k}")
+        if hasattr(args, "sequence"):
+            try:
+                build_sequence(args.sequence, 1.0)
+            except ValueError as exc:
+                raise ValueError(f"--sequence: {exc}") from None
         return args.func(args)
     except (RegisterFormatError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

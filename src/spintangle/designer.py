@@ -13,13 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constants
-from .entanglement import (G1_MAXIMAL_THRESHOLD, branch_angles, g1_amplitude,
+from .entanglement import (G1_MAXIMAL_THRESHOLD, branch_angles, g1_from_angles,
                            g1_over_iterations, optimal_iterations)
 from .fidelity import (RegisterPartition, _overlaps, _subspace_fidelity,
                        target_subspace_fidelity)
 from .spin_model import (ConditionalRotation, ElectronQubitSpec,
                          NuclearSpinParams, build_sequence, iterate,
-                         resonance_time, unit_propagator, unit_quaternions)
+                         resonance_time, trivial_evolution_radius,
+                         unit_propagator, unit_quaternions)
 
 
 # ---------------------------------------------------------------------------
@@ -64,16 +65,10 @@ def find_common_iterations(spins: list[ConditionalRotation], N_max: int,
 # tangle blocks (for grid scans)
 
 
-def _scaled_tangles(h0, h1, n01, N) -> np.ndarray:
-    """Scaled one-tangles 1 - G1, broadcast over all arguments."""
-    m = g1_amplitude(h0, h1, n01, N)
-    return 1.0 - np.minimum(1.0, m * m)
-
-
 def _tangle_block(quats: np.ndarray, N_values: np.ndarray) -> np.ndarray:
     """Scaled one-tangles 1 - G1, shape (n_spins, n_N), from unit quaternions."""
     h0, h1, n01 = (a[:, None] for a in branch_angles(quats))
-    return _scaled_tangles(h0, h1, n01, N_values)
+    return 1.0 - g1_from_angles(h0, h1, n01, N_values)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +207,7 @@ def _scan_unit_times(quats: np.ndarray, times: np.ndarray,
         ti += start
         N = N_values[ni]
         for s in order:
-            tangle = _scaled_tangles(h0[s, ti], h1[s, ti], n01[s, ti], N)
+            tangle = 1.0 - g1_from_angles(h0[s, ti], h1[s, ti], n01[s, ti], N)
             keep = ((tangle > constraints.target_tangle_min)
                     | (tangle < constraints.unwanted_tangle_max))
             ti, N = ti[keep], N[keep]
@@ -220,8 +215,8 @@ def _scan_unit_times(quats: np.ndarray, times: np.ndarray,
             continue
         # take() keeps the (spin, point) block C-ordered, as a single-time
         # block is, so _feasibility sums over spins in the same order
-        tangles = _scaled_tangles(h0.take(ti, axis=1), h1.take(ti, axis=1),
-                                  n01.take(ti, axis=1), N)
+        tangles = 1.0 - g1_from_angles(h0.take(ti, axis=1), h1.take(ti, axis=1),
+                                       n01.take(ti, axis=1), N)
         ok, tgt_mean, unw_mean, targets = _feasibility(tangles, constraints)
         for j, t, n, tgt, unw in zip(
                 np.flatnonzero(ok).tolist(), times[ti[ok]].tolist(),
@@ -461,7 +456,7 @@ def spins_on_trivial_circle(electron: ElectronQubitSpec, omega_L: float,
     else:
         raise ValueError("need one electron branch with projection 0")
     t = 8.0 * kappa_time * math.pi / omega_L
-    radius = abs(8.0 * kappa_circle * math.pi / (s * t))
+    radius = trivial_evolution_radius(s, t, kappa_circle)
     center = -omega_L / s
     spins = []
     psi_values = np.linspace(1e-3, math.pi - 1e-3, 4 * count)
@@ -495,6 +490,10 @@ def gate_error_vs_bath(targets: list[ConditionalRotation],
     holding fewer spins than requested report the largest available bath.
     Returns one record per (bin, bath size) with the ensemble-mean error.
     """
+    if n_ensembles < 1:
+        raise ValueError(f"n_ensembles must be >= 1, got {n_ensembles}")
+    if any(size < 1 for size in bath_sizes):
+        raise ValueError(f"bath_sizes must all be >= 1, got {list(bath_sizes)}")
     k = RegisterPartition(targets, ()).K
     rng = np.random.Generator(np.random.Philox(seed))
     records = []

@@ -18,11 +18,10 @@ angles are used directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_model import ConditionalRotation
+from .spin_model import _EPS_AXIS, ConditionalRotation
 
 MAX_PAIR_TANGLE = 2.0 / 9.0
 
@@ -38,7 +37,7 @@ def branch_angles(quats) -> tuple:
     s = np.sqrt(np.sum(q[:, 1:] ** 2, axis=1))
     h = np.arctan2(s, q[:, 0])
     dot = np.sum(q[0, 1:] * q[1, 1:], axis=0)
-    n01 = np.where((s[0] < 1e-12) | (s[1] < 1e-12), 1.0,
+    n01 = np.where((s[0] < _EPS_AXIS) | (s[1] < _EPS_AXIS), 1.0,
                    dot / np.maximum(s[0] * s[1], 1e-300))
     return h[0], h[1], n01
 
@@ -53,13 +52,18 @@ def g1_amplitude(h0, h1, n01, N):
     return c_diff - 0.5 * (1.0 - n01) * (c_diff - np.cos(N * (h0 + h1)))
 
 
+def g1_from_angles(h0, h1, n01, N):
+    """G1 = min(1, m^2), broadcast over all arguments (see g1_amplitude)."""
+    m = g1_amplitude(h0, h1, n01, N)
+    # np.minimum, unlike min(), keeps a NaN amplitude NaN
+    return np.minimum(1.0, m * m)
+
+
 def makhlin_g1(rot: ConditionalRotation, N: int) -> float:
     """First Makhlin invariant of the iterated conditional gate, in [0, 1]."""
     if N < 0:
         raise ValueError("N must be >= 0")
-    m = g1_amplitude(*branch_angles(rot.quaternions), N)
-    # np.minimum, unlike min(), keeps a NaN amplitude NaN
-    return float(np.minimum(1.0, m * m))
+    return float(g1_from_angles(*branch_angles(rot.quaternions), N))
 
 
 def makhlin_g2(rot: ConditionalRotation, N: int) -> float:
@@ -84,7 +88,9 @@ def electron_one_tangle(rots: list[ConditionalRotation], N: int,
     """Average electron one-tangle, (1 - prod_i (1 + 2 G1_i)/3) / 3."""
     if not rots:
         raise ValueError("need at least one nuclear rotation")
-    return tangle_profile(rots, N, scaled).electron_tangle
+    # each factor lies in [1/3, 1], so the product cannot overflow
+    val = 1.0 - math.prod((1.0 + 2.0 * makhlin_g1(r, N)) / 3.0 for r in rots)
+    return val if scaled else val / 3.0
 
 
 def one_tangle_bound(n: int) -> float:
@@ -102,30 +108,6 @@ def one_tangle_bound(n: int) -> float:
     return 1.0 - (2.0 / 3.0) ** n * total
 
 
-@dataclass(frozen=True)
-class TangleProfile:
-    """Per-nucleus G1 values with derived tangles for one (t, N) point."""
-
-    g1_values: tuple
-    scaled: bool = False
-
-    @property
-    def nuclear_tangles(self) -> tuple:
-        scale = 1.0 if self.scaled else MAX_PAIR_TANGLE
-        return tuple(scale * (1.0 - g) for g in self.g1_values)
-
-    @property
-    def electron_tangle(self) -> float:
-        # each factor lies in [1/3, 1], so the product cannot overflow
-        val = 1.0 - math.prod((1.0 + 2.0 * g) / 3.0 for g in self.g1_values)
-        return val if self.scaled else val / 3.0
-
-
-def tangle_profile(rots: list[ConditionalRotation], N: int,
-                   scaled: bool = False) -> TangleProfile:
-    return TangleProfile(tuple(makhlin_g1(r, N) for r in rots), scaled)
-
-
 # ---------------------------------------------------------------------------
 # iteration-count search
 
@@ -134,8 +116,8 @@ G1_MAXIMAL_THRESHOLD = 0.05
 
 def g1_over_iterations(rot: ConditionalRotation, N_max: int) -> np.ndarray:
     """Vector of G1 values for N = 1..N_max (index 0 is N=1)."""
-    m = g1_amplitude(*branch_angles(rot.quaternions), np.arange(1, N_max + 1))
-    return np.minimum(1.0, m * m)
+    return g1_from_angles(*branch_angles(rot.quaternions),
+                          np.arange(1, N_max + 1))
 
 
 def optimal_iterations(rot: ConditionalRotation, N_max: int = 300,

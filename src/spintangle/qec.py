@@ -32,10 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_model import ConditionalRotation, ElectronQubitSpec, NuclearSpinParams, Rotation
+from .spin_model import (ConditionalRotation, ElectronQubitSpec, NuclearSpinParams,
+                         Rotation, branch_frequency, branch_tilt)
 
 STAGES = ("initial", "encoded", "error", "decoded", "corrected")
 ERROR_KINDS = ("none", "electron", "nucleus1", "nucleus2")
+SCHEMES = ("sequential", "multispin")
 
 # the multispin scheme's R_y(-pi) on one nucleus, the same on both branches
 _RY = Rotation.from_axis_angle((0.0, 1.0, 0.0), -math.pi)
@@ -84,7 +86,7 @@ class QecScenario:
     delta: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.scheme not in ("sequential", "multispin"):
+        if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.error not in ERROR_KINDS:
             raise ValueError(f"unknown error kind {self.error!r}")
@@ -227,13 +229,8 @@ def disentanglement_residual(rot: ConditionalRotation) -> float:
 def residual_closed_form(spin: NuclearSpinParams, electron: ElectronQubitSpec,
                          t: float) -> float:
     """Sine-product form of the residual for one CPMG unit of duration t."""
-    th = []
-    om = []
-    for s in (electron.s0, electron.s1):
-        wz = spin.omega_L + s * spin.A
-        wx = s * spin.B
-        om.append(math.hypot(wz, wx))
-        th.append(math.atan2(wx, wz))
+    th = [branch_tilt(spin, s) for s in (electron.s0, electron.s1)]
+    om = [branch_frequency(spin, s) for s in (electron.s0, electron.s1)]
     val = 2.0 * math.sin(th[0] - th[1]) * (
         math.sin(th[1]) * math.sin(t * om[0] / 4.0) * math.sin(t * om[1] / 8.0) ** 2
         + math.sin(th[0]) * math.sin(t * om[1] / 4.0) * math.sin(t * om[0] / 8.0) ** 2)

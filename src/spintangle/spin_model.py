@@ -73,7 +73,13 @@ class ElectronQubitSpec:
 
 
 def branch_frequency(spin: NuclearSpinParams, s: float) -> float:
+    """Precession frequency omega_j of the branch with projection s."""
     return math.hypot(spin.omega_L + s * spin.A, s * spin.B)
+
+
+def branch_tilt(spin: NuclearSpinParams, s: float) -> float:
+    """Tilt theta_j of the branch's precession axis away from z."""
+    return math.atan2(s * spin.B, spin.omega_L + s * spin.A)
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +119,9 @@ def _udd_spacings(n: int) -> np.ndarray:
 def _symmetrize(q: np.ndarray) -> np.ndarray:
     # Odd pulse count: repeat the unit twice at half scale, merging the
     # boundary spacings, so the doubled unit has an even pulse count.
+    # slices keep an empty q empty, for PulseSequence to reject
     h = q / 2.0
-    return np.concatenate([h[:-1], [h[-1] + h[0]], h[1:]])
+    return np.concatenate([h[:-1], h[-1:] + h[:1], h[1:]])
 
 
 def build_sequence(kind: str, unit_time: float,
@@ -140,8 +147,6 @@ def build_sequence(kind: str, unit_time: float,
         if custom_spacings is None:
             raise ValueError("custom sequence needs custom_spacings")
         q = np.asarray(custom_spacings, dtype=float)
-        if abs(q.sum() - 1.0) > 1e-12:
-            raise ValueError("custom spacings must sum to 1")
     else:
         raise ValueError(f"unsupported sequence kind: {kind!r}")
     if (len(q) - 1) % 2 != 0:
@@ -255,6 +260,8 @@ class ConditionalRotation:
     def from_quaternions(cls, q) -> "ConditionalRotation":
         """Hold a (2, 4) array of branch quaternions (w, x, y, z) as a read-only view."""
         view = np.asarray(q, dtype=float).view()
+        if view.shape != (2, 4):
+            raise ValueError(f"quaternions must have shape (2, 4), got {view.shape}")
         view.flags.writeable = False
         rot = cls.__new__(cls)
         object.__setattr__(rot, "quaternions", view)
@@ -375,6 +382,13 @@ def coherence(rot: ConditionalRotation) -> tuple[float, float]:
 # trivial evolution
 
 
+def trivial_evolution_radius(electron_s: float, t: float, kappa: int) -> float:
+    """Radius of the kappa-th decoupling circle for one electron branch."""
+    if electron_s == 0:
+        raise ValueError("s = 0 branch has no circle; decoupling is periodic in t")
+    return abs(8.0 * kappa * math.pi / (electron_s * t))
+
+
 def trivial_evolution_condition(spin: NuclearSpinParams,
                                 electron: ElectronQubitSpec,
                                 t: float, kappa_max: int,
@@ -400,19 +414,12 @@ def trivial_evolution_condition(spin: NuclearSpinParams,
             dx = spin.A + spin.omega_L / s
             d = math.hypot(dx, spin.B)
             for kappa in range(1, kappa_max + 1):
-                radius = abs(8.0 * kappa * math.pi / (s * t))
+                radius = trivial_evolution_radius(s, t, kappa)
                 if radius * radius < dx * dx:
                     continue
                 best = min(best, abs(d - radius) / radius)
         worst = max(worst, best)
     return worst < tol, worst
-
-
-def trivial_evolution_radius(electron_s: float, t: float, kappa: int) -> float:
-    """Radius of the kappa-th decoupling circle for one electron branch."""
-    if electron_s == 0:
-        raise ValueError("s = 0 branch has no circle; decoupling is periodic in t")
-    return abs(8.0 * kappa * math.pi / (electron_s * t))
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +441,8 @@ def closed_form_angles(kind: str, spin: NuclearSpinParams,
     """
     w0 = branch_frequency(spin, electron.s0) * t
     w1 = branch_frequency(spin, electron.s1) * t
-    th0 = math.atan2(electron.s0 * spin.B, spin.omega_L + electron.s0 * spin.A)
-    th1 = math.atan2(electron.s1 * spin.B, spin.omega_L + electron.s1 * spin.A)
+    th0 = branch_tilt(spin, electron.s0)
+    th1 = branch_tilt(spin, electron.s1)
 
     def one_branch(wa: float, wb: float, tilt: float) -> float:
         ct, st2 = math.cos(tilt), math.sin(tilt) ** 2

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -12,8 +14,9 @@ import numpy as np
 import pytest
 
 import spintangle
-from spintangle import __version__
-from spintangle.cli import main
+from spintangle import __version__, qec
+from spintangle.cli import build_parser, main
+from spintangle.designer import DesignConstraints
 
 EMPTY = "label,A_kHz,B_kHz\n"
 BAD_ROW = "label,A_kHz,B_kHz\nC1,1,2\nC2,x,4\n"
@@ -31,6 +34,11 @@ def _write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+def _subparser(command):
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices[command]
 
 
 class TestResonances:
@@ -170,6 +178,12 @@ class TestDesign:
         assert rec["iterations"] == 51
         assert 0.0 < rec["gate_error"] < 1.0
 
+    def test_constraint_flags_default_to_design_constraints(self):
+        parser = _subparser("design")
+        defaults = {name: parser.get_default(name.lower())
+                    for name in dataclasses.asdict(DesignConstraints())}
+        assert defaults == dataclasses.asdict(DesignConstraints())
+
 
 class TestQec:
     def test_single_run(self, capsys):
@@ -217,6 +231,11 @@ class TestQec:
         rows = [l for l in open(out).read().splitlines()
                 if l and not l.startswith("#")]
         assert len(rows) == 1 + 2500
+
+    def test_choices_come_from_qec(self):
+        choices = {a.dest: a.choices for a in _subparser("qec")._actions}
+        assert choices["error"] == qec.ERROR_KINDS
+        assert choices["scheme"] == qec.SCHEMES
 
 
 class TestSweep:
@@ -286,9 +305,19 @@ class TestInputErrors:
          "--k"),
         (["sweep", "--register", "nv27", "--spin", "C4", "--k", "0", "--t-us", "3"],
          "--k"),
+        (["resonances", "--register", "nv27", "--k-min", "0"], "--k-min"),
+        (["design", "--register", "nv27", "--anchor", "C5", "--k", "3",
+          "--sequence", "foo"], "--sequence"),
+        (["sweep", "--register", "nv27", "--spin", "C5", "--sequence", "foo"],
+         "--sequence"),
+        (["sweep", "--register", "nv27", "--spin", "C5", "--sequence", "udd0"],
+         "--sequence"),
+        (["design", "--register", "nv27", "--anchor", "C5", "--k", "3",
+          "--sequence", "custom"], "--sequence"),
     ], ids=["resonances-k", "sweep-n", "qec-grid-zero", "qec-grid-negative",
             "design-k-zero", "qec-k-negative", "qec-ideal-k-negative",
-            "sweep-t-us-k-zero"])
+            "sweep-t-us-k-zero", "resonances-k-min-zero", "design-sequence-foo",
+            "sweep-sequence-foo", "sweep-sequence-udd0", "design-sequence-custom"])
     def test_empty_range_exits_one(self, argv, flag, capsys):
         assert main(argv) == 1
         captured = capsys.readouterr()

@@ -448,6 +448,19 @@ class TestGateErrorVsBath:
         assert errors[-1] > errors[0]
         assert all(e >= -1e-12 for e in errors)
 
+    @pytest.mark.parametrize("sizes, n_ensembles, name", [
+        ([2], 0, "n_ensembles"),
+        ([2], -1, "n_ensembles"),
+        ([-2], 3, "bath_sizes"),
+        ([4, 0], 3, "bath_sizes"),
+    ], ids=["no-ensembles", "negative-ensembles", "negative-size", "zero-size"])
+    def test_counts_below_one_rejected(self, sizes, n_ensembles, name):
+        rng = np.random.default_rng(10)
+        pool = self._pool(rng, 3)
+        with pytest.raises(ValueError, match=name):
+            gate_error_vs_bath([random_rotation_pair(rng)], pool, [(0.0, 1.0)],
+                               sizes, n_ensembles, seed=0)
+
 
 class TestDesignConstraintsValidation:
     @pytest.mark.parametrize("field", ["max_gate_time", "time_window"])

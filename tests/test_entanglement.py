@@ -7,7 +7,6 @@ import pytest
 
 from spintangle.entanglement import (
     MAX_PAIR_TANGLE,
-    TangleProfile,
     analytic_iteration_candidates,
     electron_one_tangle,
     entangling_power,
@@ -16,7 +15,6 @@ from spintangle.entanglement import (
     nuclear_one_tangle,
     one_tangle_bound,
     optimal_iterations,
-    tangle_profile,
     udd4_jump_locations,
 )
 from spintangle.oracle import (
@@ -158,15 +156,6 @@ class TestOneTangles:
         assert math.isfinite(val)
         expected = (1.0 - ((1.0 + 2.0 * g1) / 3.0) ** 700) / 3.0
         assert val == pytest.approx(expected, abs=1e-12)
-
-    def test_profile_consistency(self):
-        rng = np.random.default_rng(10)
-        rots = [random_rotation_pair(rng) for _ in range(4)]
-        prof = tangle_profile(rots, 7)
-        for g, tangle in zip(prof.g1_values, prof.nuclear_tangles):
-            assert tangle == pytest.approx(MAX_PAIR_TANGLE * (1.0 - g), abs=1e-12)
-        assert prof.electron_tangle == pytest.approx(
-            electron_one_tangle(rots, 7), abs=1e-12)
 
 
 class TestOneTangleBound:

@@ -375,6 +375,12 @@ class TestConditionalRotationStorage:
         with pytest.raises(ValueError):
             rot.quaternions[1, 2] = 0.0
 
+    @pytest.mark.parametrize("shape", [(3, 4), (4, 2), (2, 4, 1), (8,)],
+                             ids=["3x4", "4x2", "2x4x1", "8"])
+    def test_from_quaternions_rejects_other_shapes(self, shape):
+        with pytest.raises(ValueError, match=r"\(2, 4\)"):
+            ConditionalRotation.from_quaternions(np.zeros(shape))
+
 
 class TestClosedFormAngles:
     def test_cpmg_equal_angles(self, spin_60_30, half_electron):
