@@ -31,7 +31,8 @@ from .datasets import RegisterFormatError, load_register
 from .designer import DesignConstraints, optimize_register_gate
 from .entanglement import MAX_PAIR_TANGLE, branch_angles, g1_amplitude, g1_from_angles
 from .qec import ERROR_KINDS, SCHEMES, QecScenario, error_surface, run_bitflip_code
-from .spin_model import build_sequence, iterate, resonance_time, unit_propagator
+from .spin_model import (RESONANCE_VARIANTS, build_sequence, iterate, resonance_time,
+                         unit_propagator)
 
 MACHINE_FMT = "%.15g"
 HUMAN_FMT = "%.5g"
@@ -252,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--k-min", type=int, default=1)
     p.add_argument("--k-max", type=int, default=5)
-    p.add_argument("--variant", choices=("primary", "udd4_extra"), default="primary")
+    p.add_argument("--variant", choices=RESONANCE_VARIANTS, default="primary")
     p.set_defaults(func=cmd_resonances)
 
     p = sub.add_parser("design", help="constrained multi-spin gate search")

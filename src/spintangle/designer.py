@@ -20,7 +20,7 @@ from .fidelity import (RegisterPartition, _overlaps, _subspace_fidelity,
 from .spin_model import (ConditionalRotation, ElectronQubitSpec,
                          NuclearSpinParams, build_sequence, iterate,
                          resonance_time, trivial_evolution_radius,
-                         unit_propagator, unit_quaternions)
+                         trivial_evolution_time, unit_propagator, unit_quaternions)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +455,7 @@ def spins_on_trivial_circle(electron: ElectronQubitSpec, omega_L: float,
         s = electron.s0
     else:
         raise ValueError("need one electron branch with projection 0")
-    t = 8.0 * kappa_time * math.pi / omega_L
+    t = trivial_evolution_time(omega_L, kappa_time)
     radius = trivial_evolution_radius(s, t, kappa_circle)
     center = -omega_L / s
     spins = []

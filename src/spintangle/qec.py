@@ -23,6 +23,11 @@ The correction sub-circuit (the Toffoli controlled on the nuclei) is taken
 as ideal.  The simulation covers the three protocol qubits only; spectator
 nuclei enter through the separately reported gate error.
 
+run_bitflip_code reports the final state, the recovery probability, the
+electron purity and a snapshot of the state after each stage.
+error_surface runs each grid point through the same stage operators but
+computes only its recovery probability: no snapshots and no purity.
+
 State vectors use the basis |e n1 n2> with index 4*e + 2*n1 + n2.
 """
 from __future__ import annotations
@@ -136,25 +141,35 @@ def _circuit(scenario: QecScenario) -> tuple:
             _conditional_gate(dec1, dec2), _TOFFOLI)
 
 
-def _run(circuit: tuple, gamma: float, delta: float) -> QecOutcome:
-    """Run one electron input state through the stage operators of circuit."""
+def _input(gamma: float, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The electron input state and the register state psi_el (x) |11>."""
     alpha = math.cos(gamma / 2.0)
     beta = complex(math.cos(delta), math.sin(delta)) * math.sin(gamma / 2.0)
-    psi_el = np.array([alpha, beta], dtype=complex)
-    psi = np.kron(psi_el, np.array([0, 0, 0, 1], dtype=complex))
+    psi = np.zeros(8, dtype=complex)
+    psi[3], psi[7] = alpha, beta
+    return np.array([alpha, beta], dtype=complex), psi
+
+
+def _recovery(psi_el: np.ndarray, psi: np.ndarray) -> float:
+    """Probability that the electron of the final state psi is back in psi_el."""
+    proj = psi_el.conj() @ psi.reshape(2, 4)
+    # np.minimum, unlike min(), keeps a NaN
+    return float(np.minimum(1.0, np.real(proj @ proj.conj())))
+
+
+def _run(circuit: tuple, gamma: float, delta: float) -> QecOutcome:
+    """Run one electron input state through the stage operators of circuit."""
+    psi_el, psi = _input(gamma, delta)
     snapshots = {"initial": psi}
     for stage, op in zip(STAGES[1:], circuit):
         psi = op @ psi
         snapshots[stage] = psi
 
     amp = psi.reshape(2, 4)
-    proj = psi_el.conj() @ amp
-    recovery = np.real(proj @ proj.conj())
     rho_el = amp @ amp.conj().T
     purity = np.real(np.trace(rho_el @ rho_el))
-    # np.minimum, unlike min(), keeps a NaN
     return QecOutcome(final_state=psi,
-                      recovery_probability=float(np.minimum(1.0, recovery)),
+                      recovery_probability=_recovery(psi_el, psi),
                       electron_purity=float(np.minimum(1.0, purity)),
                       snapshots=snapshots)
 
@@ -164,17 +179,35 @@ def run_bitflip_code(scenario: QecScenario) -> QecOutcome:
     return _run(_circuit(scenario), scenario.gamma, scenario.delta)
 
 
+def _grid_axis(values, name: str) -> list:
+    try:
+        axis = np.asarray(values, dtype=float)
+        ok = axis.ndim == 1 and bool(np.all(np.isfinite(axis)))
+    except (TypeError, ValueError):  # ragged, or not numbers
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be a 1-D array of finite values")
+    return axis.tolist()
+
+
 def error_surface(scenario: QecScenario, gammas, deltas) -> np.ndarray:
     """Error probability 1 - recovery over a grid of electron input states.
 
-    The circuit is built once; each point equals run_bitflip_code at its
-    (gamma, delta).
+    gammas and deltas are 1-D arrays of finite values.  The circuit is built
+    once; each point runs the input state through the same stage operators,
+    in the same order, as run_bitflip_code at its (gamma, delta), so the two
+    agree bit for bit.  A point computes only the recovery probability: no
+    snapshots and no electron purity.
     """
+    gammas, deltas = _grid_axis(gammas, "gammas"), _grid_axis(deltas, "deltas")
     circuit = _circuit(scenario)
     out = np.empty((len(gammas), len(deltas)))
     for i, g in enumerate(gammas):
         for j, d in enumerate(deltas):
-            out[i, j] = 1.0 - _run(circuit, float(g), float(d)).recovery_probability
+            psi_el, psi = _input(g, d)
+            for op in circuit:
+                psi = op @ psi
+            out[i, j] = 1.0 - _recovery(psi_el, psi)
     return out
 
 

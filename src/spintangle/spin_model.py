@@ -97,6 +97,9 @@ class PulseSequence:
         if not (math.isfinite(self.unit_time) and self.unit_time > 0):
             raise ValueError(f"unit_time must be positive and finite, got {self.unit_time}")
         q = np.asarray(self.spacings, dtype=float)
+        if q.ndim != 1 or not np.all(np.isfinite(q)):
+            raise ValueError(f"spacings must be a 1-D sequence of finite values, "
+                             f"got {self.spacings!r}")
         if np.any(q < 0):
             raise ValueError("spacings must be nonnegative")
         if abs(q.sum() - 1.0) > 1e-12:
@@ -352,23 +355,24 @@ def iterate(rot: ConditionalRotation, N: int) -> ConditionalRotation:
 # ---------------------------------------------------------------------------
 # resonance and coherence
 
+RESONANCE_VARIANTS = ("primary", "udd4_extra")
+
 
 def resonance_time(spin: NuclearSpinParams, electron: ElectronQubitSpec,
                    k: int, variant: str = "primary") -> float:
     """k-th resonance unit time t_k = 4*pi*(2k-1)/(omega_0 + omega_1).
 
-    variant "udd4_extra" returns the additional UDD4 family at twice the time.
+    variant is one of RESONANCE_VARIANTS; "udd4_extra" returns the
+    additional UDD4 family at twice the time.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if variant not in RESONANCE_VARIANTS:
+        raise ValueError(f"unknown variant: {variant!r}")
     wsum = (branch_frequency(spin, electron.s0)
             + branch_frequency(spin, electron.s1))
     t = 4.0 * math.pi * (2 * k - 1) / wsum
-    if variant == "primary":
-        return t
-    if variant == "udd4_extra":
-        return 2.0 * t
-    raise ValueError(f"unknown variant: {variant!r}")
+    return 2.0 * t if variant == "udd4_extra" else t
 
 
 def coherence(rot: ConditionalRotation) -> tuple[float, float]:
@@ -380,6 +384,11 @@ def coherence(rot: ConditionalRotation) -> tuple[float, float]:
 
 # ---------------------------------------------------------------------------
 # trivial evolution
+
+
+def trivial_evolution_time(omega_L: float, kappa: int) -> float:
+    """Unit time 8*kappa*pi/omega_L at which an s = 0 branch decouples."""
+    return 8.0 * kappa * math.pi / omega_L
 
 
 def trivial_evolution_radius(electron_s: float, t: float, kappa: int) -> float:
@@ -408,7 +417,7 @@ def trivial_evolution_condition(spin: NuclearSpinParams,
         best = math.inf
         if s == 0:
             for kappa in range(1, kappa_max + 1):
-                ref = 8.0 * kappa * math.pi / spin.omega_L
+                ref = trivial_evolution_time(spin.omega_L, kappa)
                 best = min(best, abs(t - ref) / ref)
         else:
             dx = spin.A + spin.omega_L / s

@@ -10,6 +10,7 @@ from spintangle.datasets import load_register
 from spintangle.designer import DesignConstraints, optimize_register_gate
 from spintangle.qec import (
     QecScenario,
+    _input,
     disentanglement_residual,
     error_surface,
     ideal_crx,
@@ -123,6 +124,28 @@ class TestErrorSurface:
                              np.linspace(0.0, 2.0 * math.pi, 8))
         assert 0.0 <= np.max(surf) < 0.05
         assert np.max(surf) > 1e-6
+
+
+    @pytest.mark.parametrize("axis", ["gammas", "deltas"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_axis_rejected(self, axis, value):
+        axes = {"gammas": [0.0, 1.0], "deltas": [0.0, 1.0]}
+        axes[axis][1] = value
+        with pytest.raises(ValueError, match=axis):
+            error_surface(QecScenario(error="electron"), **axes)
+
+    @pytest.mark.parametrize("axis", ["gammas", "deltas"])
+    @pytest.mark.parametrize("bad", [[[0.0, 1.0]], 0.5, [[0.0, 1.0], 2.0]],
+                             ids=["2-d", "scalar", "ragged"])
+    def test_axis_must_be_one_dimensional(self, axis, bad):
+        axes = {"gammas": [0.0, 1.0], "deltas": [0.0, 1.0], axis: bad}
+        with pytest.raises(ValueError, match=axis):
+            error_surface(QecScenario(error="electron"), **axes)
+
+    def test_empty_axis_gives_empty_surface(self):
+        scenario = QecScenario(error="electron")
+        assert error_surface(scenario, [], [0.0, 1.0, 2.0]).shape == (0, 3)
+        assert error_surface(scenario, [0.0, 1.0], []).shape == (2, 0)
 
 
 class TestTrajectories:
@@ -242,6 +265,32 @@ class TestCircuitBuiltOnce:
             want = (_one_nucleus_gate(gates[1], 1)
                     @ (_one_nucleus_gate(gates[0], 0) @ snaps[before]))
             assert np.max(np.abs(snaps[after] - want)) <= 1e-15
+
+
+class TestSurfacePointPath:
+    """Pins the per-point path that a batched surface must reproduce."""
+
+    def test_input_state_is_the_kronecker_product(self):
+        rng = np.random.default_rng(11)
+        e11 = np.array([0, 0, 0, 1], dtype=complex)
+        for gamma, delta in rng.uniform(-10.0, 10.0, (200, 2)):
+            psi_el, psi = _input(float(gamma), float(delta))
+            assert np.array_equal(psi, np.kron(psi_el, e11))
+            assert np.allclose(psi_el, (math.cos(gamma / 2.0),
+                                        np.exp(1j * delta) * math.sin(gamma / 2.0)),
+                               rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("scheme", ["sequential", "multispin"])
+    def test_point_does_not_depend_on_grid_size(self, scheme):
+        gates = _designed_gates("C23", 3)
+        gammas = np.linspace(0.0, math.pi, 7)
+        deltas = np.linspace(0.0, 2.0 * math.pi, 9)
+        for error in ERRORS:
+            base = QecScenario(scheme=scheme, encode_gates=gates, error=error)
+            surf = error_surface(base, gammas, deltas)
+            for i, g in enumerate(gammas):
+                for j, d in enumerate(deltas):
+                    assert error_surface(base, [g], [d])[0, 0] == surf[i, j]
 
 
 class TestNonFiniteInputs:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spintangle.spin_model import (
+    RESONANCE_VARIANTS,
     ConditionalRotation,
     ElectronQubitSpec,
     NuclearSpinParams,
@@ -82,6 +83,17 @@ class TestBuildSequence:
         assert seq.pulse_count == 6
         assert q[3] == pytest.approx((base[3] + base[0]) / 2.0, abs=1e-14)
         assert q.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("order", range(1, 9))
+    def test_udd_orders_are_normalized(self, order):
+        q = np.asarray(build_sequence(f"udd{order}", 1e-6).spacings)
+        assert q.ndim == 1 and (len(q) - 1) % 2 == 0
+        assert q == pytest.approx(q[::-1], abs=1e-15)
+        assert q.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_custom_spacings_must_be_one_dimensional(self):
+        with pytest.raises(ValueError, match="spacings"):
+            build_sequence("custom", 1e-6, custom_spacings=[[0.5, 0.5]])
 
     def test_custom_must_normalize(self):
         with pytest.raises(ValueError):
@@ -210,6 +222,12 @@ class TestResonanceTime:
     def test_invalid_k(self, spin_80_25, half_electron):
         with pytest.raises(ValueError):
             resonance_time(spin_80_25, half_electron, 0)
+
+    def test_every_variant_accepted_and_no_other(self, spin_80_25, half_electron):
+        for variant in RESONANCE_VARIANTS:
+            assert resonance_time(spin_80_25, half_electron, 1, variant=variant) > 0
+        with pytest.raises(ValueError, match="variant"):
+            resonance_time(spin_80_25, half_electron, 1, variant="udd4")
 
 
 class TestCoherence:
@@ -508,3 +526,8 @@ class TestNonFiniteInputs:
     def test_non_finite_unit_time_rejected(self, t):
         with pytest.raises(ValueError, match="unit_time"):
             build_sequence("cpmg", t)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_spacings_rejected(self, value):
+        with pytest.raises(ValueError, match="spacings"):
+            build_sequence("custom", 1e-6, custom_spacings=[value, 0.5, 0.5])
