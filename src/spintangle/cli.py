@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from . import __version__, constants
-from .datasets import RegisterFormatError, load_register
+from .datasets import load_register
 from .designer import DesignConstraints, optimize_register_gate
 from .entanglement import MAX_PAIR_TANGLE, branch_angles, g1_amplitude, g1_from_angles
 from .qec import ERROR_KINDS, SCHEMES, QecScenario, error_surface, run_bitflip_code
@@ -38,21 +38,19 @@ MACHINE_FMT = "%.15g"
 HUMAN_FMT = "%.5g"
 
 
-def _provenance(args: argparse.Namespace, reg=None, **extra) -> dict:
+def _provenance(args: argparse.Namespace, reg, **extra) -> dict:
     flags = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-    prov = {
+    return {
         "version": __version__,
         "flags": " ".join(f"--{k.replace('_', '-')}={v}" for k, v in flags.items()
                           if v is not None),
-        "seed": getattr(args, "seed", 0),
+        "seed": args.seed,
         "constants": constants.constants_hash(),
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "register_sha256": reg.sha256,
+        **extra,
     }
-    if reg is not None:
-        prov["register_sha256"] = reg.sha256
-    prov.update(extra)
-    return prov
 
 
 def _fmt(value, fmt: str) -> str:
@@ -62,7 +60,7 @@ def _fmt(value, fmt: str) -> str:
 
 
 def _emit(records: list[dict], columns: list[str], args: argparse.Namespace,
-          reg=None, **extra) -> None:
+          reg, **extra) -> None:
     """Print the table; write CSV/JSON with the provenance of _provenance."""
     prov = _provenance(args, reg, **extra)
     widths = {c: max(len(c), *(len(_fmt(r[c], HUMAN_FMT)) for r in records)) if records
@@ -227,13 +225,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # parser
 
 
-def _add_common(p: argparse.ArgumentParser, register: bool = True) -> None:
-    if register:
-        p.add_argument("--register", required=True,
-                       help="register CSV path or bundled dataset name")
-        p.add_argument("--larmor-khz", type=float, default=None)
-        p.add_argument("--s0", type=float, default=None)
-        p.add_argument("--s1", type=float, default=None)
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--register", required=True,
+                   help="register CSV path or bundled dataset name")
+    p.add_argument("--larmor-khz", type=float, default=None)
+    p.add_argument("--s0", type=float, default=None)
+    p.add_argument("--s1", type=float, default=None)
     p.add_argument("--csv", default=None, help="write records as CSV")
     p.add_argument("--json", default=None, help="write records as JSON")
     p.add_argument("--seed", type=int, default=0)
@@ -309,7 +306,7 @@ def main(argv=None) -> int:
             except ValueError as exc:
                 raise ValueError(f"--sequence: {exc}") from None
         return args.func(args)
-    except (RegisterFormatError, ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -144,7 +144,7 @@ def analytic_iteration_candidates(rot: ConditionalRotation,
     N = round[(2 kappa + 1) pi / phi0].  For n01 > 0 G1 cannot vanish and
     no candidates are produced.
     """
-    phi, phi1 = rot.phi0, rot.phi1
+    phi, phi1 = rot.r0.axis_angle()[1], rot.r1.axis_angle()[1]
     n01 = rot.axis_dot
     if abs(phi - phi1) > angle_tol:
         raise ValueError("analytic minima require phi0 = phi1")

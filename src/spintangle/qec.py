@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spin_model import (ConditionalRotation, ElectronQubitSpec, NuclearSpinParams,
-                         Rotation, branch_frequency, branch_tilt)
+                         Rotation, branch_frequency, branch_tilt, finite_1d)
 
 STAGES = ("initial", "encoded", "error", "decoded", "corrected")
 ERROR_KINDS = ("none", "electron", "nucleus1", "nucleus2")
@@ -179,17 +179,6 @@ def run_bitflip_code(scenario: QecScenario) -> QecOutcome:
     return _run(_circuit(scenario), scenario.gamma, scenario.delta)
 
 
-def _grid_axis(values, name: str) -> list:
-    try:
-        axis = np.asarray(values, dtype=float)
-        ok = axis.ndim == 1 and bool(np.all(np.isfinite(axis)))
-    except (TypeError, ValueError):  # ragged, or not numbers
-        ok = False
-    if not ok:
-        raise ValueError(f"{name} must be a 1-D array of finite values")
-    return axis.tolist()
-
-
 def error_surface(scenario: QecScenario, gammas, deltas) -> np.ndarray:
     """Error probability 1 - recovery over a grid of electron input states.
 
@@ -199,7 +188,9 @@ def error_surface(scenario: QecScenario, gammas, deltas) -> np.ndarray:
     agree bit for bit.  A point computes only the recovery probability: no
     snapshots and no electron purity.
     """
-    gammas, deltas = _grid_axis(gammas, "gammas"), _grid_axis(deltas, "deltas")
+    # Python floats at each point, as run_bitflip_code gets them
+    gammas = finite_1d(gammas, "gammas").tolist()
+    deltas = finite_1d(deltas, "deltas").tolist()
     circuit = _circuit(scenario)
     out = np.empty((len(gammas), len(deltas)))
     for i, g in enumerate(gammas):

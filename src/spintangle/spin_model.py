@@ -66,8 +66,9 @@ class ElectronQubitSpec:
     s1: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.s0) and math.isfinite(self.s1)):
-            raise ValueError("projections must be finite")
+        for name in ("s0", "s1"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.s0 == self.s1:
             raise ValueError("s0 and s1 must differ")
 
@@ -86,6 +87,17 @@ def branch_tilt(spin: NuclearSpinParams, s: float) -> float:
 # pulse sequences
 
 
+def finite_1d(values, name: str) -> np.ndarray:
+    """values as a float array; a ValueError naming name unless 1-D and finite."""
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):  # ragged, or not numbers
+        arr = None
+    if arr is None or arr.ndim != 1 or not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be a 1-D array of finite values, got {values!r}")
+    return arr
+
+
 @dataclass(frozen=True)
 class PulseSequence:
     """Normalized interpulse spacings q_1..q_{n+1} plus the unit duration."""
@@ -96,10 +108,7 @@ class PulseSequence:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.unit_time) and self.unit_time > 0):
             raise ValueError(f"unit_time must be positive and finite, got {self.unit_time}")
-        q = np.asarray(self.spacings, dtype=float)
-        if q.ndim != 1 or not np.all(np.isfinite(q)):
-            raise ValueError(f"spacings must be a 1-D sequence of finite values, "
-                             f"got {self.spacings!r}")
+        q = finite_1d(self.spacings, "spacings")
         if np.any(q < 0):
             raise ValueError("spacings must be nonnegative")
         if abs(q.sum() - 1.0) > 1e-12:
@@ -149,7 +158,7 @@ def build_sequence(kind: str, unit_time: float,
     elif kind == "custom":
         if custom_spacings is None:
             raise ValueError("custom sequence needs custom_spacings")
-        q = np.asarray(custom_spacings, dtype=float)
+        q = finite_1d(custom_spacings, "spacings")
     else:
         raise ValueError(f"unsupported sequence kind: {kind!r}")
     if (len(q) - 1) % 2 != 0:
@@ -173,10 +182,6 @@ class Rotation:
     def __init__(self, w: float, v) -> None:
         self.w = float(w)
         self.v = np.asarray(v, dtype=float)
-
-    @classmethod
-    def identity(cls) -> "Rotation":
-        return cls(1.0, np.zeros(3))
 
     @classmethod
     def from_axis_angle(cls, axis, angle: float) -> "Rotation":
@@ -279,22 +284,6 @@ class ConditionalRotation:
         return Rotation(self.quaternions[1, 0], self.quaternions[1, 1:])
 
     @property
-    def n0(self) -> np.ndarray:
-        return self.r0.axis_angle()[0]
-
-    @property
-    def phi0(self) -> float:
-        return self.r0.axis_angle()[1]
-
-    @property
-    def n1(self) -> np.ndarray:
-        return self.r1.axis_angle()[0]
-
-    @property
-    def phi1(self) -> float:
-        return self.r1.axis_angle()[1]
-
-    @property
     def axis_dot(self) -> float:
         """n0 . n1 under the [0, pi] convention; 1 when either branch is trivial."""
         n0, _, t0 = self.r0.axis_angle()
@@ -313,20 +302,24 @@ def unit_quaternions(A, B, omega_L, electron: ElectronQubitSpec,
     are composed in time order.  Returns an array of shape (2, 4, *shape):
     branch, then (w, x, y, z), over the broadcast shape of A, B, omega_L, t.
     """
-    segments = {}
+    axes, trig = {}, {}
     for s in (electron.s0, electron.s1):
         wz = omega_L + s * A
         wx = s * B
         w = np.hypot(wz, wx)
         # a branch with zero frequency does not rotate; give it the z axis
         still = w == 0.0
-        segments[s] = (wx / (w + still), (wz + still) / (w + still), 0.5 * w * t)
+        axes[s] = (wx / (w + still), (wz + still) / (w + still))
+        half_rate = 0.5 * w * t
+        # both orders meet each spacing under each projection: one pair each
+        for q in set(spacings):
+            trig[s, q] = np.cos(half_rate * q), np.sin(half_rate * q)
     out = []
     for order in ((electron.s0, electron.s1), (electron.s1, electron.s0)):
         w, x, y, z = 1.0, 0.0, 0.0, 0.0
         for i, q in enumerate(spacings):
-            nx, nz, half_rate = segments[order[i % 2]]
-            c, sn = np.cos(half_rate * q), np.sin(half_rate * q)
+            s = order[i % 2]
+            (nx, nz), (c, sn) = axes[s], trig[s, q]
             # left-multiply by the segment quaternion (c, sn*(nx, 0, nz))
             w, x, y, z = (c * w - sn * (nx * x + nz * z),
                           c * x + sn * (nx * w - nz * y),

@@ -327,8 +327,8 @@ class TestCriterion7Properties:
         rot = unit_propagator(build_sequence("udd4", 3.1861e-6), spin,
                               electron)
         hits = ent.udd4_jump_locations(rot, 300)
-        dphi = np.array([abs(iterate(rot, n).phi0 - iterate(rot, n).phi1)
-                         for n in range(1, 302)])
+        dphi = np.array([abs(r.r0.axis_angle()[1] - r.r1.axis_angle()[1])
+                         for r in (iterate(rot, n) for n in range(1, 302))])
         minima = [n + 1 for n in range(1, 300)
                   if dphi[n] <= dphi[n - 1] and dphi[n] <= dphi[n + 1]
                   and dphi[n] < 0.3]

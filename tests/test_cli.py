@@ -232,6 +232,12 @@ class TestQec:
                 if l and not l.startswith("#")]
         assert len(rows) == 1 + 2500
 
+    def test_anchor_without_feasible_gate_exits_one(self, capsys):
+        assert main(["qec", "--register", "nv27", "--anchor", "C9", "--k", "1"]) == 1
+        captured = capsys.readouterr()
+        assert "no feasible gate at anchor C9" in captured.err
+        assert captured.out == ""
+
     def test_choices_come_from_qec(self):
         choices = {a.dest: a.choices for a in _subparser("qec")._actions}
         assert choices["error"] == qec.ERROR_KINDS
@@ -337,8 +343,11 @@ class TestInputErrors:
         (["qec", "--register", "nv27", "--ideal", "--gamma", "nan"], "gamma"),
         (["qec", "--register", "nv27", "--ideal", "--larmor-khz", "nan"],
          "omega_L"),
+        (["resonances", "--register", "nv27", "--s0", "nan"], "s0"),
+        (["qec", "--register", "nv27", "--ideal", "--s1", "inf"], "s1"),
     ], ids=["max-gate-time-nan", "time-window-inf", "time-window-nan",
-            "t-us-nan", "delta-inf", "gamma-nan", "qec-ideal-larmor-nan"])
+            "t-us-nan", "delta-inf", "gamma-nan", "qec-ideal-larmor-nan",
+            "s0-nan", "s1-inf"])
     def test_non_finite_value_exits_one(self, argv, field, capsys):
         assert main(argv) == 1
         assert field in capsys.readouterr().err

@@ -84,6 +84,12 @@ class TestParseRegister:
         with pytest.raises(RegisterFormatError, match="s0/s1"):
             reg.electron()
 
+    def test_non_finite_projection_in_file_named(self):
+        reg = parse_register("# s0=nan\n# s1=-1\nlabel,A_kHz,B_kHz\n",
+                             larmor_khz=432.0)
+        with pytest.raises(ValueError, match="s0 must be finite, got nan"):
+            reg.electron()
+
     def test_unknown_label(self):
         reg = parse_register(GOOD)
         with pytest.raises(KeyError):

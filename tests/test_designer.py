@@ -72,6 +72,15 @@ class TestFindCommonIterations:
         with pytest.raises(ValueError):
             find_common_iterations([random_rotation_pair(rng)], 100)
 
+    def test_anchor_without_entangling_count_rejected(self):
+        # the same rotation on both branches: G1 = 1 at every N
+        parallel = ConditionalRotation.from_axis_angles(
+            (0.0, 0.0, 1.0), 0.9, (0.0, 0.0, 1.0), 0.9)
+        entangler = ConditionalRotation.from_axis_angles(
+            (1.0, 0.0, 0.0), math.pi / 40.0, (-1.0, 0.0, 0.0), math.pi / 40.0)
+        with pytest.raises(ValueError, match="anchor spin has no entangling"):
+            find_common_iterations([parallel, entangler], 100)
+
 
 class TestOptimizeRegisterGate:
     def test_single_spin_register_returns_none(self):
@@ -279,6 +288,13 @@ class TestMinimizeUnwantedTangle:
         _, _, tangle = minimize_unwanted_tangle(spin_60_30, copy, half_electron)
         assert tangle > 0.9
 
+    def test_target_without_entangling_count_rejected(self, spin_60_30,
+                                                      half_electron):
+        # B = 0: both branch axes lie along z, so G1 = 1 at every N
+        target = NuclearSpinParams.from_khz("z", 50.0, 0.0, 314.0)
+        with pytest.raises(ValueError, match="target has no entangling"):
+            minimize_unwanted_tangle(target, spin_60_30, half_electron)
+
 
 class TestRandomEnsemble:
     def test_deterministic_under_seed(self):
@@ -365,6 +381,12 @@ class TestTrivialCircle:
         with pytest.raises(ValueError):
             spins_on_trivial_circle(ElectronQubitSpec(0.5, -0.5),
                                     2.0 * math.pi * 432e3, 1, 1, 3)
+
+    def test_cap_below_the_circle_rejected(self):
+        with pytest.raises(ValueError, match="not host enough spins"):
+            spins_on_trivial_circle(ElectronQubitSpec(0.0, -1.0),
+                                    2.0 * math.pi * 432e3, 1, 1, 3,
+                                    hf_cap=2.0 * math.pi * 1e3)
 
 
 class TestGateErrorVsBath:
@@ -466,5 +488,18 @@ class TestDesignConstraintsValidation:
     @pytest.mark.parametrize("field", ["max_gate_time", "time_window"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_bound_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            DesignConstraints(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("N_max", 0),
+        ("target_tangle_min", 0.0),
+        ("target_tangle_min", 1.5),
+        ("unwanted_tangle_max", -0.1),
+        ("unwanted_tangle_max", 1.0),
+        ("unwanted_tangle_mean_max", -0.1),
+        ("unwanted_tangle_mean_max", 1.0),
+    ])
+    def test_out_of_range_bound_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             DesignConstraints(**{field: value})

@@ -125,6 +125,10 @@ class TestOneTangles:
             for i in range(1, 4)]
         assert electron_one_tangle(rots, 5) == pytest.approx(0.0, abs=1e-12)
 
+    def test_electron_tangle_needs_a_rotation(self):
+        with pytest.raises(ValueError, match="at least one"):
+            electron_one_tangle([], 5)
+
     def test_electron_tangle_two_perfect_entanglers(self):
         rot = ConditionalRotation.from_axis_angles(
             (1.0, 0.0, 0.0), math.pi / 2.0, (-1.0, 0.0, 0.0), math.pi / 2.0)
@@ -213,6 +217,16 @@ class TestOptimalIterations:
         cands = analytic_iteration_candidates(rot, kappa_range=range(1, 6))
         scan = set(optimal_iterations(rot, N_max=max(cands) + 5))
         assert cands and set(cands) <= scan
+
+    def test_analytic_candidates_perpendicular_axes(self):
+        # n01 = 0: m = cos^2(N phi/2), zero at N = (2 kappa + 1) pi / phi
+        phi = math.pi / 50.0
+        rot = ConditionalRotation.from_axis_angles(
+            (1.0, 0.0, 0.0), phi, (0.0, 1.0, 0.0), phi)
+        cands = analytic_iteration_candidates(rot)
+        assert cands == [round((2 * kappa + 1) * math.pi / phi)
+                         for kappa in range(1, 11)]
+        assert all(makhlin_g1(rot, n) < 1e-12 for n in cands)
 
     def test_analytic_candidates_need_equal_angles(self):
         rot = ConditionalRotation.from_axis_angles(

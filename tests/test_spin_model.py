@@ -12,6 +12,7 @@ from spintangle.spin_model import (
     ConditionalRotation,
     ElectronQubitSpec,
     NuclearSpinParams,
+    PulseSequence,
     Rotation,
     build_sequence,
     closed_form_angles,
@@ -23,6 +24,7 @@ from spintangle.spin_model import (
     unit_propagator,
     unit_quaternions,
 )
+from spintangle.datasets import load_register
 from spintangle.oracle import segment_exponential_rotation
 
 from .conftest import random_rotation_pair, random_unit_vector
@@ -52,6 +54,22 @@ class TestParams:
     def test_equal_projections_rejected(self):
         with pytest.raises(ValueError):
             ElectronQubitSpec(0.5, 0.5)
+
+    @pytest.mark.parametrize("field", ["s0", "s1"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_projection_named(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite, got {value}"):
+            ElectronQubitSpec(**{"s0": 0.0, "s1": -1.0, field: value})
+
+
+class TestPulseSequence:
+    @pytest.mark.parametrize("spacings, message", [
+        ((-0.5, 1.0, 0.5), "nonnegative"),
+        ((0.5, 0.5), "pulse count must be even"),
+    ], ids=["negative", "odd-pulse-count"])
+    def test_invalid_spacings_rejected(self, spacings, message):
+        with pytest.raises(ValueError, match=message):
+            PulseSequence(spacings, 1e-6)
 
 
 class TestBuildSequence:
@@ -95,6 +113,10 @@ class TestBuildSequence:
         with pytest.raises(ValueError, match="spacings"):
             build_sequence("custom", 1e-6, custom_spacings=[[0.5, 0.5]])
 
+    def test_ragged_custom_spacings_named(self):
+        with pytest.raises(ValueError, match="spacings must be a 1-D array"):
+            build_sequence("custom", 1e-6, custom_spacings=[[0.5, 0.25], 0.25])
+
     def test_custom_must_normalize(self):
         with pytest.raises(ValueError):
             build_sequence("custom", 1e-6, custom_spacings=(0.3, 0.3, 0.3))
@@ -126,7 +148,7 @@ class TestUnitPropagator:
         spin = NuclearSpinParams.from_khz("z", 50.0, 0.0, 314.0)
         rot = unit_propagator(build_sequence("cpmg", 2e-6), spin, half_electron)
         assert rot.axis_dot == pytest.approx(1.0, abs=1e-12)
-        assert abs(rot.n0[2]) == pytest.approx(1.0, abs=1e-12)
+        assert abs(rot.r0.axis_angle()[0][2]) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("kind", ["cpmg", "udd3", "udd4"])
     def test_matches_matrix_exponential_oracle(self, kind, spin_60_30, half_electron):
@@ -150,23 +172,28 @@ class TestUnitPropagator:
         seq = build_sequence("cpmg", 2.5e-6)
         a = unit_propagator(seq, spin_60_30, ElectronQubitSpec(0.5, -0.5))
         b = unit_propagator(seq, spin_60_30, ElectronQubitSpec(-0.5, 0.5))
-        assert a.phi0 == pytest.approx(b.phi1, abs=1e-12)
-        assert np.allclose(a.n0, b.n1, atol=1e-12)
+        a_n0, a_phi0, _ = a.r0.axis_angle()
+        b_n1, b_phi1, _ = b.r1.axis_angle()
+        assert a_phi0 == pytest.approx(b_phi1, abs=1e-12)
+        assert np.allclose(a_n0, b_n1, atol=1e-12)
 
 
 class TestIterate:
     def test_single_iteration_identity(self, spin_60_30, half_electron):
         rot = unit_propagator(build_sequence("cpmg", 2e-6), spin_60_30, half_electron)
         one = iterate(rot, 1)
-        assert one.phi0 == pytest.approx(rot.phi0, abs=1e-15)
-        assert np.allclose(one.n0, rot.n0)
+        one_n0, one_phi0, _ = one.r0.axis_angle()
+        n0, phi0, _ = rot.r0.axis_angle()
+        assert one_phi0 == pytest.approx(phi0, abs=1e-15)
+        assert np.allclose(one_n0, n0)
 
     def test_angle_accumulates_on_fixed_axis(self):
         rot = ConditionalRotation.from_axis_angles(
             (1.0, 0.0, 0.0), math.pi / 50.0, (0.0, 0.0, 1.0), math.pi / 50.0)
         out = iterate(rot, 25)
-        assert out.phi0 == pytest.approx(math.pi / 2.0, abs=1e-12)
-        assert np.allclose(out.n0, (1.0, 0.0, 0.0), atol=1e-12)
+        n0, phi0, _ = out.r0.axis_angle()
+        assert phi0 == pytest.approx(math.pi / 2.0, abs=1e-12)
+        assert np.allclose(n0, (1.0, 0.0, 0.0), atol=1e-12)
 
     @pytest.mark.parametrize("branch", [0, 1], ids=["r0", "r1"])
     @pytest.mark.parametrize("N, atol", [(1, 1e-10), (37, 1e-10), (10 ** 5, 1e-8)],
@@ -232,7 +259,8 @@ class TestResonanceTime:
 
 class TestCoherence:
     def test_identity(self):
-        rot = ConditionalRotation(Rotation.identity(), Rotation.identity())
+        identity = Rotation(1.0, (0.0, 0.0, 0.0))
+        rot = ConditionalRotation(identity, identity)
         m, px = coherence(rot)
         assert m == 1.0 and px == 1.0
 
@@ -247,7 +275,8 @@ class TestCoherence:
         rot = unit_propagator(build_sequence("cpmg", 3.0e-6), spin_60_30,
                               half_electron)
         m, _ = coherence(rot)
-        ref = 1.0 - math.sin(rot.phi0 / 2.0) ** 2 * (1.0 - rot.axis_dot)
+        phi0 = rot.r0.axis_angle()[1]
+        ref = 1.0 - math.sin(phi0 / 2.0) ** 2 * (1.0 - rot.axis_dot)
         assert m == pytest.approx(ref, abs=1e-12)
 
     def test_resonance_is_local_minimum_of_px(self, spin_80_25, half_electron):
@@ -299,6 +328,15 @@ class TestTrivialEvolution:
             for n in (1, 7, 40):
                 assert nuclear_one_tangle(rot, n, scaled=True) < 1e-4
 
+    def test_zero_projection_has_no_radius(self):
+        with pytest.raises(ValueError, match="s = 0"):
+            trivial_evolution_radius(0.0, 1e-6, 1)
+
+    @pytest.mark.parametrize("t", [0.0, -1e-6])
+    def test_nonpositive_time_rejected(self, spin_60_30, half_electron, t):
+        with pytest.raises(ValueError, match="t must be positive"):
+            trivial_evolution_condition(spin_60_30, half_electron, t, 3)
+
     def test_off_circle_residual_matches_geometry(self, half_electron):
         spin = NuclearSpinParams.from_khz("x", 55.0, 40.0, 314.0)
         t = 3.3e-6
@@ -326,7 +364,7 @@ class TestCompose:
     def test_identity_neutral(self):
         rng = np.random.default_rng(3)
         r = Rotation.from_axis_angle(random_unit_vector(rng), 1.1)
-        out = r.compose(Rotation.identity())
+        out = r.compose(Rotation(1.0, (0.0, 0.0, 0.0)))
         assert np.allclose(out.matrix(), r.matrix(), atol=1e-15)
 
     def test_same_axis_addition(self):
@@ -344,6 +382,18 @@ class TestCompose:
                                          rng.uniform(0, 2 * math.pi))
             out = a.compose(b)
             assert np.allclose(out.matrix(), a.matrix() @ b.matrix(), atol=1e-12)
+
+
+class TestAxes:
+    def test_non_unit_axis_rejected(self):
+        with pytest.raises(ValueError, match="unit vector"):
+            Rotation.from_axis_angle((1.0, 1.0, 0.0), 0.5)
+
+    @pytest.mark.parametrize("trivial_branch", [0, 1])
+    def test_axis_dot_is_one_with_a_trivial_branch(self, trivial_branch):
+        rots = [Rotation.from_axis_angle((1.0, 0.0, 0.0), 0.7)] * 2
+        rots[trivial_branch] = Rotation(1.0, (0.0, 0.0, 0.0))
+        assert ConditionalRotation(*rots).axis_dot == 1.0
 
 
 class TestPower:
@@ -419,8 +469,8 @@ class TestClosedFormAngles:
             t = rng.uniform(0.5e-6, 12e-6)
             phi0, phi1 = closed_form_angles(kind, spin, half_electron, t)
             rot = unit_propagator(build_sequence(seq_kind, t), spin, half_electron)
-            assert phi0 == pytest.approx(rot.phi0, abs=1e-9)
-            assert phi1 == pytest.approx(rot.phi1, abs=1e-9)
+            assert phi0 == pytest.approx(rot.r0.axis_angle()[1], abs=1e-9)
+            assert phi1 == pytest.approx(rot.r1.axis_angle()[1], abs=1e-9)
 
     def test_unknown_kind(self, spin_60_30, half_electron):
         with pytest.raises(ValueError):
@@ -478,6 +528,42 @@ def test_unit_quaternions_match_oracle(kind, custom, electron, couplings, t_us):
                 assert np.allclose(r.matrix(), ref, rtol=0.0, atol=1e-9)
 
 
+def _unit_quaternions_per_segment(A, B, omega_L, electron, spacings, t):
+    """Reference loop: cos/sin evaluated afresh for every segment of both orders."""
+    out = []
+    for order in ((electron.s0, electron.s1), (electron.s1, electron.s0)):
+        w, x, y, z = 1.0, 0.0, 0.0, 0.0
+        for i, q in enumerate(spacings):
+            s = order[i % 2]
+            wz, wx = omega_L + s * A, s * B
+            rate = np.hypot(wz, wx)
+            still = rate == 0.0
+            nx, nz = wx / (rate + still), (wz + still) / (rate + still)
+            half = 0.5 * rate * t * q
+            c, sn = np.cos(half), np.sin(half)
+            w, x, y, z = (c * w - sn * (nx * x + nz * z),
+                          c * x + sn * (nx * w - nz * y),
+                          c * y + sn * (nz * x - nx * z),
+                          c * z + sn * (nz * w + nx * y))
+        out.append((w, x, y, z))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("kind", ["cpmg", "udd3", "udd4"])
+def test_unit_quaternions_equal_the_per_segment_loop(kind):
+    reg = load_register("nv27")
+    A = np.array([s.A for s in reg.spins])
+    B = np.array([s.B for s in reg.spins])
+    omega_L = reg.spins[0].omega_L
+    spacings = build_sequence(kind, 1e-6).spacings
+    times = np.linspace(2e-6, 30e-6, 501)[:, None]
+    for a, b, t in ((A[3], B[3], 7.3e-6), (A, B, times)):
+        got = unit_quaternions(a, b, omega_L, reg.electron(), spacings, t)
+        ref = _unit_quaternions_per_segment(a, b, omega_L, reg.electron(),
+                                            spacings, t)
+        assert np.array_equal(got, ref)
+
+
 @settings(max_examples=100, deadline=None)
 @given(a_khz=st.floats(-200, 200), b_khz=st.floats(0, 200),
        t_us=st.floats(0.1, 20.0))
@@ -502,7 +588,7 @@ def test_small_tilt_dot_product_quadratic_scaling(half_electron):
         th1 = math.atan2(-0.5 * spin.B, spin.omega_L - 0.5 * spin.A)
         approx = (4.0 * math.sin(th0 - th1) ** 2
                   * math.sin(w0 * t / 8.0) ** 2 * math.sin(w1 * t / 8.0) ** 2
-                  / math.sin(rot.phi0 / 2.0) ** 2)
+                  / math.sin(rot.r0.axis_angle()[1] / 2.0) ** 2)
         return abs((1.0 - rot.axis_dot) - approx)
 
     # 10x larger Larmor frequency shrinks B/wL 10x, the mismatch ~100x
