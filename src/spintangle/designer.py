@@ -14,7 +14,8 @@ import numpy as np
 
 from . import constants
 from .entanglement import (G1_MAXIMAL_THRESHOLD, branch_angles, g1_from_angles,
-                           g1_over_iterations, optimal_iterations)
+                           g1_over_iterations, optimal_iterations,
+                           tangle_upper_bound)
 from .fidelity import (RegisterPartition, _overlaps, _subspace_fidelity,
                        target_subspace_fidelity)
 from .spin_model import (ConditionalRotation, ElectronQubitSpec,
@@ -154,8 +155,9 @@ def evaluate_design(register: list[NuclearSpinParams],
 _TIME_STEP = 1e-9
 
 # (unit time, spin, N) elements per chunk of the scan.  Bounds every float64
-# temporary to 4 MB, whatever the time window and even if no point is ruled
-# out before the full scoring.
+# temporary to 4 MB, whatever the time window, even when the bound skips no
+# spin and every point survives to be scored in full.  Of each chunk only
+# the feasible points are kept, for the grouping.
 _SCAN_CHUNK_ELEMENTS = 1 << 19
 
 
@@ -175,64 +177,74 @@ def _feasibility(tangles: np.ndarray, constraints: DesignConstraints):
     return ok, tgt_mean, unw_mean, is_target
 
 
+def _winning_point(t, N, tgt_mean, unw_mean, is_target) -> int:
+    """Index of the winner among feasible points in (t, N) order.
+
+    is_target holds their target sets, (n_spins, n_points).  Ranked as in
+    optimize_register_gate; ties go to the first-seen set, then point.
+    """
+    # lexsort is stable: each target set's group keeps (t, N) order
+    sets = np.packbits(is_target, axis=0)
+    by_set = np.lexsort(sets)
+    sets, ts = sets[:, by_set], t[by_set]
+    new_set = np.r_[True, (sets[:, 1:] != sets[:, :-1]).any(axis=0)]
+    starts = np.flatnonzero(new_set)
+    n_times = np.add.reduceat(new_set | np.r_[True, ts[1:] != ts[:-1]], starts)
+    best = by_set[np.lexsort((unw_mean[by_set], N[by_set] * ts,
+                              -tgt_mean[by_set], np.cumsum(new_set)))][starts]
+    return int(best[np.lexsort((by_set[starts], -tgt_mean[best], -n_times))[0]])
+
+
 def _scan_unit_times(quats: np.ndarray, times: np.ndarray,
                      constraints: DesignConstraints):
     """Winning grid point (t, N, target indices) of the scan, or None.
 
     quats holds the unit quaternions over (unit time, spin).  Every (t, N)
     with 1 <= N <= min(N_max, max_gate_time / t) is scored, a chunk of unit
-    times at a time.  A spin whose tangle is neither above
-    target_tangle_min nor below unwanted_tangle_max rules a point out, so
-    the spins are scored one after another on the points still in play.
-    The survivors are scored in full and go through _feasibility and the
-    bookkeeping, in (t, N) order.
+    times at a time.  A spin whose tangle is in the band between
+    unwanted_tangle_max and target_tangle_min rules a point out, so the
+    spins are scored one after another on the points still in play, each
+    only where tangle_upper_bound lets it reach the band.  The survivors are
+    scored in full, so the skip never changes the _winning_point.
     """
-    # angles as (spin, unit time) rows
-    h0, h1, n01 = (np.ascontiguousarray(a.T) for a in branch_angles(quats))
-    # spins with near-parallel branch axes stay weakly entangled and rarely
-    # rule a point out, so they go last
-    order = np.argsort(n01.mean(axis=1))
+    # angles (h0, h1, n01) as (spin, unit time) rows
+    ang = np.ascontiguousarray(np.transpose(branch_angles(quats), (0, 2, 1)))
     n_cap = np.zeros(len(times), dtype=int)
     pos = times > 0
     n_cap[pos] = np.minimum(constraints.N_max,
                             constraints.max_gate_time / times[pos]).astype(int)
     N_values = np.arange(1, max(1, n_cap.max()) + 1)
-    rows = max(1, _SCAN_CHUNK_ELEMENTS // (len(N_values) * h0.shape[0]))
+    rows = max(1, _SCAN_CHUNK_ELEMENTS // (len(N_values) * ang.shape[1]))
+    # unit times at which each spin may reach the band (NaN bounds included);
+    # spins with near-parallel branch axes rarely rule a point out, so last
+    lo, hi = constraints.unwanted_tangle_max, constraints.target_tangle_min
+    reach = ~(tangle_upper_bound(*ang, n_cap) < lo - 1e-9)
+    order = [s for s in np.argsort(ang[2].mean(axis=1)) if reach[s].any()]
 
-    # per target set: feasible unit times and the best (t, N) point within
-    set_times: dict[tuple, set] = {}
-    set_best: dict[tuple, tuple] = {}
+    feasible = []
     for start in range(0, len(times), rows):
         ti, ni = np.nonzero(N_values <= n_cap[start:start + rows, None])
         ti += start
         N = N_values[ni]
         for s in order:
-            tangle = 1.0 - g1_from_angles(h0[s, ti], h1[s, ti], n01[s, ti], N)
-            keep = ((tangle > constraints.target_tangle_min)
-                    | (tangle < constraints.unwanted_tangle_max))
-            ti, N = ti[keep], N[keep]
-        if not ti.size:
-            continue
-        # take() keeps the (spin, point) block C-ordered, as a single-time
+            # take() and compress() are the fast forms of these gathers
+            at = slice(None) if reach[s].all() else np.flatnonzero(reach[s].take(ti))
+            tangle = 1.0 - g1_from_angles(*ang[:, s].take(ti[at], axis=1), N[at])
+            keep = np.ones(ti.size, dtype=bool)
+            keep[at] = (tangle > hi) | (tangle < lo)
+            ti, N = ti.compress(keep), N.compress(keep)
+        # take() keeps each (spin, point) block C-ordered, as a single-time
         # block is, so _feasibility sums over spins in the same order
-        tangles = 1.0 - g1_from_angles(h0.take(ti, axis=1), h1.take(ti, axis=1),
-                                       n01.take(ti, axis=1), N)
+        tangles = 1.0 - g1_from_angles(*ang.take(ti, axis=2), N)
         ok, tgt_mean, unw_mean, targets = _feasibility(tangles, constraints)
-        for j, t, n, tgt, unw in zip(
-                np.flatnonzero(ok).tolist(), times[ti[ok]].tolist(),
-                N[ok].tolist(), tgt_mean[ok].tolist(), unw_mean[ok].tolist()):
-            tset = tuple(np.flatnonzero(targets[:, j]))
-            key = (-tgt, n * t, unw)
-            set_times.setdefault(tset, set()).add(t)
-            if tset not in set_best or key < set_best[tset][0]:
-                set_best[tset] = (key, t, n)
+        feasible.append((times[ti[ok]], N[ok], tgt_mean[ok], unw_mean[ok],
+                         targets[:, ok]))
 
-    if not set_best:
+    t, N, tgt_mean, unw_mean, is_target = map(np.hstack, zip(*feasible))
+    if not t.size:
         return None
-    winner = max(set_best,
-                 key=lambda s: (len(set_times[s]), -set_best[s][0][0]))
-    _, t_best, n_best = set_best[winner]
-    return t_best, n_best, list(winner)
+    j = _winning_point(t, N, tgt_mean, unw_mean, is_target)
+    return float(t[j]), int(N[j]), np.flatnonzero(is_target[:, j]).tolist()
 
 
 def _golden_section(f, lo: float, hi: float, xatol: float) -> float:

@@ -52,6 +52,14 @@ def g1_amplitude(h0, h1, n01, N):
     return c_diff - 0.5 * (1.0 - n01) * (c_diff - np.cos(N * (h0 + h1)))
 
 
+def tangle_upper_bound(h0, h1, n01, N_max):
+    """Bound 2(1-n01) + (N_max (h0-h1))^2 on 1 - G1 for 0 <= N <= N_max.
+
+    From m >= cos(N(h0-h1)) - (1-n01) and 1 - G1 <= 2(1-m); NaN stays NaN.
+    """
+    return 2.0 * (1.0 - n01) + (N_max * (h0 - h1)) ** 2
+
+
 def g1_from_angles(h0, h1, n01, N):
     """G1 = min(1, m^2), broadcast over all arguments (see g1_amplitude)."""
     m = g1_amplitude(h0, h1, n01, N)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from spintangle.designer import (
     DesignConstraints,
     _scan_unit_times,
     _tangle_block,
+    _winning_point,
     estimate_position,
     evaluate_design,
     find_common_iterations,
@@ -21,7 +24,7 @@ from spintangle.designer import (
     position_to_hyperfine,
     spins_on_trivial_circle,
 )
-from spintangle.entanglement import nuclear_one_tangle
+from spintangle.entanglement import g1_from_angles, nuclear_one_tangle
 from spintangle.fidelity import RegisterPartition, target_subspace_fidelity
 from spintangle.spin_model import (
     ConditionalRotation,
@@ -176,6 +179,10 @@ class TestOptimizeRegisterGate:
         ("nv27", "cpmg", "C5", 2, DesignConstraints(
             target_tangle_min=0.5, unwanted_tangle_max=0.9,
             unwanted_tangle_mean_max=0.5, N_max=60)),
+        # seven targets
+        ("rand-udd3-k3", "udd3", "S3", 3, DesignConstraints()),
+        # N = 288, with the gate-time cap above N_max
+        ("nv27", "cpmg", "C26", 1, DesignConstraints()),
     ])
     def test_scan_matches_per_time_loop(self, name, kind, anchor, k, cons):
         reg = load_register(name)
@@ -205,6 +212,85 @@ class TestOptimizeRegisterGate:
                      key=lambda s: (len(set_times[s]), -set_best[s][0][0]))
         assert self._grid_point(reg, anchor, k, cons, kind) == (
             set_best[winner][1], set_best[winner][2], list(winner))
+
+    def test_scan_skips_spins_that_cannot_reach_the_band(self, monkeypatch):
+        reg = load_register("nv27")
+        cons = DesignConstraints()
+        evaluated = []
+
+        def counting(h0, h1, n01, N):
+            evaluated.append(np.broadcast(h0, h1, n01, N).size)
+            return g1_from_angles(h0, h1, n01, N)
+
+        monkeypatch.setattr(designer, "g1_from_angles", counting)
+        skipping = self._grid_point(reg, "C23", 3, cons)
+        n_skipping = sum(evaluated)
+        evaluated.clear()
+        # a NaN bound is never skipped
+        monkeypatch.setattr(designer, "tangle_upper_bound",
+                            lambda *args: np.full(np.broadcast(*args).shape,
+                                                  np.nan))
+        assert self._grid_point(reg, "C23", 3, cons) == skipping
+        assert n_skipping < 0.7 * sum(evaluated)
+
+    @staticmethod
+    def _mask(n_spins, sets):
+        mask = np.zeros((n_spins, len(sets)), dtype=bool)
+        for j, targets in enumerate(sets):
+            mask[list(targets), j] = True
+        return mask
+
+    def test_winning_point_tie_breaks(self):
+        # one target set; points 0 and 2 tie on mean, gate time and
+        # bystander mean, so the earlier one wins
+        t = np.array([1.0, 1.0, 2.0])
+        N = np.array([2, 3, 1])
+        tgt = np.array([0.95, 0.90, 0.95])
+        unw = np.full(3, 0.05)
+        assert _winning_point(t, N, tgt, unw, self._mask(3, [(0, 1)] * 3)) == 0
+        # 70 spins: sets A and B differ only in spins 68 and 69, beyond the
+        # first 64 bits, and B's key sorts first.  Both are feasible at two
+        # unit times with best mean 0.95, so A, seen first, wins at point 2
+        A, B = (0, 68), (0, 69)
+        t = np.array([1.0, 1.0, 2.0, 2.0])
+        N = np.array([1, 2, 1, 2])
+        tgt = np.array([0.90, 0.95, 0.95, 0.90])
+        unw = np.full(4, 0.05)
+        assert _winning_point(t, N, tgt, unw,
+                              self._mask(70, [A, B, A, B])) == 2
+        # a third unit time makes B the winner, at its best point, although
+        # A has as many points: the count is of distinct unit times
+        t = np.array([1.0, 1.0, 2.0, 2.0, 2.0, 3.0])
+        N = np.array([1, 2, 1, 2, 3, 1])
+        tgt = np.array([0.90, 0.95, 0.95, 0.90, 0.85, 0.85])
+        unw = np.full(6, 0.05)
+        assert _winning_point(t, N, tgt, unw,
+                              self._mask(70, [A, B, A, B, A, B])) == 1
+
+    def test_bundled_searches_match_pinned_designs(self):
+        """Every anchor of every bundled register, as pinned in the CSV."""
+        path = Path(__file__).parent / "data" / "bundled_designs.csv"
+        with open(path, newline="") as f:
+            rows = list(csv.DictReader(
+                line for line in f if not line.startswith("#")))
+        assert len(rows) == 189
+        assert sum(not row["targets"] for row in rows) == 5
+        registers = {name: load_register(name)
+                     for name in {row["register"] for row in rows}}
+        for row in rows:
+            reg = registers[row["register"]]
+            design = optimize_register_gate(
+                reg.spins, reg.electron(), DesignConstraints(),
+                reg.labels.index(row["anchor"]), int(row["k"]),
+                sequence_kind=row["sequence"])
+            where = f"{row['register']} {row['anchor']} k={row['k']}"
+            if not row["targets"]:
+                assert design is None, where
+                continue
+            assert design.target_labels == tuple(row["targets"].split()), where
+            assert design.iterations == int(row["N"]), where
+            assert abs(design.unit_time - float(row["unit_time_s"])) <= 1e-15, where
+            assert abs(design.gate_error - float(row["gate_error"])) <= 1e-7, where
 
     @pytest.mark.parametrize("anchor, k", [("C23", 3), ("C13", 4), ("C4", 3),
                                            ("C26", 1)])

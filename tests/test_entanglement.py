@@ -8,13 +8,16 @@ import pytest
 from spintangle.entanglement import (
     MAX_PAIR_TANGLE,
     analytic_iteration_candidates,
+    branch_angles,
     electron_one_tangle,
     entangling_power,
+    g1_from_angles,
     makhlin_g1,
     makhlin_g2,
     nuclear_one_tangle,
     one_tangle_bound,
     optimal_iterations,
+    tangle_upper_bound,
     udd4_jump_locations,
 )
 from spintangle.oracle import (
@@ -32,7 +35,7 @@ from spintangle.spin_model import (
     unit_propagator,
 )
 
-from .conftest import random_rotation_pair
+from .conftest import random_rotation_pair, random_unit_vector
 
 
 class TestMakhlinInvariants:
@@ -185,6 +188,38 @@ class TestOneTangleBound:
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
             one_tangle_bound(1)
+
+
+class TestTangleUpperBound:
+    @staticmethod
+    def _check(rot, N_max):
+        h0, h1, n01 = branch_angles(rot.quaternions)
+        tangles = 1.0 - g1_from_angles(h0, h1, n01, np.arange(N_max + 1))
+        assert tangle_upper_bound(h0, h1, n01, N_max) >= tangles.max()
+
+    @pytest.mark.parametrize("N_max", [1, 10, 300, 10_000])
+    def test_unequal_half_angles(self, N_max):
+        # UDD4-like: independent branch angles
+        rng = np.random.default_rng(N_max)
+        for _ in range(50):
+            self._check(random_rotation_pair(rng), N_max)
+
+    @pytest.mark.parametrize("N_max", [1, 10, 300, 10_000])
+    @pytest.mark.parametrize("tilt", [1e-3, 0.1, 2.0])
+    def test_equal_half_angles(self, N_max, tilt):
+        # CPMG-like: one angle, axes from nearly parallel to far apart
+        rng = np.random.default_rng(N_max)
+        for _ in range(50):
+            n0 = random_unit_vector(rng)
+            n1 = n0 + tilt * random_unit_vector(rng)
+            phi = rng.uniform(0.0, math.pi)
+            self._check(ConditionalRotation.from_axis_angles(
+                n0, phi, n1 / np.linalg.norm(n1), phi), N_max)
+
+    def test_nan_gives_nan(self):
+        for args in [(math.nan, 0.1, 0.5), (0.1, math.nan, 0.5),
+                     (0.1, 0.1, math.nan)]:
+            assert math.isnan(tangle_upper_bound(*args, 10))
 
 
 class TestOptimalIterations:
