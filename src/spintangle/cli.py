@@ -203,6 +203,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError(f"--n-max ({args.n_max}) must be >= --n-min ({args.n_min})")
     spin = reg.spins[_label_index(reg, args.spin, "--spin")]
     if args.t_us is not None:
+        if not (math.isfinite(args.t_us) and args.t_us > 0):
+            raise ValueError(f"--t-us: unit_time must be positive and finite, "
+                             f"got {args.t_us}")
         t = args.t_us * 1e-6
     else:
         t = resonance_time(spin, electron, args.k, variant="primary")
@@ -302,9 +305,13 @@ def main(argv=None) -> int:
             raise ValueError(f"--k must be >= 1, got {args.k}")
         if hasattr(args, "sequence"):
             try:
+                # "custom" needs spacings, which the CLI cannot pass
+                if args.sequence.lower() == "custom":
+                    raise ValueError(f"unsupported sequence kind: {args.sequence!r}")
                 build_sequence(args.sequence, 1.0)
             except ValueError as exc:
-                raise ValueError(f"--sequence: {exc}") from None
+                raise ValueError(f"--sequence: {exc}; use cpmg or uddN, N >= 1"
+                                 ) from None
         return args.func(args)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

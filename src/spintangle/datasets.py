@@ -8,6 +8,7 @@ overridden) by the caller.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -62,6 +63,7 @@ def parse_register(text: str, source: str = "<memory>",
                    s0: float | None = None,
                    s1: float | None = None) -> RegisterFile:
     meta: dict[str, float] = {}
+    meta_line: dict[str, int] = {}
     rows = []
     header = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -77,6 +79,7 @@ def parse_register(text: str, source: str = "<memory>",
                 except ValueError:
                     raise RegisterFormatError(
                         f"{source}:{lineno}: bad metadata value {val!r}")
+                meta_line[key.strip()] = lineno
             continue
         if header is None:
             header = [h.strip() for h in line.split(",")]
@@ -89,14 +92,19 @@ def parse_register(text: str, source: str = "<memory>",
     if header is None:
         raise RegisterFormatError(f"{source}: missing header row")
 
+    origin = f"{source}: larmor_kHz from the caller"
     if larmor_khz is None:
         larmor_khz = meta.get("larmor_kHz")
+        origin = f"{source}:{meta_line.get('larmor_kHz')}: larmor_kHz metadata line"
     if s0 is None:
         s0 = meta.get("s0")
     if s1 is None:
         s1 = meta.get("s1")
     if larmor_khz is None:
         raise RegisterFormatError(f"{source}: Larmor frequency not resolvable")
+    if not (math.isfinite(larmor_khz) and larmor_khz > 0):
+        raise RegisterFormatError(
+            f"{origin}: omega_L must be positive and finite, got {larmor_khz}")
 
     spins = []
     seen = set()

@@ -16,8 +16,7 @@ from . import constants
 from .entanglement import (G1_MAXIMAL_THRESHOLD, branch_angles, g1_from_angles,
                            g1_over_iterations, optimal_iterations,
                            tangle_upper_bound)
-from .fidelity import (RegisterPartition, _overlaps, _subspace_fidelity,
-                       target_subspace_fidelity)
+from .fidelity import RegisterPartition, branch_overlaps, gate_error
 from .spin_model import (ConditionalRotation, ElectronQubitSpec,
                          NuclearSpinParams, build_sequence, iterate,
                          resonance_time, trivial_evolution_radius,
@@ -33,43 +32,30 @@ def find_common_iterations(spins: list[ConditionalRotation], N_max: int,
                            ) -> tuple[int, list[int]]:
     """Find an iteration count entangling as many spins as possible.
 
-    Each spin contributes the set of N with nearly maximal one-tangle at the
-    shared unit time.  The first spin's set anchors a running intersection;
-    spins whose sets do not meet the current intersection are dropped.
+    Each spin contributes the row of N <= N_max with nearly maximal
+    one-tangle at the shared unit time.  The first spin's row anchors a
+    running intersection; spins whose rows do not meet it are dropped.
     Returns (N*, indices of participating spins); N* is the surviving N with
     the lowest mean G1 over participants (smallest N on ties).
     """
     if len(spins) < 2:
         raise ValueError("need at least two spins")
-    sets = [set(optimal_iterations(r, N_max=N_max, threshold=threshold))
-            for r in spins]
-    if not sets[0]:
+    g1 = g1_over_iterations(np.stack([r.quaternions for r in spins], axis=-1),
+                            np.arange(1, N_max + 1))
+    hits = g1 < threshold
+    common = hits[0]
+    if not common.any():
         raise ValueError("anchor spin has no entangling iteration count "
                          "at this unit time")
-    common = set(sets[0])
     participants = [0]
     for j in range(1, len(spins)):
-        nxt = common & sets[j]
-        if nxt:
-            common = nxt
+        if (common & hits[j]).any():
+            common &= hits[j]
             participants.append(j)
-    candidates = sorted(common)
-    g1 = np.zeros(len(candidates))
-    for j in participants:
-        prof = g1_over_iterations(spins[j], max(candidates))
-        g1 += prof[np.asarray(candidates) - 1]
-    best = candidates[int(np.argmin(g1))]
-    return best, participants
-
-
-# ---------------------------------------------------------------------------
-# tangle blocks (for grid scans)
-
-
-def _tangle_block(quats: np.ndarray, N_values: np.ndarray) -> np.ndarray:
-    """Scaled one-tangles 1 - G1, shape (n_spins, n_N), from unit quaternions."""
-    h0, h1, n01 = (a[:, None] for a in branch_angles(quats))
-    return 1.0 - g1_from_angles(h0, h1, n01, N_values)
+    candidates = np.flatnonzero(common)
+    # sum() adds the rows in turn, not in np.sum's pairwise order
+    best = candidates[np.argmin(sum(g1[j, candidates] for j in participants))]
+    return int(best) + 1, participants
 
 
 # ---------------------------------------------------------------------------
@@ -135,14 +121,12 @@ def evaluate_design(register: list[NuclearSpinParams],
     """Recompute all GateDesign figures of merit from (t, N) alone."""
     quats = unit_quaternions(*_spin_arrays(register), electron,
                              build_sequence(sequence_kind, t).spacings, t)
-    rots = [iterate(ConditionalRotation.from_quaternions(quats[..., i]), N)
-            for i in range(len(register))]
-    tangles = _tangle_block(quats, np.array([N]))[:, 0]
+    tangles = 1.0 - g1_over_iterations(quats, [N])[:, 0]
     targets = sorted(target_indices)
     others = [i for i in range(len(register)) if i not in targets]
-    part = RegisterPartition(tuple(rots[i] for i in targets),
-                             tuple(rots[i] for i in others))
-    error = 1.0 - target_subspace_fidelity(part)
+    error = gate_error(len(targets), branch_overlaps(
+        [iterate(ConditionalRotation.from_quaternions(quats[..., i]), N)
+         for i in others]))
     return GateDesign(
         unit_time=t, iterations=N, k=k, anchor_label=anchor_label,
         target_labels=tuple(register[i].label for i in targets),
@@ -303,7 +287,7 @@ def optimize_register_gate(register: list[NuclearSpinParams],
     # local refinement of the unit time at fixed N and fixed target set
     def tangles_at(t: float, idx=slice(None)) -> np.ndarray:
         quats = unit_quaternions(*spins[:, idx], electron, spacings, t)
-        return _tangle_block(quats, np.array([n_best]))[:, 0]
+        return 1.0 - g1_over_iterations(quats, [n_best])[:, 0]
 
     def objective(t: float) -> float:
         return -float(np.mean(tangles_at(t, target_idx)))
@@ -347,10 +331,9 @@ def minimize_unwanted_tangle(target: NuclearSpinParams,
         good_n = optimal_iterations(rot_t, N_max=n_max)
         if not good_n:
             continue
-        rot_u = unit_propagator(seq, unwanted, electron)
-        g1_u = g1_over_iterations(rot_u, max(good_n))
-        for n in good_n:
-            tangle = 1.0 - float(g1_u[n - 1])
+        tangles = 1.0 - g1_over_iterations(
+            unit_propagator(seq, unwanted, electron).quaternions, good_n)
+        for n, tangle in zip(good_n, tangles.tolist()):
             if best is None or tangle < best[2]:
                 best = (k, n, tangle)
     if best is None:
@@ -510,19 +493,17 @@ def gate_error_vs_bath(targets: list[ConditionalRotation],
     rng = np.random.Generator(np.random.Philox(seed))
     records = []
     for lo, hi in tangle_bins:
-        overlaps = _overlaps([rot for tangle, rot in unwanted_pool
-                              if lo <= tangle < hi])
+        overlaps = branch_overlaps([rot for tangle, rot in unwanted_pool
+                                    if lo <= tangle < hi])
         for size in bath_sizes:
             eff = min(size, len(overlaps))
             if eff == 0:
                 continue
-            errors = []
-            for _ in range(n_ensembles):
-                order = rng.permutation(len(overlaps))[:eff]
-                cross = np.prod(overlaps[order]).real
-                errors.append(1.0 - _subspace_fidelity(k, 2.0 + 2.0 * cross))
+            # (ensemble, spin) indices: one permutation per ensemble, in order
+            baths = np.array([rng.permutation(len(overlaps))[:eff]
+                              for _ in range(n_ensembles)])
             records.append({"bin": (lo, hi), "bath_size": eff,
                             "requested_size": size,
-                            "mean_error": float(np.mean(errors)),
+                            "mean_error": float(gate_error(k, overlaps[baths]).mean()),
                             "n_ensembles": n_ensembles})
     return records

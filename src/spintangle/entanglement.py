@@ -122,10 +122,10 @@ def one_tangle_bound(n: int) -> float:
 G1_MAXIMAL_THRESHOLD = 0.05
 
 
-def g1_over_iterations(rot: ConditionalRotation, N_max: int) -> np.ndarray:
-    """Vector of G1 values for N = 1..N_max (index 0 is N=1)."""
-    return g1_from_angles(*branch_angles(rot.quaternions),
-                          np.arange(1, N_max + 1))
+def g1_over_iterations(quats, counts) -> np.ndarray:
+    """G1 of branch quaternions (2, 4, *S) at each count, shape S + (len(counts),)."""
+    h0, h1, n01 = (a[..., None] for a in branch_angles(quats))
+    return g1_from_angles(h0, h1, n01, counts)
 
 
 def optimal_iterations(rot: ConditionalRotation, N_max: int = 300,
@@ -136,7 +136,7 @@ def optimal_iterations(rot: ConditionalRotation, N_max: int = 300,
     N <= N_max, which subsumes the closed-form minima estimates (see
     analytic_iteration_candidates) and also covers unequal-angle sequences.
     """
-    g1 = g1_over_iterations(rot, N_max)
+    g1 = g1_over_iterations(rot.quaternions, np.arange(1, N_max + 1))
     hits = np.nonzero(g1 < threshold)[0] + 1
     return [int(v) for v in hits]
 

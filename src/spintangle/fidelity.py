@@ -62,15 +62,24 @@ def _amplitudes(rots) -> tuple[np.ndarray, np.ndarray]:
     return q[..., 0] - 1j * q[..., 3], q[..., 2] - 1j * q[..., 1]
 
 
-def _overlaps(rots) -> np.ndarray:
-    """Per-spin branch overlaps a0 conj(a1) + b0 conj(b1)."""
+def branch_overlaps(rots) -> np.ndarray:
+    """Per-spin branch overlaps a0 conj(a1) + b0 conj(b1), shape (n_spins,)."""
     a, b = _amplitudes(rots)
     return a[:, 0] * a[:, 1].conj() + b[:, 0] * b[:, 1].conj()
 
 
-def _subspace_fidelity(k: int, total):
-    """Average gate fidelity on K targets from the Kraus sum (see module doc)."""
+def _subspace_fidelity(k: int, overlaps, f0=1.0, f1=1.0):
+    """Average gate fidelity on k targets from the bystanders' branch overlaps
+    (last axis) and the targets' real overlap factors f0, f1 (see module doc)."""
+    cross = np.prod(overlaps, axis=-1).real
+    total = f0 * f0 + f1 * f1 + 2.0 * f0 * f1 * cross
     return (1.0 + 2.0 ** (k - 1) * total) / (2.0 ** (k + 1) + 1.0)
+
+
+def gate_error(k: int, overlaps):
+    """Gate error 1 - F on k targets, the bystanders' branch_overlaps on the
+    last axis; any leading axes (ensembles, say) are kept."""
+    return 1.0 - _subspace_fidelity(k, overlaps)
 
 
 def kraus_coefficients(unwanted, i: int) -> tuple[tuple[complex, complex],
@@ -95,8 +104,7 @@ def kraus_coefficients(unwanted, i: int) -> tuple[tuple[complex, complex],
 
 def target_subspace_fidelity(partition: RegisterPartition) -> float:
     """Average gate fidelity of the iterated gate on the target subspace."""
-    cross = np.prod(_overlaps(partition.unwanted)).real
-    return float(_subspace_fidelity(partition.K, 2.0 + 2.0 * cross))
+    return float(_subspace_fidelity(partition.K, branch_overlaps(partition.unwanted)))
 
 
 def fidelity_with_local_target(partition: RegisterPartition,
@@ -120,10 +128,8 @@ def fidelity_with_local_target(partition: RegisterPartition,
         ref = ConditionalRotation.from_axis_angles(ax[0], float(ang[0]),
                                                    ax[1], float(ang[1]))
         f *= np.sum(rot.quaternions * ref.quaternions, axis=1)
-    f0, f1 = f
-    cross = np.prod(_overlaps(partition.unwanted)).real
-    total = f0 * f0 + f1 * f1 + 2.0 * f0 * f1 * cross
-    return float(_subspace_fidelity(partition.K, total))
+    overlaps = branch_overlaps(partition.unwanted)
+    return float(_subspace_fidelity(partition.K, overlaps, *f))
 
 
 def kraus_sum_by_enumeration(partition: RegisterPartition) -> float:

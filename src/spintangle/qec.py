@@ -20,8 +20,10 @@ their product is the two-nucleus gate of the multispin scheme: the two
 schemes differ only by the R_y(-pi) pair.
 
 The correction sub-circuit (the Toffoli controlled on the nuclei) is taken
-as ideal.  The simulation covers the three protocol qubits only; spectator
-nuclei enter through the separately reported gate error.
+as ideal.  The simulation covers the three protocol qubits only: the
+electron and the two data nuclei.  Bystander nuclei, and the third target
+of a design with more than two, are not modelled, and no output reports a
+gate error for them.
 
 run_bitflip_code reports the final state, the recovery probability, the
 electron purity and a snapshot of the state after each stage.
@@ -157,11 +159,11 @@ def _recovery(psi_el: np.ndarray, psi: np.ndarray) -> float:
     return float(np.minimum(1.0, np.real(proj @ proj.conj())))
 
 
-def _run(circuit: tuple, gamma: float, delta: float) -> QecOutcome:
-    """Run one electron input state through the stage operators of circuit."""
-    psi_el, psi = _input(gamma, delta)
+def run_bitflip_code(scenario: QecScenario) -> QecOutcome:
+    """Simulate the five stages of the code and report recovery figures."""
+    psi_el, psi = _input(scenario.gamma, scenario.delta)
     snapshots = {"initial": psi}
-    for stage, op in zip(STAGES[1:], circuit):
+    for stage, op in zip(STAGES[1:], _circuit(scenario)):
         psi = op @ psi
         snapshots[stage] = psi
 
@@ -172,11 +174,6 @@ def _run(circuit: tuple, gamma: float, delta: float) -> QecOutcome:
                       recovery_probability=_recovery(psi_el, psi),
                       electron_purity=float(np.minimum(1.0, purity)),
                       snapshots=snapshots)
-
-
-def run_bitflip_code(scenario: QecScenario) -> QecOutcome:
-    """Simulate the five stages of the code and report recovery figures."""
-    return _run(_circuit(scenario), scenario.gamma, scenario.delta)
 
 
 def error_surface(scenario: QecScenario, gammas, deltas) -> np.ndarray:

@@ -125,7 +125,9 @@ def _udd_spacings(n: int) -> np.ndarray:
     s = np.arange(1, n + 2)
     edges = np.sin(np.pi * s / (2 * n + 2)) ** 2
     prev = np.sin(np.pi * (s - 1) / (2 * n + 2)) ** 2
-    return edges - prev
+    q = edges - prev
+    # mirror-symmetric by construction, so equal spacings are equal floats
+    return 0.5 * (q + q[::-1])
 
 
 def _symmetrize(q: np.ndarray) -> np.ndarray:

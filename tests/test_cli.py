@@ -351,3 +351,31 @@ class TestInputErrors:
     def test_non_finite_value_exits_one(self, argv, field, capsys):
         assert main(argv) == 1
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, names", [
+        (["resonances", "--register", "{bad_larmor}"],
+         ["bad.csv:2:", "larmor_kHz metadata line", "omega_L"]),
+        (["resonances", "--register", "nv27", "--larmor-khz", "nan"],
+         ["nv27:", "larmor_kHz from the caller", "got nan"]),
+        (["sweep", "--register", "nv27", "--spin", "C5", "--t-us", "-1"],
+         ["--t-us", "got -1.0"]),
+        (["sweep", "--register", "nv27", "--spin", "C5", "--t-us", "nan"],
+         ["--t-us", "got nan"]),
+        (["design", "--register", "nv27", "--anchor", "C23", "--k", "3",
+          "--sequence", "custom"], ["--sequence", "'custom'", "cpmg", "uddN"]),
+        (["sweep", "--register", "nv27", "--spin", "C5", "--sequence", "custom"],
+         ["--sequence", "'custom'", "cpmg", "uddN"]),
+        (["sweep", "--register", "nv27", "--spin", "C5", "--sequence", "uddx"],
+         ["--sequence", "'uddx'", "cpmg", "uddN"]),
+    ], ids=["larmor-metadata", "larmor-flag-nan", "t-us-negative", "t-us-nan-named",
+            "design-custom", "sweep-custom", "sweep-uddx"])
+    def test_bad_input_named_with_nothing_on_stdout(self, argv, names, tmp_path,
+                                                     capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("# s0=0\n# larmor_kHz=-5\n# s1=-1\nlabel,A_kHz,B_kHz\n"
+                       "C1,10,20\n")
+        argv = [a.format(bad_larmor=bad) for a in argv]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert all(name in captured.err for name in names), captured.err

@@ -79,6 +79,33 @@ class TestParseRegister:
         with pytest.raises(RegisterFormatError, match=":2:"):
             parse_register(text, larmor_khz=432.0)
 
+    def test_blank_lines_skipped(self):
+        text = "\n# larmor_kHz=432\n\nlabel,A_kHz,B_kHz\n  \nC1,1,2\n\nC2,3,4\n"
+        reg = parse_register(text)
+        assert reg.labels == ["C1", "C2"]
+        assert reg.larmor_khz == 432.0
+
+    @pytest.mark.parametrize("text, larmor, message", [
+        ("# larmor_kHz=-5\nlabel,A_kHz,B_kHz\nC1,1,2\n", None,
+         "reg.csv:1: larmor_kHz metadata line: omega_L must be positive and "
+         "finite, got -5.0"),
+        # rejected even when no spin row would have caught it
+        ("# s0=0\n# larmor_kHz=0\nlabel,A_kHz,B_kHz\n", None,
+         "reg.csv:2: larmor_kHz metadata line: omega_L must be positive and "
+         "finite, got 0.0"),
+        ("# larmor_kHz=432\nlabel,A_kHz,B_kHz\nC1,1,2\n", math.nan,
+         "reg.csv: larmor_kHz from the caller: omega_L must be positive and "
+         "finite, got nan"),
+        ("label,A_kHz,B_kHz\n", -math.inf,
+         "reg.csv: larmor_kHz from the caller: omega_L must be positive and "
+         "finite, got -inf"),
+    ], ids=["metadata-negative", "metadata-zero-no-rows", "caller-nan",
+            "caller-inf-no-rows"])
+    def test_bad_larmor_names_its_origin(self, text, larmor, message):
+        with pytest.raises(RegisterFormatError) as info:
+            parse_register(text, source="reg.csv", larmor_khz=larmor)
+        assert str(info.value) == message
+
     def test_electron_unresolvable(self):
         reg = parse_register("label,A_kHz,B_kHz\nC1,1,2\n", larmor_khz=432.0)
         with pytest.raises(RegisterFormatError, match="s0/s1"):

@@ -12,7 +12,6 @@ from spintangle.datasets import load_register
 from spintangle.designer import (
     DesignConstraints,
     _scan_unit_times,
-    _tangle_block,
     _winning_point,
     estimate_position,
     evaluate_design,
@@ -24,7 +23,8 @@ from spintangle.designer import (
     position_to_hyperfine,
     spins_on_trivial_circle,
 )
-from spintangle.entanglement import g1_from_angles, nuclear_one_tangle
+from spintangle.entanglement import (g1_from_angles, g1_over_iterations,
+                                     nuclear_one_tangle)
 from spintangle.fidelity import RegisterPartition, target_subspace_fidelity
 from spintangle.spin_model import (
     ConditionalRotation,
@@ -100,6 +100,15 @@ class TestOptimizeRegisterGate:
         design = optimize_register_gate(reg.spins, reg.electron(), cons,
                                         reg.labels.index("C23"), 3)
         assert design is None
+
+    def test_design_without_bystanders(self):
+        reg = load_register("nv27")
+        spins = [reg.by_label("C4"), reg.by_label("C5")]
+        design = evaluate_design(spins, reg.electron(), 11.4e-6, 51, 3,
+                                 "C4", [0, 1])
+        assert design.unwanted_tangles == {}
+        assert design.mean_unwanted_tangle == 0.0
+        assert design.gate_error == 0.0
 
     def test_round_trip_and_feasibility(self):
         reg = load_register("nv27")
@@ -200,7 +209,7 @@ class TestOptimizeRegisterGate:
             quats = unit_quaternions(A, B, reg.spins[0].omega_L, electron,
                                      seq.spacings, t)
             ok, tgt_mean, unw_mean, is_target = designer._feasibility(
-                _tangle_block(quats, N_values), cons)
+                1.0 - g1_over_iterations(quats, N_values), cons)
             for j in np.nonzero(ok)[0]:
                 tset = tuple(np.nonzero(is_target[:, j])[0])
                 key = (-tgt_mean[j], N_values[j] * t, unw_mean[j])
@@ -346,7 +355,7 @@ class TestOptimizeRegisterGate:
         quats = unit_quaternions(np.array([s.A for s in reg.spins]),
                                  np.array([s.B for s in reg.spins]),
                                  reg.spins[0].omega_L, electron, seq.spacings, t)
-        block = _tangle_block(quats, N_values)
+        block = 1.0 - g1_over_iterations(quats, N_values)
         assert block.shape == (len(reg.spins), len(N_values))
         for i, spin in enumerate(reg.spins):
             rot = unit_propagator(seq, spin, electron)
@@ -463,6 +472,13 @@ class TestTrivialCircle:
             rot = unit_propagator(seq, spin, electron)
             assert nuclear_one_tangle(rot, 40, scaled=True) < 1e-4
 
+    def test_zero_projection_on_either_branch(self):
+        omega_L = 2.0 * math.pi * 432e3
+        assert (spins_on_trivial_circle(ElectronQubitSpec(-1.0, 0.0), omega_L,
+                                        1, 1, 5)
+                == spins_on_trivial_circle(ElectronQubitSpec(0.0, -1.0),
+                                           omega_L, 1, 1, 5))
+
     def test_requires_zero_projection_branch(self):
         with pytest.raises(ValueError):
             spins_on_trivial_circle(ElectronQubitSpec(0.5, -0.5),
@@ -545,7 +561,7 @@ class TestGateErrorVsBath:
         assert len(records) == len(expected) > 4
         for rec, (b, eff, err) in zip(records, expected):
             assert (rec["bin"], rec["bath_size"]) == (b, eff)
-            assert rec["mean_error"] == pytest.approx(err, rel=0.0, abs=1e-15)
+            assert rec["mean_error"] == err
 
     def test_error_grows_with_bath_size(self):
         rng = np.random.default_rng(7)

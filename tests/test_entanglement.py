@@ -12,6 +12,7 @@ from spintangle.entanglement import (
     electron_one_tangle,
     entangling_power,
     g1_from_angles,
+    g1_over_iterations,
     makhlin_g1,
     makhlin_g2,
     nuclear_one_tangle,
@@ -263,6 +264,11 @@ class TestOptimalIterations:
                          for kappa in range(1, 11)]
         assert all(makhlin_g1(rot, n) < 1e-12 for n in cands)
 
+    def test_analytic_candidates_of_identity_rotation_are_empty(self):
+        identity = ConditionalRotation.from_axis_angles(
+            (0.0, 0.0, 1.0), 0.0, (0.0, 0.0, 1.0), 0.0)
+        assert analytic_iteration_candidates(identity) == []
+
     def test_analytic_candidates_need_equal_angles(self):
         rot = ConditionalRotation.from_axis_angles(
             (1.0, 0.0, 0.0), 0.5, (-1.0, 0.0, 0.0), 0.9)
@@ -317,3 +323,19 @@ def test_g1_invariant_under_local_conjugation():
         u = conditional_unitary([conj])
         g1_ref, _ = magic_basis_invariants(u)
         assert makhlin_g1(rot, 1) == pytest.approx(g1_ref.real, abs=1e-10)
+
+
+class TestG1OverIterations:
+    COUNTS = [0, 1, 2, 7, 51, 300, 10_000]
+
+    @pytest.mark.parametrize("shape", [(), (5,), (3, 4)])
+    def test_equals_makhlin_g1_at_every_count(self, shape):
+        rng = np.random.default_rng(len(shape))
+        rots = [random_rotation_pair(rng) for _ in range(int(np.prod(shape)))]
+        quats = np.stack([r.quaternions for r in rots], axis=-1)
+        quats = quats.reshape((2, 4) + shape)
+        g1 = g1_over_iterations(quats, self.COUNTS)
+        assert g1.shape == shape + (len(self.COUNTS),)
+        flat = g1.reshape(-1, len(self.COUNTS))
+        for rot, row in zip(rots, flat):
+            assert row.tolist() == [makhlin_g1(rot, n) for n in self.COUNTS]

@@ -8,6 +8,8 @@ import pytest
 from spintangle.fidelity import (
     CapacityError,
     RegisterPartition,
+    branch_overlaps,
+    gate_error,
     kraus_coefficients,
     kraus_sum_by_enumeration,
     fidelity_with_local_target,
@@ -156,6 +158,33 @@ class TestTargetSubspaceFidelity:
         part = _partition(rng, 2, 40)
         f = target_subspace_fidelity(part)
         assert 0.0 <= f <= 1.0
+
+
+class TestGateError:
+    def test_equals_one_minus_fidelity(self):
+        rng = np.random.default_rng(12)
+        for m in range(0, 13):
+            part = _partition(rng, int(rng.integers(1, 4)), m)
+            err = gate_error(part.K, branch_overlaps(part.unwanted))
+            assert err == 1.0 - target_subspace_fidelity(part)
+
+    @pytest.mark.parametrize("m", range(0, 13))
+    def test_matches_enumeration(self, m):
+        rng = np.random.default_rng(100 + m)
+        part = _partition(rng, int(rng.integers(1, 4)), m)
+        k = part.K
+        total = kraus_sum_by_enumeration(part)
+        ref = 1.0 - (1.0 + 2.0 ** (k - 1) * total) / (2.0 ** (k + 1) + 1.0)
+        err = gate_error(k, branch_overlaps(part.unwanted))
+        assert abs(err - ref) <= 1e-12
+
+    def test_leading_ensemble_axis_equals_row_loop(self):
+        rng = np.random.default_rng(13)
+        overlaps = branch_overlaps([random_rotation_pair(rng) for _ in range(30)])
+        baths = np.array([rng.permutation(30)[:9] for _ in range(17)])
+        errors = gate_error(2, overlaps[baths])
+        assert errors.shape == (17,)
+        assert errors.tolist() == [gate_error(2, overlaps[row]) for row in baths]
 
 
 class TestLocalTargetFidelity:

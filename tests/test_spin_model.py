@@ -109,6 +109,15 @@ class TestBuildSequence:
         assert q == pytest.approx(q[::-1], abs=1e-15)
         assert q.sum() == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("order", range(1, 9))
+    def test_udd_spacings_are_exact_mirrors(self, order):
+        q = build_sequence(f"udd{order}", 1e-6).spacings
+        assert q == q[::-1]
+
+    @pytest.mark.parametrize("kind", ["udd3", "udd4"])
+    def test_mirrored_udd_spacings_take_three_values(self, kind):
+        assert len(set(build_sequence(kind, 1e-6).spacings)) == 3
+
     def test_custom_spacings_must_be_one_dimensional(self):
         with pytest.raises(ValueError, match="spacings"):
             build_sequence("custom", 1e-6, custom_spacings=[[0.5, 0.5]])
