@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -40,12 +40,20 @@ class RegisterFile:
     s1: float | None = None
     source: str = "<memory>"
     sha256: str | None = None  # of the file's bytes, when loaded from one
+    # where larmor_kHz, s0 and s1 came from, for error messages
+    origins: dict = field(default_factory=dict)
 
     def electron(self) -> ElectronQubitSpec:
         if self.s0 is None or self.s1 is None:
             raise RegisterFormatError(
                 f"{self.source}: electron projections s0/s1 not resolvable")
-        return ElectronQubitSpec(self.s0, self.s1)
+        try:
+            return ElectronQubitSpec(self.s0, self.s1)
+        except ValueError as exc:
+            # name the non-finite value, or both when they are equal
+            bad = [n for n in ("s0", "s1") if not math.isfinite(getattr(self, n))]
+            where = "; ".join(self.origins.get(n, self.source) for n in bad or ("s0", "s1"))
+            raise RegisterFormatError(f"{where}: {exc}") from None
 
     def by_label(self, label: str) -> NuclearSpinParams:
         for s in self.spins:
@@ -92,19 +100,17 @@ def parse_register(text: str, source: str = "<memory>",
     if header is None:
         raise RegisterFormatError(f"{source}: missing header row")
 
-    origin = f"{source}: larmor_kHz from the caller"
-    if larmor_khz is None:
-        larmor_khz = meta.get("larmor_kHz")
-        origin = f"{source}:{meta_line.get('larmor_kHz')}: larmor_kHz metadata line"
-    if s0 is None:
-        s0 = meta.get("s0")
-    if s1 is None:
-        s1 = meta.get("s1")
+    # each value comes from the caller, else from its metadata line
+    given = {"larmor_kHz": larmor_khz, "s0": s0, "s1": s1}
+    origins = {k: f"{source}: {k} from the caller" if v is not None
+               else f"{source}:{meta_line.get(k)}: {k} metadata line"
+               for k, v in given.items()}
+    larmor_khz, s0, s1 = (meta.get(k) if v is None else v for k, v in given.items())
     if larmor_khz is None:
         raise RegisterFormatError(f"{source}: Larmor frequency not resolvable")
     if not (math.isfinite(larmor_khz) and larmor_khz > 0):
-        raise RegisterFormatError(
-            f"{origin}: omega_L must be positive and finite, got {larmor_khz}")
+        raise RegisterFormatError(f"{origins['larmor_kHz']}: omega_L must be "
+                                  f"positive and finite, got {larmor_khz}")
 
     spins = []
     seen = set()
@@ -125,7 +131,7 @@ def parse_register(text: str, source: str = "<memory>",
             spins.append(NuclearSpinParams.from_khz(label, a, b, larmor_khz))
         except ValueError as exc:
             raise RegisterFormatError(f"{source}:{lineno}: {exc}")
-    return RegisterFile(spins, larmor_khz, s0, s1, source)
+    return RegisterFile(spins, larmor_khz, s0, s1, source, origins=origins)
 
 
 def load_register(path_or_name: str, **overrides) -> RegisterFile:

@@ -68,10 +68,20 @@ def g1_from_angles(h0, h1, n01, N):
 
 
 def makhlin_g1(rot: ConditionalRotation, N: int) -> float:
-    """First Makhlin invariant of the iterated conditional gate, in [0, 1]."""
+    """First Makhlin invariant of the iterated conditional gate, in [0, 1].
+
+    branch_angles on Python floats: g1_over_iterations' number, bit for bit.
+    """
     if N < 0:
         raise ValueError("N must be >= 0")
-    return float(g1_from_angles(*branch_angles(rot.quaternions), N))
+    (w0, x0, y0, z0), (w1, x1, y1, z1) = rot.quaternions.tolist()
+    s0 = math.sqrt(x0 * x0 + y0 * y0 + z0 * z0)
+    s1 = math.sqrt(x1 * x1 + y1 * y1 + z1 * z1)
+    h0, h1 = np.arctan2((s0, s1), (w0, w1)).tolist()
+    # max() keeps a NaN product only as its first argument
+    n01 = (1.0 if s0 < _EPS_AXIS or s1 < _EPS_AXIS
+           else (x0 * x1 + y0 * y1 + z0 * z1) / max(s0 * s1, 1e-300))
+    return float(g1_from_angles(h0, h1, n01, N))
 
 
 def makhlin_g2(rot: ConditionalRotation, N: int) -> float:

@@ -70,7 +70,7 @@ class ElectronQubitSpec:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.s0 == self.s1:
-            raise ValueError("s0 and s1 must differ")
+            raise ValueError(f"s0 and s1 must differ, got {self.s0} for both")
 
 
 def branch_frequency(spin: NuclearSpinParams, s: float) -> float:
@@ -303,25 +303,35 @@ def unit_quaternions(A, B, omega_L, electron: ElectronQubitSpec,
     ones; the segment rotations, about the axis (s B, 0, omega_L + s A)/omega,
     are composed in time order.  Returns an array of shape (2, 4, *shape):
     branch, then (w, x, y, z), over the broadcast shape of A, B, omega_L, t.
+
+    Floats for A, B, omega_L and t (one spin at one time, as unit_propagator
+    passes them) run the same formulas on Python floats: the batch numbers,
+    bit for bit, at a fraction of the call cost.
     """
-    axes, trig = {}, {}
+    # math's cos and sin give numpy's bits; math.hypot does not
+    scalar = (isinstance(A, float) and isinstance(B, float)
+              and isinstance(omega_L, float) and isinstance(t, float))
+    cos, sin = (math.cos, math.sin) if scalar else (np.cos, np.sin)
+    axes = {}
     for s in (electron.s0, electron.s1):
         wz = omega_L + s * A
         wx = s * B
-        w = np.hypot(wz, wx)
+        w = float(np.hypot(wz, wx)) if scalar else np.hypot(wz, wx)
         # a branch with zero frequency does not rotate; give it the z axis
         still = w == 0.0
-        axes[s] = (wx / (w + still), (wz + still) / (w + still))
-        half_rate = 0.5 * w * t
-        # both orders meet each spacing under each projection: one pair each
-        for q in set(spacings):
-            trig[s, q] = np.cos(half_rate * q), np.sin(half_rate * q)
+        axes[s] = (wx / (w + still), (wz + still) / (w + still), 0.5 * w * t)
+    # both orders meet each spacing under each projection: arrays share one
+    # cos and sin pair each; for floats the lookup costs more than the call
+    trig = None if scalar else {(s, q): (cos(rate * q), sin(rate * q))
+                                for s, (_, _, rate) in axes.items()
+                                for q in set(spacings)}
     out = []
     for order in ((electron.s0, electron.s1), (electron.s1, electron.s0)):
         w, x, y, z = 1.0, 0.0, 0.0, 0.0
         for i, q in enumerate(spacings):
             s = order[i % 2]
-            (nx, nz), (c, sn) = axes[s], trig[s, q]
+            nx, nz, rate = axes[s]
+            c, sn = (cos(rate * q), sin(rate * q)) if scalar else trig[s, q]
             # left-multiply by the segment quaternion (c, sn*(nx, 0, nz))
             w, x, y, z = (c * w - sn * (nx * x + nz * z),
                           c * x + sn * (nx * w - nz * y),

@@ -367,14 +367,24 @@ class TestInputErrors:
          ["--sequence", "'custom'", "cpmg", "uddN"]),
         (["sweep", "--register", "nv27", "--spin", "C5", "--sequence", "uddx"],
          ["--sequence", "'uddx'", "cpmg", "uddN"]),
+        (["resonances", "--register", "{bad_s0}"],
+         ["s0.csv:2: s0 metadata line", "got nan"]),
+        (["resonances", "--register", "nv27", "--s0", "-1"],
+         ["nv27: s0 from the caller", "nv27:3: s1 metadata line", "must differ"]),
+        (["qec", "--register", "nv27", "--ideal", "--s1", "0"],
+         ["nv27:2: s0 metadata line", "nv27: s1 from the caller", "must differ"]),
     ], ids=["larmor-metadata", "larmor-flag-nan", "t-us-negative", "t-us-nan-named",
-            "design-custom", "sweep-custom", "sweep-uddx"])
+            "design-custom", "sweep-custom", "sweep-uddx", "s0-metadata-nan",
+            "s0-flag-equal", "qec-s1-flag-equal"])
     def test_bad_input_named_with_nothing_on_stdout(self, argv, names, tmp_path,
                                                      capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("# s0=0\n# larmor_kHz=-5\n# s1=-1\nlabel,A_kHz,B_kHz\n"
                        "C1,10,20\n")
-        argv = [a.format(bad_larmor=bad) for a in argv]
+        bad_s0 = tmp_path / "s0.csv"
+        bad_s0.write_text("# larmor_kHz=432\n# s0=nan\n# s1=-1\nlabel,A_kHz,B_kHz\n"
+                          "C1,10,20\n")
+        argv = [a.format(bad_larmor=bad, bad_s0=bad_s0) for a in argv]
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -117,6 +117,24 @@ class TestParseRegister:
         with pytest.raises(ValueError, match="s0 must be finite, got nan"):
             reg.electron()
 
+    @pytest.mark.parametrize("text, s0, s1, message", [
+        ("# larmor_kHz=432\n# s0=nan\n# s1=-1\nlabel,A_kHz,B_kHz\n", None, None,
+         "reg.csv:2: s0 metadata line: s0 must be finite, got nan"),
+        ("# larmor_kHz=432\n# s0=0\n# s1=-1\nlabel,A_kHz,B_kHz\n", None, math.inf,
+         "reg.csv: s1 from the caller: s1 must be finite, got inf"),
+        ("# larmor_kHz=432\n# s0=0\n# s1=-1\nlabel,A_kHz,B_kHz\n", -1.0, None,
+         "reg.csv: s0 from the caller; reg.csv:3: s1 metadata line: "
+         "s0 and s1 must differ, got -1.0 for both"),
+        ("# s1=0.5\n# larmor_kHz=432\n# s0=0.5\nlabel,A_kHz,B_kHz\n", None, None,
+         "reg.csv:3: s0 metadata line; reg.csv:1: s1 metadata line: "
+         "s0 and s1 must differ, got 0.5 for both"),
+    ], ids=["metadata-nan", "caller-inf", "caller-equal", "metadata-equal"])
+    def test_bad_projection_names_its_origin(self, text, s0, s1, message):
+        reg = parse_register(text, source="reg.csv", s0=s0, s1=s1)
+        with pytest.raises(RegisterFormatError) as info:
+            reg.electron()
+        assert str(info.value) == message
+
     def test_unknown_label(self):
         reg = parse_register(GOOD)
         with pytest.raises(KeyError):

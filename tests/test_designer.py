@@ -416,6 +416,62 @@ class TestRandomEnsemble:
                                      distinctness_khz=50.0, seed=0,
                                      max_attempts_per_spin=50)
 
+    @staticmethod
+    def _per_candidate(count, A_range_khz, B_range_khz, distinctness_khz,
+                       seed, larmor_khz, max_attempts_per_spin):
+        """The sampler as one rng.uniform call per coordinate of a candidate."""
+        rng = np.random.Generator(np.random.Philox(seed))
+        d, accepted = distinctness_khz, []
+        for idx in range(count):
+            for _ in range(max_attempts_per_spin):
+                a = rng.uniform(*A_range_khz)
+                b = rng.uniform(*B_range_khz)
+                if not any(abs(pa - a) < d and abs(pb - b) < d
+                           for pa, pb in accepted):
+                    accepted.append((a, b))
+                    break
+            else:
+                raise RuntimeError(
+                    f"could not place spin {idx + 1} of {count} after "
+                    f"{max_attempts_per_spin} attempts; range too dense for "
+                    f"distinctness {distinctness_khz} kHz")
+        return [NuclearSpinParams.from_khz(f"R{i + 1}", a, b, larmor_khz)
+                for i, (a, b) in enumerate(accepted)]
+
+    @pytest.mark.parametrize("settings", [
+        # the bath-ensemble benchmark's pools
+        dict(count=800, A_range_khz=(-100.0, 200.0), B_range_khz=(5.0, 200.0),
+             distinctness_khz=2.0, larmor_khz=432.0, max_attempts_per_spin=1000),
+        # the defaults
+        dict(count=20, A_range_khz=(10.0, 200.0), B_range_khz=(10.0, 200.0),
+             distinctness_khz=25.0, larmor_khz=314.0, max_attempts_per_spin=1000),
+    ], ids=["bath-ensemble", "defaults"])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123456])
+    def test_stream_pinned_to_per_candidate_draws(self, settings, seed):
+        got = generate_random_ensemble(seed=seed, **settings)
+        assert got == self._per_candidate(seed=seed, **settings)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_overdense_request_fails_at_the_same_spin(self, seed):
+        settings = dict(count=200, A_range_khz=(10.0, 200.0),
+                        B_range_khz=(10.0, 200.0), distinctness_khz=25.0,
+                        seed=seed, larmor_khz=314.0, max_attempts_per_spin=50)
+        with pytest.raises(RuntimeError) as ref:
+            self._per_candidate(**settings)
+        assert "could not place spin" in str(ref.value)
+        with pytest.raises(RuntimeError) as got:
+            generate_random_ensemble(**settings)
+        assert str(got.value) == str(ref.value)
+
+    @pytest.mark.parametrize("A_range_khz, B_range_khz", [
+        ((10.0, math.inf), (10.0, 200.0)),
+        ((10.0, 200.0), (math.nan, 200.0)),
+    ])
+    def test_non_finite_range_rejected(self, A_range_khz, B_range_khz):
+        with pytest.raises(ValueError, match="must have finite bounds"):
+            generate_random_ensemble(3, A_range_khz=A_range_khz,
+                                     B_range_khz=B_range_khz)
+
     def test_large_bath_ensemble(self):
         spins = generate_random_ensemble(300_000,
                                          A_range_khz=(10.0, 8000.0),

@@ -339,3 +339,41 @@ class TestG1OverIterations:
         flat = g1.reshape(-1, len(self.COUNTS))
         for rot, row in zip(rots, flat):
             assert row.tolist() == [makhlin_g1(rot, n) for n in self.COUNTS]
+
+
+class TestScalarG1:
+    """makhlin_g1 runs branch_angles' formulas on floats: same bits."""
+
+    COUNTS = [0, 1, 10_000]
+
+    @staticmethod
+    def _rotations():
+        electron = ElectronQubitSpec(0.0, -1.0)
+        seq = build_sequence("cpmg", 7.3e-6)
+        rng = np.random.default_rng(4)
+        spins = [NuclearSpinParams.from_khz("r", a, b, 432.0)
+                 for a, b in zip(rng.uniform(-100, 200, 200),
+                                 rng.uniform(0, 200, 200))]
+        rots = [unit_propagator(seq, s, electron) for s in spins]
+        rots += [random_rotation_pair(rng) for _ in range(50)]
+        near_identity = ConditionalRotation.from_quaternions(
+            [[1.0, 0.0, 0.0, 1e-13], [math.cos(0.3), 0.0, math.sin(0.3), 0.0]])
+        assert branch_angles(near_identity.quaternions)[2] == 1.0
+        return rots + [near_identity]
+
+    def test_equals_g1_over_iterations(self):
+        for rot in self._rotations():
+            ref = g1_over_iterations(rot.quaternions, self.COUNTS).tolist()
+            assert [makhlin_g1(rot, n) for n in self.COUNTS] == ref
+
+    @pytest.mark.parametrize("q", [
+        [[math.nan, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0]],
+        [[0.6, math.nan, 0.0, 0.8], [0.8, 0.6, 0.0, 0.0]],
+        [[0.6, 0.0, 0.0, 0.8], [0.8, 0.6, 0.0, math.nan]],
+        [[math.nan] * 4, [math.nan] * 4],
+    ], ids=["w0", "x0", "z1", "all"])
+    def test_nan_quaternion_stays_nan(self, q):
+        rot = ConditionalRotation.from_quaternions(q)
+        ref = g1_over_iterations(rot.quaternions, self.COUNTS)
+        assert np.isnan(ref).all()
+        assert all(math.isnan(makhlin_g1(rot, n)) for n in self.COUNTS)

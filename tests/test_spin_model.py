@@ -24,7 +24,9 @@ from spintangle.spin_model import (
     unit_propagator,
     unit_quaternions,
 )
+from spintangle.constants import KHZ
 from spintangle.datasets import load_register
+from spintangle.designer import generate_random_ensemble
 from spintangle.oracle import segment_exponential_rotation
 
 from .conftest import random_rotation_pair, random_unit_vector
@@ -571,6 +573,37 @@ def test_unit_quaternions_equal_the_per_segment_loop(kind):
         ref = _unit_quaternions_per_segment(a, b, omega_L, reg.electron(),
                                             spacings, t)
         assert np.array_equal(got, ref)
+
+
+def _edge_spins(electron):
+    """B = 0, and a branch of zero frequency: A = -omega_L/s with B = 0."""
+    omega_L = 314.0 * KHZ
+    s = electron.s0 if electron.s0 != 0 else electron.s1
+    return [NuclearSpinParams("b0", 60.0 * KHZ, 0.0, omega_L),
+            NuclearSpinParams("still", -omega_L / s, 0.0, omega_L)]
+
+
+@pytest.mark.parametrize("electron", _ELECTRONS)
+@pytest.mark.parametrize("kind", ["cpmg", "udd3", "udd4"])
+def test_scalar_kernel_equals_the_batch_kernel(kind, electron):
+    """unit_propagator's float path gives the array path's bits."""
+    pool = generate_random_ensemble(800, A_range_khz=(-100.0, 200.0),
+                                    B_range_khz=(5.0, 200.0),
+                                    distinctness_khz=2.0, seed=11,
+                                    larmor_khz=432.0)
+    edges = _edge_spins(electron)
+    still = edges[1]
+    assert 0.0 in [still.omega_L + s * still.A for s in (electron.s0, electron.s1)]
+    for spins in (load_register("nv27").spins, pool, edges):
+        A = np.array([s.A for s in spins])
+        B = np.array([s.B for s in spins])
+        for t in (7.3e-6, 1e-12):
+            seq = build_sequence(kind, t)
+            batch = unit_quaternions(A, B, spins[0].omega_L, electron,
+                                     seq.spacings, t)
+            for i, spin in enumerate(spins):
+                got = unit_propagator(seq, spin, electron).quaternions
+                assert np.array_equal(got, batch[..., i]), (spin.label, t)
 
 
 @settings(max_examples=100, deadline=None)
