@@ -146,17 +146,22 @@ def _qec_gates(args: argparse.Namespace, reg, electron):
     if args.ideal:
         return None, {}
     cons = DesignConstraints()
-    design = optimize_register_gate(reg.spins, electron, cons, anchor_index, args.k)
+    sequence = "cpmg"  # the one sequence the gates are designed with and built from
+    design = optimize_register_gate(reg.spins, electron, cons, anchor_index, args.k,
+                                    sequence_kind=sequence)
     if design is None:
         raise ValueError(f"no feasible gate at anchor {args.anchor}, k={args.k}")
     used = design.target_labels[:2]
-    seq = build_sequence("cpmg", design.unit_time)
+    seq = build_sequence(sequence, design.unit_time)
     gates = tuple(iterate(unit_propagator(seq, reg.by_label(l), electron),
                           design.iterations) for l in used)
     prov = {"design_targets": ";".join(design.target_labels),
             "design_targets_used": ";".join(used),
             "design_iterations": design.iterations,
-            "design_unit_time_us": design.unit_time * 1e6}
+            "design_unit_time_us": design.unit_time * 1e6,
+            "design_sequence": sequence,
+            **{f"design_{name}": value
+               for name, value in dataclasses.asdict(cons).items()}}
     return gates, prov
 
 

@@ -23,15 +23,9 @@ ANGSTROM = 1e-10
 
 KHZ = 2.0 * math.pi * 1e3           # plain kHz -> angular rad/s
 
-CONSTANTS_TABLE = {
-    "mu0": MU0,
-    "hbar": HBAR,
-    "gamma_e": GAMMA_E,
-    "gamma_n_c13": GAMMA_C13,
-}
-
 _ATTR_BY_KEY = {"mu0": "MU0", "hbar": "HBAR", "gamma_e": "GAMMA_E",
                 "gamma_n_c13": "GAMMA_C13"}
+CONSTANTS_TABLE = {key: globals()[attr] for key, attr in _ATTR_BY_KEY.items()}
 
 
 def _apply_env_overrides() -> None:

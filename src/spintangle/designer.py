@@ -14,7 +14,7 @@ import numpy as np
 
 from . import constants
 from .entanglement import (G1_MAXIMAL_THRESHOLD, branch_angles, g1_from_angles,
-                           g1_over_iterations, optimal_iterations,
+                           g1_over_iterations, makhlin_g1, optimal_iterations,
                            tangle_upper_bound)
 from .fidelity import RegisterPartition, branch_overlaps, gate_error
 from .spin_model import (ConditionalRotation, ElectronQubitSpec,
@@ -284,17 +284,19 @@ def optimize_register_gate(register: list[NuclearSpinParams],
         return None
     t_best, n_best, target_idx = best
 
-    # local refinement of the unit time at fixed N and fixed target set
-    def tangles_at(t: float, idx=slice(None)) -> np.ndarray:
-        quats = unit_quaternions(*spins[:, idx], electron, spacings, t)
-        return 1.0 - g1_over_iterations(quats, [n_best])[:, 0]
+    # local refinement of the unit time at fixed N and fixed target set, on
+    # Python floats per target; no PulseSequence, as the bracket may reach t <= 0
+    targets = [register[i] for i in target_idx]
 
     def objective(t: float) -> float:
-        return -float(np.mean(tangles_at(t, target_idx)))
+        return -float(np.mean([1.0 - makhlin_g1(ConditionalRotation.from_quaternions(
+            unit_quaternions(s.A, s.B, s.omega_L, electron, spacings, t)), n_best)
+            for s in targets]))
 
     t_ref = _golden_section(objective, t_best - _TIME_STEP, t_best + _TIME_STEP,
                             xatol=1e-13)
-    tangles = tangles_at(t_ref)
+    tangles = 1.0 - g1_over_iterations(
+        unit_quaternions(*spins, electron, spacings, t_ref), [n_best])[:, 0]
     ok, _, _, is_target = _feasibility(tangles[:, None], constraints)
     if not (ok[0] and list(np.nonzero(is_target[:, 0])[0]) == target_idx
             and n_best * t_ref <= constraints.max_gate_time
@@ -368,17 +370,19 @@ def generate_random_ensemble(count: int,
     """
     rng = np.random.Generator(np.random.Philox(seed))
     d = distinctness_khz
-    # spatial hash on a d-sized grid: conflicts only involve neighbor cells
-    cells: dict[tuple[int, int], list[tuple[float, float]]] = {}
+    # spatial hash on a d-sized grid: conflicts only involve neighbor cells,
+    # and two spins in one cell would conflict, so a cell holds one spin
+    cells: dict[tuple[int, int], tuple[float, float]] = {}
 
-    def conflicts(a: float, b: float) -> bool:
+    def place(a: float, b: float) -> bool:
         ci, cj = int(a // d), int(b // d)
         for i in range(ci - 1, ci + 2):
             for j in range(cj - 1, cj + 2):
-                for (pa, pb) in cells.get((i, j), ()):
-                    if abs(pa - a) < d and abs(pb - b) < d:
-                        return True
-        return False
+                p = cells.get((i, j))
+                if p is not None and abs(p[0] - a) < d and abs(p[1] - b) < d:
+                    return False
+        cells[ci, cj] = (a, b)
+        return True
 
     lo, hi = np.array([A_range_khz, B_range_khz], dtype=float).T
     if not np.all(np.isfinite(hi - lo)):
@@ -393,13 +397,10 @@ def generate_random_ensemble(count: int,
     spins = []
     for idx in range(count):
         for _, (a, b) in zip(range(max_attempts_per_spin), pairs):
-            if d > 0 and conflicts(a, b):
-                continue
-            cells.setdefault((int(a // d), int(b // d)) if d > 0 else (0, 0),
-                             []).append((a, b))
-            spins.append(NuclearSpinParams.from_khz(f"R{idx + 1}", a, b,
-                                                    larmor_khz))
-            break
+            if not d > 0 or place(a, b):  # no check for d <= 0 or NaN
+                spins.append(NuclearSpinParams.from_khz(f"R{idx + 1}", a, b,
+                                                        larmor_khz))
+                break
         else:
             raise RuntimeError(
                 f"could not place spin {idx + 1} of {count} after "

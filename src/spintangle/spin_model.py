@@ -46,7 +46,7 @@ class NuclearSpinParams:
     def __post_init__(self) -> None:
         for name in ("A", "B", "omega_L"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.B < 0:
             raise ValueError("B must be nonnegative")
         if self.omega_L <= 0:
@@ -449,10 +449,14 @@ def closed_form_angles(kind: str, spin: NuclearSpinParams,
                        electron: ElectronQubitSpec, t: float) -> tuple[float, float]:
     """Analytic per-unit rotation angles (phi0, phi1) in [0, pi].
 
-    kind selects the spacing family: "two_pi" (CPMG), "three_pi" (symmetrized
-    UDD3, six pulses) or "four_pi" (UDD4).  Angles agree with the propagator
-    extraction; for the 2- and 3-pi families phi0 = phi1 identically.
+    kind is the build_sequence kind "cpmg", "udd3" (symmetrized, six pulses)
+    or "udd4", whose spacings the formulas read.  Angles agree with the
+    propagator extraction; for cpmg and udd3 phi0 = phi1 identically.
     """
+    if kind not in ("cpmg", "udd3", "udd4"):
+        raise ValueError(f"unsupported kind: {kind!r}")
+    # unit spacings at a fixed unit time, so that a NaN t gives NaN angles
+    q = build_sequence(kind, 1.0).spacings
     w0 = branch_frequency(spin, electron.s0) * t
     w1 = branch_frequency(spin, electron.s1) * t
     th0 = branch_tilt(spin, electron.s0)
@@ -460,11 +464,9 @@ def closed_form_angles(kind: str, spin: NuclearSpinParams,
 
     def one_branch(wa: float, wb: float, tilt: float) -> float:
         ct, st2 = math.cos(tilt), math.sin(tilt) ** 2
-        if kind == "two_pi":
-            q = (0.25, 0.5, 0.25)
+        if kind == "cpmg":
             val = _g_factor((q[0] + q[2]) * wa / 2.0, q[1] * wb / 2.0, ct)
-        elif kind == "four_pi":
-            q = _udd_spacings(4)
+        elif kind == "udd4":
             odd = (q[0] + q[2] + q[4]) * wa / 2.0
             even = (q[1] + q[3]) * wb / 2.0
             val = (_g_factor(odd, even, ct)
@@ -472,9 +474,8 @@ def closed_form_angles(kind: str, spin: NuclearSpinParams,
                    * math.sin(q[2] * wa / 2.0)
                    * math.sin(q[3] * wb / 2.0)
                    * math.sin((q[0] + q[4]) * wa / 2.0))
-        elif kind == "three_pi":
-            qb = _udd_spacings(3)
-            q1, q2 = qb[0] / 2.0, qb[1] / 2.0
+        else:  # udd3: the symmetrized unit starts with the half spacings q1, q2
+            q1, q2 = q[0], q[1]
             odd = (2.0 * q1 + 2.0 * q2) * wa / 2.0
             even = (2.0 * q1 + 2.0 * q2) * wb / 2.0
             val = (_g_factor(odd, even, ct)
@@ -487,14 +488,8 @@ def closed_form_angles(kind: str, spin: NuclearSpinParams,
                    - 2.0 * st2 * math.sin(q1 * wb) * math.sin(q2 * wb)
                    * math.sin(q2 * wa / 2.0)
                    * math.sin(q1 * wa + q2 * wa / 2.0))
-        else:
-            raise ValueError(f"unsupported kind: {kind!r}")
-        return 2.0 * math.acos(np.clip(val, -1.0, 1.0))  # keeps a NaN
+        phi = 2.0 * math.acos(np.clip(val, -1.0, 1.0))  # keeps a NaN
+        # fold into [0, pi]; min() returns a NaN first argument
+        return min(phi, 2.0 * math.pi - phi)
 
-    phi0 = one_branch(w0, w1, th0 - th1)
-    phi1 = one_branch(w1, w0, th1 - th0)
-    if phi0 > math.pi:
-        phi0 = 2.0 * math.pi - phi0
-    if phi1 > math.pi:
-        phi1 = 2.0 * math.pi - phi1
-    return phi0, phi1
+    return one_branch(w0, w1, th0 - th1), one_branch(w1, w0, th1 - th0)

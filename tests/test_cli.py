@@ -16,7 +16,10 @@ import pytest
 import spintangle
 from spintangle import __version__, qec
 from spintangle.cli import build_parser, main
+from spintangle.datasets import load_register
 from spintangle.designer import DesignConstraints
+from spintangle.entanglement import entangling_power, makhlin_g1, makhlin_g2
+from spintangle.spin_model import build_sequence, unit_propagator
 
 EMPTY = "label,A_kHz,B_kHz\n"
 BAD_ROW = "label,A_kHz,B_kHz\nC1,1,2\nC2,x,4\n"
@@ -238,6 +241,19 @@ class TestQec:
         assert "no feasible gate at anchor C9" in captured.err
         assert captured.out == ""
 
+    def test_design_sequence_and_constraints_in_provenance(self, tmp_path, capsys):
+        out_json, out_csv = str(tmp_path / "q.json"), str(tmp_path / "q.csv")
+        assert main(["qec", "--register", "nv27", "--anchor", "C23", "--k", "3",
+                     "--json", out_json, "--csv", out_csv]) == 0
+        capsys.readouterr()
+        prov = json.loads(open(out_json).read())["provenance"]
+        expected = {"design_sequence": "cpmg",
+                    **{f"design_{name}": value for name, value
+                       in dataclasses.asdict(DesignConstraints()).items()}}
+        assert {key: prov[key] for key in expected} == expected
+        header = [l for l in open(out_csv).read().splitlines() if l.startswith("#")]
+        assert all(f"# {key}={value}" in header for key, value in expected.items())
+
     def test_choices_come_from_qec(self):
         choices = {a.dest: a.choices for a in _subparser("qec")._actions}
         assert choices["error"] == qec.ERROR_KINDS
@@ -281,8 +297,30 @@ class TestSweep:
                      "--n-min", "-1"]) == 1
         assert "--n-min" in capsys.readouterr().err
 
+    def test_t_us_records_match_library(self, tmp_path, capsys):
+        out = str(tmp_path / "sweep.json")
+        assert main(["sweep", "--register", "nv27", "--spin", "C5", "--t-us", "7.3",
+                     "--n-max", "5", "--json", out]) == 0
+        capsys.readouterr()
+        reg = load_register("nv27")
+        t = 7.3 * 1e-6  # --t-us in seconds, converted as the CLI does
+        rot = unit_propagator(build_sequence("cpmg", t), reg.by_label("C5"),
+                              reg.electron())
+        expected = [{"label": "C5", "t_us": t * 1e6, "N": n,
+                     "g1": makhlin_g1(rot, n), "g2": makhlin_g2(rot, n),
+                     "ep": entangling_power(rot, n)} for n in range(1, 6)]
+        assert json.loads(open(out).read())["records"] == expected
+
 
 class TestInputErrors:
+    @pytest.mark.parametrize("row, field", [("C1,nan,20", "A"), ("C1,10,nan", "B")])
+    def test_non_finite_coupling_row_named(self, row, field, tmp_path, capsys):
+        path = _write(tmp_path, "reg.csv", SMALL.replace("C12,20.569,41.51", row))
+        assert main(["resonances", "--register", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{path}:6: {field} must be finite, got nan" in captured.err
+
     @pytest.mark.parametrize("argv, names", [
         (["design", "--register", "nv27", "--anchor", "XX", "--k", "3"],
          ["--anchor", "XX"]),

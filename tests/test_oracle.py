@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from spintangle import oracle
 from spintangle.oracle import (
     MAGIC_BASIS,
     conditional_unitary,
@@ -71,6 +72,17 @@ class TestDenseBuilders:
         rng = np.random.default_rng(1)
         with pytest.raises(ValueError):
             conditional_unitary([random_rotation_pair(rng) for _ in range(14)])
+
+    def test_dense_propagator_qubit_cap(self, monkeypatch):
+        def no_matrix(*args):
+            raise AssertionError("built a matrix past the qubit cap")
+
+        monkeypatch.setattr(oracle, "segment_exponential_rotation", no_matrix)
+        spins = [NuclearSpinParams.from_khz(f"s{i}", 60.0, 30.0, 314.0)
+                 for i in range(14)]
+        with pytest.raises(ValueError, match="15 qubits exceeds the 14-qubit cap"):
+            dense_propagator(spins, ElectronQubitSpec(0.5, -0.5),
+                             build_sequence("cpmg", 3.0e-6), 1)
 
 
 class TestEntropies:

@@ -63,6 +63,13 @@ class TestParams:
         with pytest.raises(ValueError, match=f"{field} must be finite, got {value}"):
             ElectronQubitSpec(**{"s0": 0.0, "s1": -1.0, field: value})
 
+    @pytest.mark.parametrize("field", ["A", "B", "omega_L"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coupling_named(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite, got {value}"):
+            NuclearSpinParams(**{"label": "x", "A": 1.0, "B": 1.0, "omega_L": 1.0,
+                                 field: value})
+
 
 class TestPulseSequence:
     @pytest.mark.parametrize("spacings, message", [
@@ -127,6 +134,10 @@ class TestBuildSequence:
     def test_ragged_custom_spacings_named(self):
         with pytest.raises(ValueError, match="spacings must be a 1-D array"):
             build_sequence("custom", 1e-6, custom_spacings=[[0.5, 0.25], 0.25])
+
+    def test_custom_needs_spacings(self):
+        with pytest.raises(ValueError, match="custom sequence needs custom_spacings"):
+            build_sequence("custom", 1e-6)
 
     def test_custom_must_normalize(self):
         with pytest.raises(ValueError):
@@ -463,29 +474,34 @@ class TestConditionalRotationStorage:
 
 class TestClosedFormAngles:
     def test_cpmg_equal_angles(self, spin_60_30, half_electron):
-        phi0, phi1 = closed_form_angles("two_pi", spin_60_30, half_electron, 3e-6)
+        phi0, phi1 = closed_form_angles("cpmg", spin_60_30, half_electron, 3e-6)
         assert phi0 == pytest.approx(phi1, abs=1e-12)
 
     def test_udd4_unequal_angles(self, spin_60_30, half_electron):
-        phi0, phi1 = closed_form_angles("four_pi", spin_60_30, half_electron, 3e-6)
+        phi0, phi1 = closed_form_angles("udd4", spin_60_30, half_electron, 3e-6)
         assert abs(phi0 - phi1) > 1e-6
 
-    @pytest.mark.parametrize("kind,seq_kind", [
-        ("two_pi", "cpmg"), ("three_pi", "udd3"), ("four_pi", "udd4")])
-    def test_matches_propagator(self, kind, seq_kind, half_electron):
+    @pytest.mark.parametrize("kind", ["cpmg", "udd3", "udd4"])
+    def test_matches_propagator(self, kind, half_electron):
         rng = np.random.default_rng(11)
         for _ in range(20):
             spin = NuclearSpinParams.from_khz(
                 "r", rng.uniform(-150, 150), rng.uniform(0, 150), 314.0)
             t = rng.uniform(0.5e-6, 12e-6)
             phi0, phi1 = closed_form_angles(kind, spin, half_electron, t)
-            rot = unit_propagator(build_sequence(seq_kind, t), spin, half_electron)
+            rot = unit_propagator(build_sequence(kind, t), spin, half_electron)
             assert phi0 == pytest.approx(rot.r0.axis_angle()[1], abs=1e-9)
             assert phi1 == pytest.approx(rot.r1.axis_angle()[1], abs=1e-9)
 
     def test_unknown_kind(self, spin_60_30, half_electron):
         with pytest.raises(ValueError):
             closed_form_angles("five_pi", spin_60_30, half_electron, 1e-6)
+
+    @pytest.mark.parametrize("kind", ["udd5", "custom", "two_pi"])
+    def test_other_sequence_kinds_rejected(self, kind, spin_60_30, half_electron):
+        # udd5 and custom are build_sequence kinds with no closed form here
+        with pytest.raises(ValueError, match=f"unsupported kind: '{kind}'"):
+            closed_form_angles(kind, spin_60_30, half_electron, math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -646,7 +662,7 @@ class TestNonFiniteInputs:
         assert math.isnan(m) and math.isnan(px)
 
     def test_closed_form_angles_keep_nan(self, spin_60_30, half_electron):
-        phi0, phi1 = closed_form_angles("two_pi", spin_60_30, half_electron,
+        phi0, phi1 = closed_form_angles("cpmg", spin_60_30, half_electron,
                                         math.nan)
         assert math.isnan(phi0) and math.isnan(phi1)
 
