@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
+from .constants import KHZ
 from .spin_model import ElectronQubitSpec, NuclearSpinParams
 
 BUNDLED = (
@@ -108,7 +109,8 @@ def parse_register(text: str, source: str = "<memory>",
     larmor_khz, s0, s1 = (meta.get(k) if v is None else v for k, v in given.items())
     if larmor_khz is None:
         raise RegisterFormatError(f"{source}: Larmor frequency not resolvable")
-    if not (math.isfinite(larmor_khz) and larmor_khz > 0):
+    # in rad/s, as the spins hold it: 1e308 kHz is finite only in kHz
+    if not (math.isfinite(larmor_khz * KHZ) and larmor_khz > 0):
         raise RegisterFormatError(f"{origins['larmor_kHz']}: omega_L must be "
                                   f"positive and finite, got {larmor_khz}")
 

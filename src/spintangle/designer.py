@@ -125,7 +125,7 @@ def evaluate_design(register: list[NuclearSpinParams],
     targets = sorted(target_indices)
     others = [i for i in range(len(register)) if i not in targets]
     error = gate_error(len(targets), branch_overlaps(
-        [iterate(ConditionalRotation.from_quaternions(quats[..., i]), N)
+        [iterate(ConditionalRotation(quats[..., i]), N)
          for i in others]))
     return GateDesign(
         unit_time=t, iterations=N, k=k, anchor_label=anchor_label,
@@ -138,10 +138,16 @@ def evaluate_design(register: list[NuclearSpinParams],
 # spacing of the unit-time grid the search scans
 _TIME_STEP = 1e-9
 
-# (unit time, spin, N) elements per chunk of the scan.  Bounds every float64
-# temporary to 4 MB, whatever the time window, even when the bound skips no
-# spin and every point survives to be scored in full.  Of each chunk only
-# the feasible points are kept, for the grouping.
+# (unit time, spin) elements per kernel call of the scan.  Bounds each
+# float64 temporary of unit_quaternions and branch_angles to 256 kB; the
+# default 501-point window is one call for up to 65 spins.
+_KERNEL_BLOCK_ELEMENTS = 1 << 15
+
+# (unit time, spin, N) elements per chunk of a block's scoring.  Bounds
+# every float64 temporary of the scoring to 4 MB, even when the bound skips
+# no spin and every point survives to be scored in full.  With the kernel
+# blocks, no temporary of the scan grows with the time window; of each
+# chunk only the feasible points are kept, for the grouping.
 _SCAN_CHUNK_ELEMENTS = 1 << 19
 
 
@@ -179,50 +185,57 @@ def _winning_point(t, N, tgt_mean, unw_mean, is_target) -> int:
     return int(best[np.lexsort((by_set[starts], -tgt_mean[best], -n_times))[0]])
 
 
-def _scan_unit_times(quats: np.ndarray, times: np.ndarray,
-                     constraints: DesignConstraints):
+def _scan_unit_times(spins: np.ndarray, electron: ElectronQubitSpec, spacings,
+                     times: np.ndarray, constraints: DesignConstraints):
     """Winning grid point (t, N, target indices) of the scan, or None.
 
-    quats holds the unit quaternions over (unit time, spin).  Every (t, N)
-    with 1 <= N <= min(N_max, max_gate_time / t) is scored, a chunk of unit
-    times at a time.  A spin whose tangle is in the band between
-    unwanted_tangle_max and target_tangle_min rules a point out, so the
-    spins are scored one after another on the points still in play, each
-    only where tangle_upper_bound lets it reach the band.  The survivors are
-    scored in full, so the skip never changes the _winning_point.
+    spins holds the A, B and omega_L rows of _spin_arrays.  Every (t, N)
+    with 1 <= N <= min(N_max, max_gate_time / t) is scored, a block of unit
+    times per kernel call and a chunk of them at a time.  A spin whose
+    tangle is in the band between unwanted_tangle_max and target_tangle_min
+    rules a point out, so the spins are scored one after another on the
+    points still in play, each only where tangle_upper_bound lets it reach
+    the band.  The survivors are scored in full, so the skip never changes
+    the _winning_point.
     """
-    # angles (h0, h1, n01) as (spin, unit time) rows
-    ang = np.ascontiguousarray(np.transpose(branch_angles(quats), (0, 2, 1)))
     n_cap = np.zeros(len(times), dtype=int)
     pos = times > 0
     n_cap[pos] = np.minimum(constraints.N_max,
                             constraints.max_gate_time / times[pos]).astype(int)
     N_values = np.arange(1, max(1, n_cap.max()) + 1)
-    rows = max(1, _SCAN_CHUNK_ELEMENTS // (len(N_values) * ang.shape[1]))
-    # unit times at which each spin may reach the band (NaN bounds included);
-    # spins with near-parallel branch axes rarely rule a point out, so last
+    n_spins = spins.shape[1]
+    block = max(1, _KERNEL_BLOCK_ELEMENTS // n_spins)
+    rows = max(1, _SCAN_CHUNK_ELEMENTS // (len(N_values) * n_spins))
     lo, hi = constraints.unwanted_tangle_max, constraints.target_tangle_min
-    reach = ~(tangle_upper_bound(*ang, n_cap) < lo - 1e-9)
-    order = [s for s in np.argsort(ang[2].mean(axis=1)) if reach[s].any()]
 
     feasible = []
-    for start in range(0, len(times), rows):
-        ti, ni = np.nonzero(N_values <= n_cap[start:start + rows, None])
-        ti += start
-        N = N_values[ni]
-        for s in order:
-            # take() and compress() are the fast forms of these gathers
-            at = slice(None) if reach[s].all() else np.flatnonzero(reach[s].take(ti))
-            tangle = 1.0 - g1_from_angles(*ang[:, s].take(ti[at], axis=1), N[at])
-            keep = np.ones(ti.size, dtype=bool)
-            keep[at] = (tangle > hi) | (tangle < lo)
-            ti, N = ti.compress(keep), N.compress(keep)
-        # take() keeps each (spin, point) block C-ordered, as a single-time
-        # block is, so _feasibility sums over spins in the same order
-        tangles = 1.0 - g1_from_angles(*ang.take(ti, axis=2), N)
-        ok, tgt_mean, unw_mean, targets = _feasibility(tangles, constraints)
-        feasible.append((times[ti[ok]], N[ok], tgt_mean[ok], unw_mean[ok],
-                         targets[:, ok]))
+    for first in range(0, len(times), block):
+        tb, cap = times[first:first + block], n_cap[first:first + block]
+        # angles (h0, h1, n01) as (spin, unit time) rows
+        ang = np.ascontiguousarray(np.transpose(branch_angles(unit_quaternions(
+            *spins, electron, spacings, tb[:, None])), (0, 2, 1)))
+        # unit times at which each spin may reach the band (NaN bounds
+        # included); spins with near-parallel branch axes rarely rule a
+        # point out, so last
+        reach = ~(tangle_upper_bound(*ang, cap) < lo - 1e-9)
+        order = [s for s in np.argsort(ang[2].mean(axis=1)) if reach[s].any()]
+        for start in range(0, len(tb), rows):
+            ti, ni = np.nonzero(N_values <= cap[start:start + rows, None])
+            ti += start
+            N = N_values[ni]
+            for s in order:
+                # take() and compress() are the fast forms of these gathers
+                at = slice(None) if reach[s].all() else np.flatnonzero(reach[s].take(ti))
+                tangle = 1.0 - g1_from_angles(*ang[:, s].take(ti[at], axis=1), N[at])
+                keep = np.ones(ti.size, dtype=bool)
+                keep[at] = (tangle > hi) | (tangle < lo)
+                ti, N = ti.compress(keep), N.compress(keep)
+            # take() keeps each (spin, point) block C-ordered, as a single-time
+            # block is, so _feasibility sums over spins in the same order
+            tangles = 1.0 - g1_from_angles(*ang.take(ti, axis=2), N)
+            ok, tgt_mean, unw_mean, targets = _feasibility(tangles, constraints)
+            feasible.append((tb[ti[ok]], N[ok], tgt_mean[ok], unw_mean[ok],
+                             targets[:, ok]))
 
     t, N, tgt_mean, unw_mean, is_target = map(np.hstack, zip(*feasible))
     if not t.size:
@@ -277,9 +290,7 @@ def optimize_register_gate(register: list[NuclearSpinParams],
 
     steps = int(round(constraints.time_window / _TIME_STEP))
     times = t0 + np.arange(-steps, steps + 1) * _TIME_STEP
-    best = _scan_unit_times(
-        unit_quaternions(*spins, electron, spacings, times[:, None]),
-        times, constraints)
+    best = _scan_unit_times(spins, electron, spacings, times, constraints)
     if best is None:
         return None
     t_best, n_best, target_idx = best
@@ -289,7 +300,7 @@ def optimize_register_gate(register: list[NuclearSpinParams],
     targets = [register[i] for i in target_idx]
 
     def objective(t: float) -> float:
-        return -float(np.mean([1.0 - makhlin_g1(ConditionalRotation.from_quaternions(
+        return -float(np.mean([1.0 - makhlin_g1(ConditionalRotation(
             unit_quaternions(s.A, s.B, s.omega_L, electron, spacings, t)), n_best)
             for s in targets]))
 
@@ -361,15 +372,18 @@ def generate_random_ensemble(count: int,
     """Uniformly sampled spins with pairwise-distinct hyperfine values.
 
     Two spins are distinct when at least one hyperfine component differs by
-    distinctness_khz or more.  Candidates violating this against any
-    accepted spin are rejected; generation fails once a spin exhausts its
-    attempt budget (the range cannot host the requested density).
+    distinctness_khz or more; it must be finite and >= 0, and 0 checks
+    nothing.  Candidates violating this against any accepted spin are
+    rejected; generation fails once a spin exhausts its attempt budget (the
+    range cannot host the requested density).
     Candidates are drawn in blocks as lo + (hi - lo) u, Generator.uniform's
     arithmetic on the same stream of u: a seed gives the same pool, bit for
     bit, as one uniform draw per coordinate.
     """
-    rng = np.random.Generator(np.random.Philox(seed))
     d = distinctness_khz
+    if not (math.isfinite(d) and d >= 0):
+        raise ValueError(f"distinctness_khz must be finite and nonnegative, got {d}")
+    rng = np.random.Generator(np.random.Philox(seed))
     # spatial hash on a d-sized grid: conflicts only involve neighbor cells,
     # and two spins in one cell would conflict, so a cell holds one spin
     cells: dict[tuple[int, int], tuple[float, float]] = {}
@@ -397,7 +411,7 @@ def generate_random_ensemble(count: int,
     spins = []
     for idx in range(count):
         for _, (a, b) in zip(range(max_attempts_per_spin), pairs):
-            if not d > 0 or place(a, b):  # no check for d <= 0 or NaN
+            if d == 0 or place(a, b):  # d = 0: no check
                 spins.append(NuclearSpinParams.from_khz(f"R{idx + 1}", a, b,
                                                         larmor_khz))
                 break

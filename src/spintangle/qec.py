@@ -40,15 +40,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spin_model import (ConditionalRotation, ElectronQubitSpec, NuclearSpinParams,
-                         Rotation, branch_frequency, branch_tilt, finite_1d)
+                         branch_frequency, branch_tilt, finite_1d)
 
 STAGES = ("initial", "encoded", "error", "decoded", "corrected")
 ERROR_KINDS = ("none", "electron", "nucleus1", "nucleus2")
 SCHEMES = ("sequential", "multispin")
 
 # the multispin scheme's R_y(-pi) on one nucleus, the same on both branches
-_RY = Rotation.from_axis_angle((0.0, 1.0, 0.0), -math.pi)
-_RY_ON_BOTH_BRANCHES = ConditionalRotation(_RY, _RY)
+_RY_ON_BOTH_BRANCHES = ConditionalRotation.from_axis_angles(
+    (0.0, 1.0, 0.0), -math.pi, (0.0, 1.0, 0.0), -math.pi)
 # flip the electron when both nuclei are |1> (controls on the nuclei)
 _TOFFOLI = np.eye(8, dtype=complex)[[0, 1, 2, 7, 4, 5, 6, 3]]
 # a bit-flip of one qubit XORs its bit into the basis index
@@ -58,8 +58,8 @@ _ERRORS = {kind: np.eye(8, dtype=complex)[np.arange(8) ^ bit]
 
 def ideal_crx() -> ConditionalRotation:
     """The ideal conditional gate: R_x(pi/2) on branch 0, R_x(-pi/2) on 1."""
-    return ConditionalRotation(Rotation.from_axis_angle((1.0, 0.0, 0.0), math.pi / 2.0),
-                               Rotation.from_axis_angle((1.0, 0.0, 0.0), -math.pi / 2.0))
+    return ConditionalRotation.from_axis_angles((1.0, 0.0, 0.0), math.pi / 2.0,
+                                                (1.0, 0.0, 0.0), -math.pi / 2.0)
 
 
 def sequential_theta_solution() -> tuple[float, float, float, float]:

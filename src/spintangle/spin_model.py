@@ -216,21 +216,10 @@ class Rotation:
 
     # -- algebra ----------------------------------------------------------
 
-    def compose(self, other: "Rotation") -> "Rotation":
-        """Product rotation self . other (other acts first)."""
-        w1, v1 = self.w, self.v
-        w2, v2 = other.w, other.v
-        return Rotation(w1 * w2 - float(v1 @ v2),
-                        w1 * v2 + w2 * v1 + np.cross(v1, v2))
-
     def power(self, n: float) -> "Rotation":
         """Exact n-th power: the angle scales on a fixed axis."""
         w, *v = _quaternion_power(self.w, *self.v.tolist(), n)
         return Rotation(w, v)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        n, phi, trivial = self.axis_angle()
-        return f"Rotation(phi={phi:.6g}, n={np.round(n, 6)}, trivial={trivial})"
 
 
 # ---------------------------------------------------------------------------
@@ -250,32 +239,23 @@ def _quaternion_power(w: float, x: float, y: float, z: float,
     return math.cos(half), sn * axis[0], sn * axis[1], sn * axis[2]
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class ConditionalRotation:
-    """Per-branch rotations of one unit (or N), as read-only (2, 4) quaternions."""
+    """Per-branch rotations of one unit (or N): a read-only view of a (2, 4)
+    array of branch quaternions (w, x, y, z)."""
 
-    quaternions: np.ndarray
+    __slots__ = ("quaternions",)
 
-    def __init__(self, r0: Rotation, r1: Rotation) -> None:
-        q = np.array([[r0.w, *r0.v.tolist()], [r1.w, *r1.v.tolist()]])
-        q.flags.writeable = False
-        object.__setattr__(self, "quaternions", q)
-
-    @classmethod
-    def from_axis_angles(cls, n0, phi0: float, n1, phi1: float) -> "ConditionalRotation":
-        return cls(Rotation.from_axis_angle(n0, phi0),
-                   Rotation.from_axis_angle(n1, phi1))
-
-    @classmethod
-    def from_quaternions(cls, q) -> "ConditionalRotation":
-        """Hold a (2, 4) array of branch quaternions (w, x, y, z) as a read-only view."""
+    def __init__(self, q) -> None:
         view = np.asarray(q, dtype=float).view()
         if view.shape != (2, 4):
             raise ValueError(f"quaternions must have shape (2, 4), got {view.shape}")
         view.flags.writeable = False
-        rot = cls.__new__(cls)
-        object.__setattr__(rot, "quaternions", view)
-        return rot
+        self.quaternions = view
+
+    @classmethod
+    def from_axis_angles(cls, n0, phi0: float, n1, phi1: float) -> "ConditionalRotation":
+        r0, r1 = Rotation.from_axis_angle(n0, phi0), Rotation.from_axis_angle(n1, phi1)
+        return cls([[r0.w, *r0.v.tolist()], [r1.w, *r1.v.tolist()]])
 
     @property
     def r0(self) -> Rotation:
@@ -345,7 +325,7 @@ def unit_quaternions(A, B, omega_L, electron: ElectronQubitSpec,
 def unit_propagator(seq: PulseSequence, spin: NuclearSpinParams,
                     electron: ElectronQubitSpec) -> ConditionalRotation:
     """Exact conditional rotation of one sequence unit (see unit_quaternions)."""
-    return ConditionalRotation.from_quaternions(unit_quaternions(
+    return ConditionalRotation(unit_quaternions(
         spin.A, spin.B, spin.omega_L, electron, seq.spacings, seq.unit_time))
 
 
@@ -353,8 +333,8 @@ def iterate(rot: ConditionalRotation, N: int) -> ConditionalRotation:
     """N repetitions of the unit: exact rotation powers per branch."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    return ConditionalRotation.from_quaternions(
-        np.array([_quaternion_power(*q, N) for q in rot.quaternions.tolist()]))
+    return ConditionalRotation(
+        [_quaternion_power(*q, N) for q in rot.quaternions.tolist()])
 
 
 # ---------------------------------------------------------------------------

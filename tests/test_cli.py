@@ -427,3 +427,10 @@ class TestInputErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert all(name in captured.err for name in names), captured.err
+
+    def test_overflowing_larmor_flag_named(self, capsys):
+        argv = ["resonances", "--register", "nv27", "--larmor-khz", "1e308"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "nv27: larmor_kHz from the caller: omega_L" in captured.err

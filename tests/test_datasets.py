@@ -106,6 +106,26 @@ class TestParseRegister:
             parse_register(text, source="reg.csv", larmor_khz=larmor)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("text, larmor, origin", [
+        ("# larmor_kHz=432\nlabel,A_kHz,B_kHz\nC1,1,2\n", 1e308,
+         "reg.csv: larmor_kHz from the caller: "),
+        ("# s0=0\n# larmor_kHz=1e308\nlabel,A_kHz,B_kHz\nC1,1,2\n", None,
+         "reg.csv:2: larmor_kHz metadata line: "),
+    ], ids=["caller", "metadata"])
+    def test_larmor_overflowing_rad_per_s_names_its_origin(self, text, larmor,
+                                                           origin):
+        # finite in kHz, infinite once scaled to rad/s
+        with pytest.raises(RegisterFormatError) as info:
+            parse_register(text, source="reg.csv", larmor_khz=larmor)
+        assert str(info.value) == (origin + "omega_L must be positive and "
+                                   "finite, got 1e+308")
+
+    def test_coupling_overflowing_rad_per_s_names_its_row(self):
+        text = "# larmor_kHz=432\nlabel,A_kHz,B_kHz\nC1,1,2\nC2,1e308,2\n"
+        with pytest.raises(RegisterFormatError) as info:
+            parse_register(text, source="reg.csv")
+        assert str(info.value) == "reg.csv:4: A must be finite, got inf"
+
     def test_electron_unresolvable(self):
         reg = parse_register("label,A_kHz,B_kHz\nC1,1,2\n", larmor_khz=432.0)
         with pytest.raises(RegisterFormatError, match="s0/s1"):

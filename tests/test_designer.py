@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -168,6 +169,29 @@ class TestOptimizeRegisterGate:
         monkeypatch.setattr(designer, "_SCAN_CHUNK_ELEMENTS", elements)
         assert optimize_register_gate(*args) == ref
 
+    @pytest.mark.parametrize("elements", [1, 1 << 40])
+    def test_kernel_block_does_not_change_design(self, monkeypatch, elements):
+        # 1: one unit time per kernel call; 1 << 40: the whole window in one
+        reg = load_register("nv27")
+        args = (reg.spins, reg.electron(), DesignConstraints(),
+                reg.labels.index("C23"), 3)
+        ref = optimize_register_gate(*args)
+        monkeypatch.setattr(designer, "_KERNEL_BLOCK_ELEMENTS", elements)
+        assert optimize_register_gate(*args) == ref
+
+    def test_memory_bounded_by_the_blocks_not_the_window(self):
+        # 200001 unit times: the whole grid at once took about 120 MB
+        reg = load_register("nv27")
+        spins = [reg.by_label(label) for label in ("C23", "C4", "C5")]
+        cons = DesignConstraints(N_max=5, time_window=1e-4)
+        tracemalloc.start()
+        try:
+            optimize_register_gate(spins, reg.electron(), cons, 0, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
+
     @staticmethod
     def _grid_point(reg, anchor, k, cons, kind="cpmg"):
         """The scan's winning grid point (t, N, target indices)."""
@@ -175,11 +199,8 @@ class TestOptimizeRegisterGate:
         seq = build_sequence(kind, resonance_time(reg.by_label(anchor),
                                                   electron, k))
         times = seq.unit_time + np.arange(-250, 251) * 1e-9
-        quats = unit_quaternions(np.array([s.A for s in reg.spins]),
-                                 np.array([s.B for s in reg.spins]),
-                                 reg.spins[0].omega_L, electron, seq.spacings,
-                                 times[:, None])
-        return _scan_unit_times(quats, times, cons)
+        return _scan_unit_times(designer._spin_arrays(reg.spins), electron,
+                                seq.spacings, times, cons)
 
     @pytest.mark.parametrize("name, kind, anchor, k, cons", [
         ("nv27", "cpmg", "C23", 3, DesignConstraints()),
@@ -471,6 +492,24 @@ class TestRandomEnsemble:
         with pytest.raises(ValueError, match="must have finite bounds"):
             generate_random_ensemble(3, A_range_khz=A_range_khz,
                                      B_range_khz=B_range_khz)
+
+    @pytest.mark.parametrize("d", [math.nan, -3.0, math.inf])
+    def test_bad_distinctness_rejected_before_any_draw(self, d, monkeypatch):
+        def no_stream(*args):
+            raise AssertionError("built a random stream")
+
+        monkeypatch.setattr(np.random, "Philox", no_stream)
+        with pytest.raises(ValueError, match="distinctness_khz"):
+            generate_random_ensemble(40, distinctness_khz=d, seed=100)
+
+    def test_zero_distinctness_checks_nothing(self):
+        # one attempt per spin in a 1 Hz square, where a 25 kHz check fails
+        settings = dict(count=40, A_range_khz=(10.0, 10.001),
+                        B_range_khz=(10.0, 10.001), distinctness_khz=0.0,
+                        seed=100, larmor_khz=314.0, max_attempts_per_spin=1)
+        got = generate_random_ensemble(**settings)
+        assert len(got) == 40
+        assert got == self._per_candidate(**settings)
 
     def test_large_bath_ensemble(self):
         spins = generate_random_ensemble(300_000,

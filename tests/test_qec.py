@@ -23,7 +23,6 @@ from spintangle.spin_model import (
     ConditionalRotation,
     ElectronQubitSpec,
     NuclearSpinParams,
-    Rotation,
     build_sequence,
     iterate,
     resonance_time,
@@ -295,8 +294,7 @@ class TestSurfacePointPath:
 
 class TestNonFiniteInputs:
     def test_nan_gate_gives_nan_recovery(self):
-        nan = Rotation(math.nan, (math.nan,) * 3)
-        gate = ConditionalRotation(nan, nan)
+        gate = ConditionalRotation(np.full((2, 4), math.nan))
         out = run_bitflip_code(QecScenario(encode_gates=(gate, gate),
                                            error="electron", gamma=1.0))
         assert math.isnan(out.recovery_probability)
