@@ -111,8 +111,10 @@ def parse_register(text: str, source: str = "<memory>",
         raise RegisterFormatError(f"{source}: Larmor frequency not resolvable")
     # in rad/s, as the spins hold it: 1e308 kHz is finite only in kHz
     if not (math.isfinite(larmor_khz * KHZ) and larmor_khz > 0):
+        got = (f"{larmor_khz} kHz, which overflows in rad/s"
+               if math.isfinite(larmor_khz) and larmor_khz > 0 else larmor_khz)
         raise RegisterFormatError(f"{origins['larmor_kHz']}: omega_L must be "
-                                  f"positive and finite, got {larmor_khz}")
+                                  f"positive and finite, got {got}")
 
     spins = []
     seen = set()

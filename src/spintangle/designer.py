@@ -212,8 +212,8 @@ def _scan_unit_times(spins: np.ndarray, electron: ElectronQubitSpec, spacings,
     for first in range(0, len(times), block):
         tb, cap = times[first:first + block], n_cap[first:first + block]
         # angles (h0, h1, n01) as (spin, unit time) rows
-        ang = np.ascontiguousarray(np.transpose(branch_angles(unit_quaternions(
-            *spins, electron, spacings, tb[:, None])), (0, 2, 1)))
+        ang = np.array(branch_angles(unit_quaternions(
+            *spins[:, :, None], electron, spacings, tb)))
         # unit times at which each spin may reach the band (NaN bounds
         # included); spins with near-parallel branch axes rarely rule a
         # point out, so last
@@ -372,8 +372,9 @@ def generate_random_ensemble(count: int,
     """Uniformly sampled spins with pairwise-distinct hyperfine values.
 
     Two spins are distinct when at least one hyperfine component differs by
-    distinctness_khz or more; it must be finite and >= 0, and 0 checks
-    nothing.  Candidates violating this against any accepted spin are
+    distinctness_khz or more; it must be finite and >= 0, 0 checks nothing,
+    and a positive one must leave every range bound / distinctness_khz
+    finite.  Candidates violating this against any accepted spin are
     rejected; generation fails once a spin exhausts its attempt budget (the
     range cannot host the requested density).
     Candidates are drawn in blocks as lo + (hi - lo) u, Generator.uniform's
@@ -383,6 +384,14 @@ def generate_random_ensemble(count: int,
     d = distinctness_khz
     if not (math.isfinite(d) and d >= 0):
         raise ValueError(f"distinctness_khz must be finite and nonnegative, got {d}")
+    lo, hi = np.array([A_range_khz, B_range_khz], dtype=float).T
+    if not np.all(np.isfinite(hi - lo)):
+        raise ValueError(f"A_range_khz {A_range_khz} and B_range_khz {B_range_khz} "
+                         "must have finite bounds")
+    # place() hashes a // d to an int, so every value / d must be finite
+    if d > 0 and not all(math.isfinite(x / d) for x in lo.tolist() + hi.tolist()):
+        raise ValueError(f"distinctness_khz {d} is too small for A_range_khz "
+                         f"{A_range_khz} and B_range_khz {B_range_khz}")
     rng = np.random.Generator(np.random.Philox(seed))
     # spatial hash on a d-sized grid: conflicts only involve neighbor cells,
     # and two spins in one cell would conflict, so a cell holds one spin
@@ -397,11 +406,6 @@ def generate_random_ensemble(count: int,
                     return False
         cells[ci, cj] = (a, b)
         return True
-
-    lo, hi = np.array([A_range_khz, B_range_khz], dtype=float).T
-    if not np.all(np.isfinite(hi - lo)):
-        raise ValueError(f"A_range_khz {A_range_khz} and B_range_khz {B_range_khz} "
-                         "must have finite bounds")
 
     def candidates():
         while True:

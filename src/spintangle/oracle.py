@@ -23,7 +23,6 @@ MAX_QUBITS = 14
 MAX_KRAUS_ENV = 10
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 # Magic (Bell) basis columns used for local-invariant extraction.
@@ -44,49 +43,38 @@ def segment_exponential_rotation(spin: NuclearSpinParams,
     pair = (electron.s0, electron.s1) if branch == 0 else (electron.s1, electron.s0)
     u = np.eye(2, dtype=complex)
     for i, q in enumerate(seq.spacings):
-        s = pair[0] if i % 2 == 0 else pair[1]
-        u = expm(-1j * branch_hamiltonian(spin, s) * q * seq.unit_time) @ u
+        u = expm(-1j * branch_hamiltonian(spin, pair[i % 2]) * q * seq.unit_time) @ u
+    return u
+
+
+def _block_diagonal(factor, items, power: int = 1) -> np.ndarray:
+    """Dense sum_j |j><j| x (x_l factor(item_l, j))^power, electron first."""
+    n = len(items) + 1
+    if n > MAX_QUBITS:
+        raise ValueError(f"register of {n} qubits exceeds the {MAX_QUBITS}-qubit cap")
+    dim = 2 ** (n - 1)
+    u = np.zeros((2 * dim, 2 * dim), dtype=complex)
+    for j in range(2):
+        block = np.eye(1, dtype=complex)
+        for item in items:
+            block = np.kron(block, factor(item, j))
+        diag = slice(j * dim, (j + 1) * dim)
+        u[diag, diag] = np.linalg.matrix_power(block, power)
     return u
 
 
 def conditional_unitary(rots: list[ConditionalRotation]) -> np.ndarray:
     """Dense gate sum_j |j><j| x (x_l R_j^(l)) over the register list."""
-    n = len(rots) + 1
-    if n > MAX_QUBITS:
-        raise ValueError(f"register of {n} qubits exceeds the {MAX_QUBITS}-qubit cap")
-    blocks = []
-    for branch in range(2):
-        block = np.eye(1, dtype=complex)
-        for rot in rots:
-            r = rot.r0 if branch == 0 else rot.r1
-            block = np.kron(block, r.matrix())
-        blocks.append(block)
-    dim = 2 ** (n - 1)
-    u = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    u[:dim, :dim] = blocks[0]
-    u[dim:, dim:] = blocks[1]
-    return u
+    return _block_diagonal(lambda rot, j: (rot.r0, rot.r1)[j].matrix(), rots)
 
 
 def dense_propagator(register: list[NuclearSpinParams],
                      electron: ElectronQubitSpec,
                      seq: PulseSequence, N: int) -> np.ndarray:
     """Full propagator of N sequence units over the whole register."""
-    n = len(register) + 1
-    if n > MAX_QUBITS:
-        raise ValueError(f"register of {n} qubits exceeds the {MAX_QUBITS}-qubit cap")
-    blocks = []
-    for branch in range(2):
-        block = np.eye(1, dtype=complex)
-        for spin in register:
-            block = np.kron(block,
-                            segment_exponential_rotation(spin, electron, seq, branch))
-        blocks.append(block)
-    dim = 2 ** (n - 1)
-    u = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    u[:dim, :dim] = np.linalg.matrix_power(blocks[0], N)
-    u[dim:, dim:] = np.linalg.matrix_power(blocks[1], N)
-    return u
+    return _block_diagonal(
+        lambda spin, j: segment_exponential_rotation(spin, electron, seq, j),
+        register, N)
 
 
 # ---------------------------------------------------------------------------

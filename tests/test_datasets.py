@@ -118,7 +118,8 @@ class TestParseRegister:
         with pytest.raises(RegisterFormatError) as info:
             parse_register(text, source="reg.csv", larmor_khz=larmor)
         assert str(info.value) == (origin + "omega_L must be positive and "
-                                   "finite, got 1e+308")
+                                   "finite, got 1e+308 kHz, which overflows "
+                                   "in rad/s")
 
     def test_coupling_overflowing_rad_per_s_names_its_row(self):
         text = "# larmor_kHz=432\nlabel,A_kHz,B_kHz\nC1,1,2\nC2,1e308,2\n"

@@ -502,6 +502,32 @@ class TestRandomEnsemble:
         with pytest.raises(ValueError, match="distinctness_khz"):
             generate_random_ensemble(40, distinctness_khz=d, seed=100)
 
+    @pytest.fixture
+    def no_stream(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("built a random stream")
+
+        monkeypatch.setattr(np.random, "Philox", fail)
+
+    @pytest.mark.parametrize("d", [1e-308, 1e-310, 5e-324])
+    def test_distinctness_too_small_for_the_ranges_rejected_before_any_draw(
+            self, d, no_stream):
+        # 200 / d overflows, so the d-sized grid has no integer cells
+        with pytest.raises(ValueError, match="distinctness_khz .* too small"):
+            generate_random_ensemble(5, distinctness_khz=d, seed=1)
+
+    def test_non_finite_range_rejected_before_any_draw(self, no_stream):
+        with pytest.raises(ValueError, match="must have finite bounds"):
+            generate_random_ensemble(3, A_range_khz=(10.0, math.inf))
+
+    def test_tiny_distinctness_within_range_keeps_the_stream(self):
+        settings = dict(count=5, A_range_khz=(10.0, 200.0),
+                        B_range_khz=(10.0, 200.0), distinctness_khz=1e-300,
+                        seed=1, larmor_khz=314.0, max_attempts_per_spin=1000)
+        got = generate_random_ensemble(**settings)
+        assert len(got) == 5
+        assert got == self._per_candidate(**settings)
+
     def test_zero_distinctness_checks_nothing(self):
         # one attempt per spin in a 1 Hz square, where a 25 kHz check fails
         settings = dict(count=40, A_range_khz=(10.0, 10.001),

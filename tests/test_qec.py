@@ -8,8 +8,10 @@ import pytest
 
 from spintangle.datasets import load_register
 from spintangle.designer import DesignConstraints, optimize_register_gate
+from spintangle.oracle import conditional_unitary
 from spintangle.qec import (
     QecScenario,
+    _circuit,
     _input,
     disentanglement_residual,
     error_surface,
@@ -264,6 +266,36 @@ class TestCircuitBuiltOnce:
             want = (_one_nucleus_gate(gates[1], 1)
                     @ (_one_nucleus_gate(gates[0], 0) @ snaps[before]))
             assert np.max(np.abs(snaps[after] - want)) <= 1e-15
+
+
+class TestCircuitAgainstOracle:
+    """The stage operators against the dense reference's block-diagonal gate."""
+
+    @staticmethod
+    def _gates(kind: str) -> tuple[tuple, tuple]:
+        if kind == "ideal":
+            return (ideal_crx(), ideal_crx()), (ideal_crx(), ideal_crx())
+        return _designed_gates("C4", 3), (_tilted_crx(0.02), _tilted_crx(0.03))
+
+    @pytest.mark.parametrize("kind", ["ideal", "designed"])
+    def test_sequential_encode_and_decode(self, kind):
+        enc, dec = self._gates(kind)
+        encode, _, decode, _ = _circuit(QecScenario(encode_gates=enc,
+                                                    decode_gates=dec))
+        assert np.array_equal(encode, conditional_unitary(list(enc)))
+        assert np.array_equal(decode, conditional_unitary(list(dec)))
+
+    @pytest.mark.parametrize("kind", ["ideal", "designed"])
+    def test_multispin_encode_ends_with_the_ry_pair(self, kind):
+        enc, dec = self._gates(kind)
+        ry = ConditionalRotation.from_axis_angles((0.0, 1.0, 0.0), -math.pi,
+                                                  (0.0, 1.0, 0.0), -math.pi)
+        encode, _, decode, _ = _circuit(QecScenario(
+            scheme="multispin", encode_gates=enc, decode_gates=dec))
+        want = conditional_unitary([ry, ry]) @ conditional_unitary(list(enc))
+        # one 8x8 product against two 4x4 blocks: BLAS may round differently
+        assert np.max(np.abs(encode - want)) <= 1e-15
+        assert np.array_equal(decode, conditional_unitary(list(dec)))
 
 
 class TestSurfacePointPath:
