@@ -28,7 +28,8 @@ import numpy as np
 
 from . import __version__, constants
 from .datasets import load_register
-from .designer import DesignConstraints, optimize_register_gate
+from .designer import (MAX_N_MAX, MAX_TIME_WINDOW, DesignConstraints,
+                       optimize_register_gate)
 from .entanglement import MAX_PAIR_TANGLE, branch_angles, g1_amplitude, g1_from_angles
 from .qec import ERROR_KINDS, SCHEMES, QecScenario, error_surface, run_bitflip_code
 from .spin_model import (RESONANCE_VARIANTS, build_sequence, iterate, resonance_time,
@@ -36,6 +37,11 @@ from .spin_model import (RESONANCE_VARIANTS, build_sequence, iterate, resonance_
 
 MACHINE_FMT = "%.15g"
 HUMAN_FMT = "%.5g"
+
+# caps on the flags that size a run's output: about 1e6 records at most
+MAX_K_VALUES = 1000
+MAX_SWEEP_COUNTS = 10 ** 6
+MAX_GRID = 1000
 
 
 def _provenance(args: argparse.Namespace, reg, **extra) -> dict:
@@ -104,6 +110,9 @@ def cmd_resonances(args: argparse.Namespace) -> int:
         raise ValueError(f"--k-min must be >= 1, got {args.k_min}")
     if args.k_max < args.k_min:
         raise ValueError(f"--k-max ({args.k_max}) must be >= --k-min ({args.k_min})")
+    if args.k_max - args.k_min + 1 > MAX_K_VALUES:
+        raise ValueError(f"--k-min {args.k_min} to --k-max {args.k_max} is more than "
+                         f"{MAX_K_VALUES} values of k")
     reg, electron = _load(args)
     records = []
     for spin in sorted(reg.spins, key=lambda s: s.label):
@@ -166,8 +175,9 @@ def _qec_gates(args: argparse.Namespace, reg, electron):
 
 
 def cmd_qec(args: argparse.Namespace) -> int:
-    if args.grid and min(args.grid) < 1:
-        raise ValueError(f"--grid sizes must be >= 1, got {args.grid[0]} {args.grid[1]}")
+    if args.grid and not all(1 <= n <= MAX_GRID for n in args.grid):
+        raise ValueError(f"--grid sizes must be in [1, {MAX_GRID}], "
+                         f"got {args.grid[0]} {args.grid[1]}")
     reg, electron = _load(args)
     gates, prov = _qec_gates(args, reg, electron)
     base = QecScenario(scheme=args.scheme, encode_gates=gates,
@@ -206,6 +216,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError(f"--n-min must be >= 0, got {args.n_min}")
     if args.n_max < args.n_min:
         raise ValueError(f"--n-max ({args.n_max}) must be >= --n-min ({args.n_min})")
+    if args.n_max - args.n_min + 1 > MAX_SWEEP_COUNTS:
+        raise ValueError(f"--n-min {args.n_min} to --n-max {args.n_max} is more than "
+                         f"{MAX_SWEEP_COUNTS} counts")
     spin = reg.spins[_label_index(reg, args.spin, "--spin")]
     if args.t_us is not None:
         if not (math.isfinite(args.t_us) and args.t_us > 0):
@@ -241,7 +254,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--s1", type=float, default=None)
     p.add_argument("--csv", default=None, help="write records as CSV")
     p.add_argument("--json", default=None, help="write records as JSON")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="recorded in the provenance; no subcommand draws random "
+                        "numbers yet")
     p.add_argument("--threads", type=int, default=1,
                    help="accepted for compatibility; has no effect")
 
@@ -257,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("resonances", help="per-spin resonance unit times")
     _add_common(p)
     p.add_argument("--k-min", type=int, default=1)
-    p.add_argument("--k-max", type=int, default=5)
+    p.add_argument("--k-max", type=int, default=5,
+                   help=f"at most {MAX_K_VALUES} values from --k-min")
     p.add_argument("--variant", choices=RESONANCE_VARIANTS, default="primary")
     p.set_defaults(func=cmd_resonances)
 
@@ -266,9 +282,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--anchor", required=True, help="anchor nucleus label")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--sequence", default="cpmg")
+    caps = {"time_window": f"at most {MAX_TIME_WINDOW} s",
+            "N_max": f"at most {MAX_N_MAX}"}
     for f in dataclasses.fields(DesignConstraints):
         p.add_argument("--" + f.name.lower().replace("_", "-"),
-                       type=type(f.default), default=f.default)
+                       type=type(f.default), default=f.default, help=caps.get(f.name))
     p.set_defaults(func=cmd_design)
 
     p = sub.add_parser("qec", help="three-qubit bit-flip code")
@@ -282,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, default=math.pi / 2.0)
     p.add_argument("--delta", type=float, default=math.pi / 2.0)
     p.add_argument("--grid", type=int, nargs=2, metavar=("NGAMMA", "NDELTA"),
-                   default=None, help="sweep the electron input state")
+                   default=None, help="sweep the electron input state, "
+                                      f"at most {MAX_GRID} points per axis")
     p.set_defaults(func=cmd_qec)
 
     p = sub.add_parser("sweep", help="invariant/tangle series over N")
@@ -293,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="unit time in microseconds (default: k-th resonance)")
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--n-min", type=int, default=1)
-    p.add_argument("--n-max", type=int, default=100)
+    p.add_argument("--n-max", type=int, default=100,
+                   help=f"at most {MAX_SWEEP_COUNTS} counts from --n-min")
     p.add_argument("--metrics", default="g1,g2,ep",
                    help="comma list from: " + ", ".join(METRICS))
     p.set_defaults(func=cmd_sweep)

@@ -14,9 +14,9 @@ import numpy as np
 
 from . import constants
 from .entanglement import (G1_MAXIMAL_THRESHOLD, branch_angles, g1_from_angles,
-                           g1_over_iterations, makhlin_g1, optimal_iterations,
+                           g1_over_iterations, optimal_iterations,
                            tangle_upper_bound)
-from .fidelity import RegisterPartition, branch_overlaps, gate_error
+from .fidelity import branch_overlaps, gate_error
 from .spin_model import (ConditionalRotation, ElectronQubitSpec,
                          NuclearSpinParams, build_sequence, iterate,
                          resonance_time, trivial_evolution_radius,
@@ -40,6 +40,8 @@ def find_common_iterations(spins: list[ConditionalRotation], N_max: int,
     """
     if len(spins) < 2:
         raise ValueError("need at least two spins")
+    if N_max < 1:
+        raise ValueError(f"N_max must be >= 1, got {N_max}")
     g1 = g1_over_iterations(np.stack([r.quaternions for r in spins], axis=-1),
                             np.arange(1, N_max + 1))
     hits = g1 < threshold
@@ -61,6 +63,11 @@ def find_common_iterations(spins: list[ConditionalRotation], N_max: int,
 # ---------------------------------------------------------------------------
 # constrained register optimization
 
+# caps on the inputs that size a search: the window sets the grid of unit
+# times (2,000,001 at 1e-3 s), and one scoring row holds N_max x n_spins values
+MAX_TIME_WINDOW = 1e-3
+MAX_N_MAX = 10 ** 4
+
 
 @dataclass(frozen=True)
 class DesignConstraints:
@@ -76,8 +83,11 @@ class DesignConstraints:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        if self.N_max < 1:
-            raise ValueError(f"N_max must be >= 1, got {self.N_max}")
+        if self.time_window > MAX_TIME_WINDOW:
+            raise ValueError(f"time_window must be at most {MAX_TIME_WINDOW} s, "
+                             f"got {self.time_window}")
+        if not 1 <= self.N_max <= MAX_N_MAX:
+            raise ValueError(f"N_max must be in [1, {MAX_N_MAX}], got {self.N_max}")
         if not (0 < self.target_tangle_min <= 1):
             raise ValueError("target_tangle_min must be in (0, 1]")
         for name in ("unwanted_tangle_max", "unwanted_tangle_mean_max"):
@@ -300,9 +310,8 @@ def optimize_register_gate(register: list[NuclearSpinParams],
     targets = [register[i] for i in target_idx]
 
     def objective(t: float) -> float:
-        return -float(np.mean([1.0 - makhlin_g1(ConditionalRotation(
-            unit_quaternions(s.A, s.B, s.omega_L, electron, spacings, t)), n_best)
-            for s in targets]))
+        return -float(np.mean([1.0 - g1_from_angles(*branch_angles(unit_quaternions(
+            s.A, s.B, s.omega_L, electron, spacings, t)), n_best) for s in targets]))
 
     t_ref = _golden_section(objective, t_best - _TIME_STEP, t_best + _TIME_STEP,
                             xatol=1e-13)
@@ -522,7 +531,9 @@ def gate_error_vs_bath(targets: list[ConditionalRotation],
         raise ValueError(f"n_ensembles must be >= 1, got {n_ensembles}")
     if any(size < 1 for size in bath_sizes):
         raise ValueError(f"bath_sizes must all be >= 1, got {list(bath_sizes)}")
-    k = RegisterPartition(targets, ()).K
+    if not targets:
+        raise ValueError("need at least one target spin")
+    k = len(targets)
     rng = np.random.Generator(np.random.Philox(seed))
     records = []
     for lo, hi in tangle_bins:

@@ -31,8 +31,18 @@ def branch_angles(quats) -> tuple:
 
     quats has shape (2, 4, ...): branch, then (w, x, y, z), as returned by
     unit_quaternions or ConditionalRotation.quaternions.  n01 is 1 when
-    either branch is trivial.
+    either branch is trivial.  One rotation's (2, 4) array is read on Python
+    floats, anything else on arrays: the same numbers, bit for bit.
     """
+    if getattr(quats, "shape", None) == (2, 4):
+        (w0, x0, y0, z0), (w1, x1, y1, z1) = quats.tolist()
+        s0 = math.sqrt(x0 * x0 + y0 * y0 + z0 * z0)
+        s1 = math.sqrt(x1 * x1 + y1 * y1 + z1 * z1)
+        # np.arctan2, as on arrays: math.atan2 differs in the last bit
+        h0, h1 = np.arctan2((s0, s1), (w0, w1)).tolist()
+        # max() keeps a NaN product only as its first argument
+        return h0, h1, (1.0 if s0 < _EPS_AXIS or s1 < _EPS_AXIS
+                        else (x0 * x1 + y0 * y1 + z0 * z1) / max(s0 * s1, 1e-300))
     q = np.asarray(quats, dtype=float)
     s = np.sqrt(np.sum(q[:, 1:] ** 2, axis=1))
     h = np.arctan2(s, q[:, 0])
@@ -68,20 +78,10 @@ def g1_from_angles(h0, h1, n01, N):
 
 
 def makhlin_g1(rot: ConditionalRotation, N: int) -> float:
-    """First Makhlin invariant of the iterated conditional gate, in [0, 1].
-
-    branch_angles on Python floats: g1_over_iterations' number, bit for bit.
-    """
+    """First Makhlin invariant of the iterated conditional gate, in [0, 1]."""
     if N < 0:
         raise ValueError("N must be >= 0")
-    (w0, x0, y0, z0), (w1, x1, y1, z1) = rot.quaternions.tolist()
-    s0 = math.sqrt(x0 * x0 + y0 * y0 + z0 * z0)
-    s1 = math.sqrt(x1 * x1 + y1 * y1 + z1 * z1)
-    h0, h1 = np.arctan2((s0, s1), (w0, w1)).tolist()
-    # max() keeps a NaN product only as its first argument
-    n01 = (1.0 if s0 < _EPS_AXIS or s1 < _EPS_AXIS
-           else (x0 * x1 + y0 * y1 + z0 * z1) / max(s0 * s1, 1e-300))
-    return float(g1_from_angles(h0, h1, n01, N))
+    return float(g1_from_angles(*branch_angles(rot.quaternions), N))
 
 
 def makhlin_g2(rot: ConditionalRotation, N: int) -> float:
@@ -134,7 +134,7 @@ G1_MAXIMAL_THRESHOLD = 0.05
 
 def g1_over_iterations(quats, counts) -> np.ndarray:
     """G1 of branch quaternions (2, 4, *S) at each count, shape S + (len(counts),)."""
-    h0, h1, n01 = (a[..., None] for a in branch_angles(quats))
+    h0, h1, n01 = (np.asarray(a)[..., None] for a in branch_angles(quats))
     return g1_from_angles(h0, h1, n01, counts)
 
 

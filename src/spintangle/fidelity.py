@@ -82,26 +82,6 @@ def gate_error(k: int, overlaps):
     return 1.0 - _subspace_fidelity(k, overlaps)
 
 
-def kraus_coefficients(unwanted, i: int) -> tuple[tuple[complex, complex],
-                                                  tuple[complex, complex]]:
-    """Coefficient pairs ((c0, p0), (c1, p1)) for environment basis index i.
-
-    The index is read as a big-endian bit string over the unwanted list:
-    the first spin owns the most significant bit.  Empty products are 1.
-    """
-    m = len(unwanted)
-    if not 0 <= i < 2 ** m:
-        raise IndexError("environment basis index out of range")
-    a, b = _amplitudes(unwanted)
-    c, p = np.ones(2, dtype=complex), np.ones(2, dtype=complex)
-    for pos in range(m):
-        if (i >> (m - 1 - pos)) & 1:
-            p *= b[pos]
-        else:
-            c *= a[pos]
-    return (c[0], p[0]), (c[1], p[1])
-
-
 def target_subspace_fidelity(partition: RegisterPartition) -> float:
     """Average gate fidelity of the iterated gate on the target subspace."""
     return float(_subspace_fidelity(partition.K, branch_overlaps(partition.unwanted)))

@@ -3,8 +3,9 @@
 Everything here is deliberately independent of the closed forms under test:
 propagators are assembled from explicit matrix exponentials or Kronecker
 products, entangling power is estimated by Monte-Carlo averaging over Haar
-product states, Kraus operators are extracted numerically, and Makhlin
-invariants come from the magic-basis construction.
+product states, Kraus operators are extracted numerically and their
+coefficients enumerated from rotation matrices, and Makhlin invariants come
+from the magic-basis construction.
 
 Qubit ordering in dense states is (electron, nucleus 1, ..., nucleus n-1),
 big-endian: the electron owns the most significant bit.
@@ -78,31 +79,7 @@ def dense_propagator(register: list[NuclearSpinParams],
 
 
 # ---------------------------------------------------------------------------
-# states and entropies
-
-
-def reduced_single_qubit(state: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    """Reduced density matrix of one qubit from a pure n-qubit state."""
-    psi = state.reshape((2,) * n)
-    psi = np.moveaxis(psi, qubit, 0).reshape(2, -1)
-    return psi @ psi.conj().T
-
-
-def linear_entropy(state: np.ndarray, qubit: int) -> float:
-    """One-tangle 1 - tr[rho^2] of a single qubit in a pure state."""
-    n = int(round(math.log2(state.size)))
-    rho = reduced_single_qubit(state, qubit, n)
-    return float(1.0 - np.real(np.trace(rho @ rho)))
-
-
-def haar_product_state(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Tensor product of independent Haar-random single-qubit states."""
-    state = np.ones(1, dtype=complex)
-    for _ in range(n):
-        amp = rng.normal(size=2) + 1j * rng.normal(size=2)
-        amp /= np.linalg.norm(amp)
-        state = np.kron(state, amp)
-    return state
+# entangling power
 
 
 def mc_bipartition_entangling_power(u: np.ndarray, qubit: int,
@@ -132,7 +109,28 @@ def mc_bipartition_entangling_power(u: np.ndarray, qubit: int,
 
 
 # ---------------------------------------------------------------------------
-# numeric Kraus fidelity
+# Kraus operators
+
+
+def kraus_coefficients(unwanted, i: int) -> tuple[tuple[complex, complex],
+                                                  tuple[complex, complex]]:
+    """Coefficient pairs ((c0, p0), (c1, p1)) for environment basis index i.
+
+    c_j is the product of <0|R_j|0> over the spins whose bit is 0, p_j that
+    of <1|R_j|0> over the spins whose bit is 1, each read from the first
+    column of Rotation.matrix().  The index is read as a big-endian bit
+    string over the unwanted list: the first spin owns the most significant
+    bit.  Empty products are 1.
+    """
+    m = len(unwanted)
+    if not 0 <= i < 2 ** m:
+        raise IndexError("environment basis index out of range")
+    out = np.ones((2, 2), dtype=complex)  # rows c and p, one column per branch
+    for pos, rot in enumerate(unwanted):
+        bit = (i >> (m - 1 - pos)) & 1
+        out[bit] *= [rot.r0.matrix()[bit, 0], rot.r1.matrix()[bit, 0]]
+    (c0, c1), (p0, p1) = out
+    return (c0, p0), (c1, p1)
 
 
 def numeric_kraus_fidelity(u: np.ndarray, target_gate: np.ndarray, K: int) -> float:

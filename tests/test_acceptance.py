@@ -26,6 +26,7 @@ from spintangle.designer import (
 )
 from spintangle.oracle import (
     conditional_unitary,
+    kraus_coefficients,
     magic_basis_invariants,
     mc_bipartition_entangling_power,
     numeric_kraus_fidelity,
@@ -297,7 +298,7 @@ class TestCriterion7Properties:
         unwanted = [random_rotation_pair(rng) for _ in range(8)]
         t0 = t1 = 0.0
         for i in range(2 ** 8):
-            (c0, p0), (c1, p1) = fid.kraus_coefficients(unwanted, i)
+            (c0, p0), (c1, p1) = kraus_coefficients(unwanted, i)
             t0 += abs(c0 * p0) ** 2
             t1 += abs(c1 * p1) ** 2
         _check("criterion 7: Kraus completeness to 1e-9",

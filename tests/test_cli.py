@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import spintangle
-from spintangle import __version__, qec
+from spintangle import __version__, cli, qec
 from spintangle.cli import build_parser, main
 from spintangle.datasets import load_register
 from spintangle.designer import DesignConstraints
@@ -313,6 +313,16 @@ class TestSweep:
 
 
 class TestInputErrors:
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        """Every subcommand's work fails: a check that is missing fails fast."""
+        def fail(*args, **kwargs):
+            raise AssertionError("reached the work")
+
+        for name in ("resonance_time", "optimize_register_gate", "error_surface",
+                     "unit_propagator"):
+            monkeypatch.setattr(cli, name, fail)
+
     @pytest.mark.parametrize("row, field", [("C1,nan,20", "A"), ("C1,10,nan", "B")])
     def test_non_finite_coupling_row_named(self, row, field, tmp_path, capsys):
         path = _write(tmp_path, "reg.csv", SMALL.replace("C12,20.569,41.51", row))
@@ -358,15 +368,40 @@ class TestInputErrors:
          "--sequence"),
         (["design", "--register", "nv27", "--anchor", "C5", "--k", "3",
           "--sequence", "custom"], "--sequence"),
+        (["resonances", "--register", "nv27", "--k-min", "2", "--k-max", "1002"],
+         "--k-max"),
+        (["sweep", "--register", "nv27", "--spin", "C5", "--n-min", "0",
+          "--n-max", "1000000"], "--n-max"),
+        (["qec", "--register", "nv27", "--ideal", "--grid", "1001", "2"], "--grid"),
+        (["qec", "--register", "nv27", "--ideal", "--grid", "2", "1001"], "--grid"),
+        (["design", "--register", "nv27", "--anchor", "C5", "--k", "3",
+          "--time-window", "1.0000001e-3"], "time_window"),
+        (["design", "--register", "nv27", "--anchor", "C5", "--k", "3",
+          "--n-max", "10001"], "N_max"),
     ], ids=["resonances-k", "sweep-n", "qec-grid-zero", "qec-grid-negative",
             "design-k-zero", "qec-k-negative", "qec-ideal-k-negative",
             "sweep-t-us-k-zero", "resonances-k-min-zero", "design-sequence-foo",
-            "sweep-sequence-foo", "sweep-sequence-udd0", "design-sequence-custom"])
-    def test_empty_range_exits_one(self, argv, flag, capsys):
+            "sweep-sequence-foo", "sweep-sequence-udd0", "design-sequence-custom",
+            "resonances-k-over-cap", "sweep-n-over-cap", "qec-grid-gamma-over-cap",
+            "qec-grid-delta-over-cap", "design-time-window-over-cap",
+            "design-n-max-over-cap"])
+    def test_empty_range_exits_one(self, argv, flag, capsys, no_work):
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert flag in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["resonances", "--register", "nv27", "--k-min", "2", "--k-max", "1001"],
+        ["sweep", "--register", "nv27", "--spin", "C5", "--n-min", "0",
+         "--n-max", "999999"],
+        ["qec", "--register", "nv27", "--ideal", "--grid", "1000", "1000"],
+        ["design", "--register", "nv27", "--anchor", "C5", "--k", "3",
+         "--time-window", "1e-3", "--n-max", "10000"],
+    ], ids=["resonances-k", "sweep-n", "qec-grid", "design"])
+    def test_sizes_at_the_cap_reach_the_work(self, argv, no_work):
+        with pytest.raises(AssertionError, match="reached the work"):
+            main(argv)
 
     @pytest.mark.parametrize("argv, field", [
         (["design", "--register", "nv27", "--anchor", "C5", "--k", "3",

@@ -85,6 +85,13 @@ class TestFindCommonIterations:
         with pytest.raises(ValueError, match="anchor spin has no entangling"):
             find_common_iterations([parallel, entangler], 100)
 
+    @pytest.mark.parametrize("N_max", [0, -5])
+    def test_n_max_below_one_named(self, N_max):
+        rng = np.random.default_rng(0)
+        rots = [random_rotation_pair(rng), random_rotation_pair(rng)]
+        with pytest.raises(ValueError, match=f"N_max must be >= 1, got {N_max}"):
+            find_common_iterations(rots, N_max)
+
 
 class TestOptimizeRegisterGate:
     def test_single_spin_register_returns_none(self):
@@ -706,6 +713,11 @@ class TestGateErrorVsBath:
             gate_error_vs_bath([random_rotation_pair(rng)], pool, [(0.0, 1.0)],
                                sizes, n_ensembles, seed=0)
 
+    def test_no_target_rejected(self):
+        pool = self._pool(np.random.default_rng(10), 3)
+        with pytest.raises(ValueError, match="need at least one target spin"):
+            gate_error_vs_bath([], pool, [(0.0, 1.0)], [2], 3, seed=0)
+
 
 class TestDesignConstraintsValidation:
     @pytest.mark.parametrize("field", ["max_gate_time", "time_window"])
@@ -716,6 +728,8 @@ class TestDesignConstraintsValidation:
 
     @pytest.mark.parametrize("field, value", [
         ("N_max", 0),
+        ("N_max", designer.MAX_N_MAX + 1),
+        ("time_window", designer.MAX_TIME_WINDOW * (1 + 1e-7)),
         ("target_tangle_min", 0.0),
         ("target_tangle_min", 1.5),
         ("unwanted_tangle_max", -0.1),

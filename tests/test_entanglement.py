@@ -340,7 +340,7 @@ class TestG1OverIterations:
 
 
 class TestScalarG1:
-    """makhlin_g1 runs branch_angles' formulas on floats: same bits."""
+    """makhlin_g1 reads one rotation on floats: the batch path's bits."""
 
     COUNTS = [0, 1, 10_000]
 
@@ -360,9 +360,12 @@ class TestScalarG1:
         return rots + [near_identity]
 
     def test_equals_g1_over_iterations(self):
-        for rot in self._rotations():
-            ref = g1_over_iterations(rot.quaternions, self.COUNTS).tolist()
-            assert [makhlin_g1(rot, n) for n in self.COUNTS] == ref
+        rots = self._rotations()
+        # the batch path: the rotations stacked on a last axis
+        ref = g1_over_iterations(np.stack([r.quaternions for r in rots], axis=-1),
+                                 self.COUNTS).tolist()
+        for rot, row in zip(rots, ref):
+            assert [makhlin_g1(rot, n) for n in self.COUNTS] == row
 
     @pytest.mark.parametrize("q", [
         [[math.nan, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0]],
@@ -372,6 +375,41 @@ class TestScalarG1:
     ], ids=["w0", "x0", "z1", "all"])
     def test_nan_quaternion_stays_nan(self, q):
         rot = ConditionalRotation(q)
-        ref = g1_over_iterations(rot.quaternions, self.COUNTS)
+        ref = g1_over_iterations(rot.quaternions[..., None], self.COUNTS)
         assert np.isnan(ref).all()
         assert all(math.isnan(makhlin_g1(rot, n)) for n in self.COUNTS)
+
+    @classmethod
+    def _edge_quaternions(cls):
+        """The rotations above, then trivial, w < 0, signed-zero and NaN cases."""
+        quats = [r.quaternions for r in cls._rotations()]
+        c, s = math.cos(0.4), math.sin(0.4)
+        quats += [np.array(q, dtype=float) for q in (
+            [[1.0, 0.0, 0.0, 0.0], [c, s, 0.0, 0.0]],           # s0 = 0
+            [[1.0, 5e-13, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]],     # both trivial
+            [[-c, 0.0, 0.0, s], [-s, c, 0.0, 0.0]],             # w < 0
+            [[-1.0, 0.0, -0.0, 0.0], [c, -s, 0.0, -0.0]],       # w = -1, s0 = 0
+            [[-0.0, 0.0, 1.0, -0.0], [0.0, -0.0, -1.0, 0.0]],   # w = -0.0, +0.0
+            [[-0.0, -0.0, -0.0, -0.0], [0.0, 0.0, 0.0, 0.0]],   # all zeros
+        )]
+        for pos in range(8):
+            q = np.array([[c, 0.0, s, 0.0], [s, 0.0, 0.0, c]])
+            q.flat[pos] = math.nan
+            quats.append(q)
+        return quats
+
+    def test_one_rotation_equals_its_batch_column(self):
+        quats = self._edge_quaternions()
+        batch = branch_angles(np.stack(quats, axis=-1))
+        for col, q in enumerate(quats):
+            got = branch_angles(q)
+            # a (2, 4) array takes the float path
+            assert [type(v) for v in got] == [float] * 3
+            for value, ref in zip(got, batch):
+                assert value == ref[col] or (math.isnan(value) and math.isnan(ref[col]))
+
+    def test_g1_over_iterations_of_one_rotation_equals_its_batch(self):
+        for q in self._edge_quaternions():
+            assert np.array_equal(g1_over_iterations(q, self.COUNTS),
+                                  g1_over_iterations(q[..., None], self.COUNTS)[0],
+                                  equal_nan=True)

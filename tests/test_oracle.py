@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
@@ -10,12 +8,9 @@ from spintangle.oracle import (
     MAGIC_BASIS,
     conditional_unitary,
     dense_propagator,
-    haar_product_state,
-    linear_entropy,
     magic_basis_invariants,
     mc_bipartition_entangling_power,
     numeric_kraus_fidelity,
-    reduced_single_qubit,
     segment_exponential_rotation,
 )
 from spintangle.spin_model import (
@@ -83,29 +78,6 @@ class TestDenseBuilders:
         with pytest.raises(ValueError, match="15 qubits exceeds the 14-qubit cap"):
             dense_propagator(spins, ElectronQubitSpec(0.5, -0.5),
                              build_sequence("cpmg", 3.0e-6), 1)
-
-
-class TestEntropies:
-    def test_product_state_zero(self):
-        rng = np.random.default_rng(2)
-        state = haar_product_state(4, rng)
-        for q in range(4):
-            assert linear_entropy(state, q) == pytest.approx(0.0, abs=1e-12)
-
-    def test_bell_state_half(self):
-        bell = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
-        assert linear_entropy(bell, 0) == pytest.approx(0.5, abs=1e-12)
-        assert linear_entropy(bell, 1) == pytest.approx(0.5, abs=1e-12)
-
-    def test_reduced_matrix_is_valid_density(self):
-        rng = np.random.default_rng(3)
-        psi = rng.normal(size=8) + 1j * rng.normal(size=8)
-        psi /= np.linalg.norm(psi)
-        for q in range(3):
-            rho = reduced_single_qubit(psi, q, 3)
-            assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
-            assert np.allclose(rho, rho.conj().T)
-            assert min(np.linalg.eigvalsh(rho)) >= -1e-12
 
 
 class TestMonteCarlo:
