@@ -21,6 +21,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import platform
 import sys
 
@@ -65,34 +66,33 @@ def _fmt(value, fmt: str) -> str:
     return str(value)
 
 
-def _emit(records: list[dict], columns: list[str], args: argparse.Namespace,
-          reg, **extra) -> None:
-    """Print the table; write CSV/JSON with the provenance of _provenance."""
+def _emit(columns: dict, args: argparse.Namespace, reg, **extra) -> None:
+    """Write CSV/JSON with the provenance of _provenance, then print the table.
+
+    columns maps each name, in table order, to a list of values or to one
+    value that every record repeats; with no list there is one record.
+    """
+    n = max((len(v) for v in columns.values() if isinstance(v, list)), default=1)
+    values = [v if isinstance(v, list) else [v] * n for v in columns.values()]
     prov = _provenance(args, reg, **extra)
-    widths = {c: max(len(c), *(len(_fmt(r[c], HUMAN_FMT)) for r in records)) if records
-              else len(c) for c in columns}
-    print("  ".join(c.ljust(widths[c]) for c in columns))
-    for r in records:
-        print("  ".join(_fmt(r[c], HUMAN_FMT).ljust(widths[c]) for c in columns))
     if args.csv:
         with open(args.csv, "w") as fh:
             for key, val in prov.items():
                 fh.write(f"# {key}={val}\n")
             fh.write(",".join(columns) + "\n")
-            for r in records:
-                fh.write(",".join(_fmt(r[c], MACHINE_FMT) for c in columns) + "\n")
+            for row in zip(*values):
+                fh.write(",".join(_fmt(v, MACHINE_FMT) for v in row) + "\n")
     if args.json:
         payload = {"provenance": prov,
-                   "records": [{c: r[c] for c in columns} for r in records]}
+                   "records": [dict(zip(columns, row)) for row in zip(*values)]}
         with open(args.json, "w") as fh:
             json.dump(payload, fh, indent=2, default=float)
             fh.write("\n")
-
-
-def _load(args: argparse.Namespace):
-    reg = load_register(args.register, larmor_khz=args.larmor_khz,
-                        s0=args.s0, s1=args.s1)
-    return reg, reg.electron()
+    widths = [max(len(c), max((len(_fmt(v, HUMAN_FMT)) for v in vals), default=0))
+              for c, vals in zip(columns, values)]
+    print("  ".join(c.ljust(w) for c, w in zip(columns, widths)))
+    for row in zip(*values):
+        print("  ".join(_fmt(v, HUMAN_FMT).ljust(w) for v, w in zip(row, widths)))
 
 
 def _label_index(reg, label: str, flag: str) -> int:
@@ -101,49 +101,59 @@ def _label_index(reg, label: str, flag: str) -> int:
     return reg.labels.index(label)
 
 
+def _check_writable(flag: str, path: str) -> None:
+    """An output path must name a file in a writable directory."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        raise ValueError(f"{flag}: {path!r} is a directory")
+    if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        raise ValueError(f"{flag}: {folder!r} is not a writable directory")
+
+
+def _counts(args: argparse.Namespace, name: str, least: int, cap: int,
+            unit: str) -> range:
+    """--NAME-min to --NAME-max: from at least `least`, not empty, at most cap."""
+    lo, hi = getattr(args, f"{name}_min"), getattr(args, f"{name}_max")
+    if lo < least:
+        raise ValueError(f"--{name}-min must be >= {least}, got {lo}")
+    if hi < lo:
+        raise ValueError(f"--{name}-max ({hi}) must be >= --{name}-min ({lo})")
+    if hi - lo + 1 > cap:
+        raise ValueError(f"--{name}-min {lo} to --{name}-max {hi} is more than "
+                         f"{cap} {unit}")
+    return range(lo, hi + 1)
+
+
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes (args, reg, electron), checks its own flags first
+# and returns (columns for _emit, extra provenance)
 
 
-def cmd_resonances(args: argparse.Namespace) -> int:
-    if args.k_min < 1:
-        raise ValueError(f"--k-min must be >= 1, got {args.k_min}")
-    if args.k_max < args.k_min:
-        raise ValueError(f"--k-max ({args.k_max}) must be >= --k-min ({args.k_min})")
-    if args.k_max - args.k_min + 1 > MAX_K_VALUES:
-        raise ValueError(f"--k-min {args.k_min} to --k-max {args.k_max} is more than "
-                         f"{MAX_K_VALUES} values of k")
-    reg, electron = _load(args)
-    records = []
-    for spin in sorted(reg.spins, key=lambda s: s.label):
-        for k in range(args.k_min, args.k_max + 1):
-            t = resonance_time(spin, electron, k, variant=args.variant)
-            records.append({"label": spin.label, "k": k, "t_us": t * 1e6})
-    _emit(records, ["label", "k", "t_us"], args, reg)
-    return 0
+def cmd_resonances(args: argparse.Namespace, reg, electron):
+    ks = _counts(args, "k", 1, MAX_K_VALUES, "values of k")
+    spins = sorted(reg.spins, key=lambda s: s.label)
+    return {"label": [s.label for s in spins for _ in ks],
+            "k": [k for _ in spins for k in ks],
+            "t_us": [resonance_time(s, electron, k, variant=args.variant) * 1e6
+                     for s in spins for k in ks]}, {}
 
 
-def cmd_design(args: argparse.Namespace) -> int:
-    reg, electron = _load(args)
+def cmd_design(args: argparse.Namespace, reg, electron):
     cons = DesignConstraints(**{f.name: getattr(args, f.name.lower())
                                 for f in dataclasses.fields(DesignConstraints)})
     anchor_index = _label_index(reg, args.anchor, "--anchor")
     design = optimize_register_gate(reg.spins, electron, cons, anchor_index,
                                     args.k, sequence_kind=args.sequence)
     if design is None:
-        _emit([{"status": "no design", "anchor": args.anchor, "k": args.k}],
-              ["status", "anchor", "k"], args, reg)
-        return 0
-    records = [{
+        return {"status": "no design", "anchor": args.anchor, "k": args.k}, {}
+    return {
         "status": "ok", "anchor": design.anchor_label, "k": design.k,
         "unit_time_us": design.unit_time * 1e6, "iterations": design.iterations,
         "gate_time_ms": design.gate_time * 1e3, "gate_error": design.gate_error,
         "targets": ";".join(design.target_labels),
         "target_tangles": ";".join(MACHINE_FMT % v for v in design.target_tangles),
         "mean_unwanted_tangle": design.mean_unwanted_tangle,
-    }]
-    _emit(records, list(records[0]), args, reg)
-    return 0
+    }, {}
 
 
 def _qec_gates(args: argparse.Namespace, reg, electron):
@@ -174,11 +184,10 @@ def _qec_gates(args: argparse.Namespace, reg, electron):
     return gates, prov
 
 
-def cmd_qec(args: argparse.Namespace) -> int:
+def cmd_qec(args: argparse.Namespace, reg, electron):
     if args.grid and not all(1 <= n <= MAX_GRID for n in args.grid):
         raise ValueError(f"--grid sizes must be in [1, {MAX_GRID}], "
                          f"got {args.grid[0]} {args.grid[1]}")
-    reg, electron = _load(args)
     gates, prov = _qec_gates(args, reg, electron)
     base = QecScenario(scheme=args.scheme, encode_gates=gates,
                       error=args.error, gamma=args.gamma, delta=args.delta)
@@ -187,38 +196,27 @@ def cmd_qec(args: argparse.Namespace) -> int:
         gammas = np.linspace(0.0, math.pi, ng)
         deltas = np.linspace(0.0, 2.0 * math.pi, nd)
         surface = error_surface(base, gammas, deltas)
-        records = [{"gamma": float(g), "delta": float(d),
-                    "error_probability": float(surface[i, j])}
-                   for i, g in enumerate(gammas) for j, d in enumerate(deltas)]
-        _emit(records, ["gamma", "delta", "error_probability"], args, reg, **prov)
-        return 0
+        return {"gamma": np.repeat(gammas, nd).tolist(),
+                "delta": np.tile(deltas, ng).tolist(),
+                "error_probability": surface.ravel().tolist()}, prov
     out = run_bitflip_code(base)
-    records = [{"scheme": args.scheme, "error": args.error,
-                "gamma": args.gamma, "delta": args.delta,
-                "recovery_probability": out.recovery_probability,
-                "electron_purity": out.electron_purity}]
-    _emit(records, list(records[0]), args, reg, **prov)
-    return 0
+    return {"scheme": args.scheme, "error": args.error,
+            "gamma": args.gamma, "delta": args.delta,
+            "recovery_probability": out.recovery_probability,
+            "electron_purity": out.electron_purity}, prov
 
 
 METRICS = ("g1", "g2", "ep", "m", "tangle")
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    reg, electron = _load(args)
+def cmd_sweep(args: argparse.Namespace, reg, electron):
     metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
     if not metrics:
         raise ValueError("empty metrics list")
     for m in metrics:
         if m not in METRICS:
             raise ValueError(f"unknown metric {m!r}; choose from {', '.join(METRICS)}")
-    if args.n_min < 0:
-        raise ValueError(f"--n-min must be >= 0, got {args.n_min}")
-    if args.n_max < args.n_min:
-        raise ValueError(f"--n-max ({args.n_max}) must be >= --n-min ({args.n_min})")
-    if args.n_max - args.n_min + 1 > MAX_SWEEP_COUNTS:
-        raise ValueError(f"--n-min {args.n_min} to --n-max {args.n_max} is more than "
-                         f"{MAX_SWEEP_COUNTS} counts")
+    ns = _counts(args, "n", 0, MAX_SWEEP_COUNTS, "counts")
     spin = reg.spins[_label_index(reg, args.spin, "--spin")]
     if args.t_us is not None:
         if not (math.isfinite(args.t_us) and args.t_us > 0):
@@ -228,18 +226,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     else:
         t = resonance_time(spin, electron, args.k, variant="primary")
     rot = unit_propagator(build_sequence(args.sequence, t), spin, electron)
-    counts = np.arange(args.n_min, args.n_max + 1)
+    counts = np.arange(ns.start, ns.stop)
     angles = branch_angles(rot.quaternions)
     g1 = g1_from_angles(*angles, counts)
     series = {"g1": g1, "g2": 1.0 + 2.0 * g1, "ep": MAX_PAIR_TANGLE * (1.0 - g1),
               "m": np.clip(g1_amplitude(*angles, counts), -1.0, 1.0),
               "tangle": 1.0 - g1}
-    columns = {name: series[name].tolist() for name in metrics}
-    records = [{"label": spin.label, "t_us": t * 1e6, "N": n,
-                **{name: col[i] for name, col in columns.items()}}
-               for i, n in enumerate(counts.tolist())]
-    _emit(records, ["label", "t_us", "N"] + metrics, args, reg)
-    return 0
+    return {"label": spin.label, "t_us": t * 1e6, "N": counts.tolist(),
+            **{name: series[name].tolist() for name in metrics}}, {}
 
 
 # ---------------------------------------------------------------------------
@@ -321,11 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Parse, check the shared flags, read the register, run, emit once."""
+    args = build_parser().parse_args(argv)
     try:
-        # design, qec and sweep check --k even where the value goes unused;
-        # design and sweep check --sequence before they load the register
+        # design, qec and sweep check --k even where the value goes unused
         if getattr(args, "k", 1) < 1:
             raise ValueError(f"--k must be >= 1, got {args.k}")
         if hasattr(args, "sequence"):
@@ -337,7 +330,14 @@ def main(argv=None) -> int:
             except ValueError as exc:
                 raise ValueError(f"--sequence: {exc}; use cpmg or uddN, N >= 1"
                                  ) from None
-        return args.func(args)
+        for flag, path in (("--csv", args.csv), ("--json", args.json)):
+            if path:
+                _check_writable(flag, path)
+        reg = load_register(args.register, larmor_khz=args.larmor_khz,
+                            s0=args.s0, s1=args.s1)
+        columns, extra = args.func(args, reg, reg.electron())
+        _emit(columns, args, reg, **extra)
+        return 0
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -14,7 +14,7 @@ from importlib import resources
 from pathlib import Path
 
 from .constants import KHZ
-from .spin_model import ElectronQubitSpec, NuclearSpinParams
+from .spin_model import ElectronQubitSpec, NuclearSpinParams, branch_frequency
 
 BUNDLED = (
     "nv27",
@@ -49,12 +49,21 @@ class RegisterFile:
             raise RegisterFormatError(
                 f"{self.source}: electron projections s0/s1 not resolvable")
         try:
-            return ElectronQubitSpec(self.s0, self.s1)
+            electron = ElectronQubitSpec(self.s0, self.s1)
         except ValueError as exc:
             # name the non-finite value, or both when they are equal
             bad = [n for n in ("s0", "s1") if not math.isfinite(getattr(self, n))]
             where = "; ".join(self.origins.get(n, self.source) for n in bad or ("s0", "s1"))
             raise RegisterFormatError(f"{where}: {exc}") from None
+        # a finite projection can still overflow hypot(omega_L + s A, s B)
+        for name in ("s0", "s1"):
+            s = getattr(self, name)
+            for spin in self.spins:
+                if not math.isfinite(branch_frequency(spin, s)):
+                    raise RegisterFormatError(
+                        f"{self.origins.get(name, self.source)}: {name}={s!r} "
+                        f"overflows the branch frequency of {spin.label}")
+        return electron
 
     def by_label(self, label: str) -> NuclearSpinParams:
         for s in self.spins:

@@ -356,6 +356,9 @@ def resonance_time(spin: NuclearSpinParams, electron: ElectronQubitSpec,
         raise ValueError(f"unknown variant: {variant!r}")
     wsum = (branch_frequency(spin, electron.s0)
             + branch_frequency(spin, electron.s1))
+    if not math.isfinite(wsum):
+        raise ValueError(f"{spin.label}: branch frequencies sum to {wsum}, "
+                         f"so no resonance time")
     t = 4.0 * math.pi * (2 * k - 1) / wsum
     return 2.0 * t if variant == "udd4_extra" else t
 

@@ -6,12 +6,15 @@ import hashlib
 import json
 import os
 import platform
+import string
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import spintangle
 from spintangle import __version__, cli, qec
@@ -31,6 +34,40 @@ label,A_kHz,B_kHz
 C5,-11.346,59.21
 C12,20.569,41.51
 """
+
+
+# one argv per subcommand that reaches the work when no flag is at fault
+REACHES_WORK = {
+    "resonances": ["resonances", "--register", "nv27"],
+    "design": ["design", "--register", "nv27", "--anchor", "C23", "--k", "3"],
+    "qec": ["qec", "--register", "nv27"],
+    "sweep": ["sweep", "--register", "nv27", "--spin", "C5"],
+}
+SPECIAL = ["nan", "inf", "-inf", "0", "-0.0", "5e-324", "-5e-324", "2.2e-308",
+           "1e308", "-1e308"]
+FLOATS = st.one_of(st.sampled_from(SPECIAL), st.floats().map(repr))
+WORDS = st.text(string.ascii_letters + string.digits + "-_. ", max_size=6)
+ALL = tuple(REACHES_WORK)
+# the shared flags: which subcommands take each, spelled how, the values
+# drawn, and what a rejection names ({value!r}: the value itself)
+SHARED_FLAGS = {
+    "register": ({c: "--register" for c in ALL}, st.sampled_from(SPECIAL),
+                 "{value!r}"),
+    "larmor-khz": ({c: "--larmor-khz" for c in ALL}, FLOATS,
+                   "larmor_kHz from the caller"),
+    "s0": ({c: "--s0" for c in ALL}, FLOATS, "s0 from the caller"),
+    "s1": ({c: "--s1" for c in ALL}, FLOATS, "s1 from the caller"),
+    "k": ({c: "--k" for c in ("design", "qec", "sweep")},
+          st.one_of(st.sampled_from([0, -1, 1, 10 ** 308, -10 ** 308]),
+                    st.integers()), "--k"),
+    "sequence": ({c: "--sequence" for c in ("design", "sweep")},
+                 st.one_of(st.sampled_from(SPECIAL + [
+                     "cpmg", "UDD4", "udd0", "udd-1", "udd3.5", "custom", ""]),
+                     WORDS), "--sequence"),
+    "label": ({"design": "--anchor", "qec": "--anchor", "sweep": "--spin"},
+              st.one_of(st.sampled_from(["C23", "C5", "c5", "XX", "", "nan"]),
+                        WORDS), "{flag}"),
+}
 
 
 def _write(tmp_path, name, text):
@@ -446,9 +483,13 @@ class TestInputErrors:
          ["nv27: s0 from the caller", "nv27:3: s1 metadata line", "must differ"]),
         (["qec", "--register", "nv27", "--ideal", "--s1", "0"],
          ["nv27:2: s0 metadata line", "nv27: s1 from the caller", "must differ"]),
+        *[(argv + ["--s1=-1e308"],
+           ["nv27: s1 from the caller", "overflows the branch frequency of C1"])
+          for argv in REACHES_WORK.values()],
     ], ids=["larmor-metadata", "larmor-flag-nan", "t-us-negative", "t-us-nan-named",
             "design-custom", "sweep-custom", "sweep-uddx", "s0-metadata-nan",
-            "s0-flag-equal", "qec-s1-flag-equal"])
+            "s0-flag-equal", "qec-s1-flag-equal",
+            *[f"{command}-s1-overflow" for command in REACHES_WORK]])
     def test_bad_input_named_with_nothing_on_stdout(self, argv, names, tmp_path,
                                                      capsys):
         bad = tmp_path / "bad.csv"
@@ -469,3 +510,52 @@ class TestInputErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "nv27: larmor_kHz from the caller: omega_L" in captured.err
+
+    @pytest.mark.parametrize("bad", ["missing/out", "folder", "file/out"])
+    @pytest.mark.parametrize("flag, other", [("--csv", "--json"), ("--json", "--csv")])
+    @pytest.mark.parametrize("command", list(REACHES_WORK))
+    def test_bad_output_path_fails_first(self, command, flag, other, bad, tmp_path,
+                                         capsys, no_work):
+        (tmp_path / "folder").mkdir()
+        (tmp_path / "file").write_text("")
+        good = tmp_path / "good"
+        argv = REACHES_WORK[command] + [flag, str(tmp_path / bad), other, str(good)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flag in captured.err and other not in captured.err, captured.err
+        assert not good.exists()
+
+    def test_failed_write_prints_no_table(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli.json, "dump", fail)
+        argv = ["resonances", "--register", "nv27", "--json", str(tmp_path / "r.json")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "disk full" in captured.err
+
+    @pytest.mark.parametrize("shared", list(SHARED_FLAGS))
+    @settings(max_examples=15, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_shared_flag_treated_alike_by_every_subcommand(self, shared, data,
+                                                           capsys, no_work):
+        spellings, values, name = SHARED_FLAGS[shared]
+        value = data.draw(values, label="value")
+        outcomes = {}
+        for command, flag in spellings.items():
+            try:
+                code = main(REACHES_WORK[command] + [f"{flag}={value}"])
+            except AssertionError as exc:
+                assert str(exc) == "reached the work"
+                outcomes[command] = "work"
+                capsys.readouterr()
+                continue
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (1, ""), (command, captured)
+            assert name.format(flag=flag, value=value) in captured.err, captured.err
+            outcomes[command] = "rejected"
+        assert len(set(outcomes.values())) == 1, outcomes

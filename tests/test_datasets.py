@@ -149,7 +149,16 @@ class TestParseRegister:
         ("# s1=0.5\n# larmor_kHz=432\n# s0=0.5\nlabel,A_kHz,B_kHz\n", None, None,
          "reg.csv:3: s0 metadata line; reg.csv:1: s1 metadata line: "
          "s0 and s1 must differ, got 0.5 for both"),
-    ], ids=["metadata-nan", "caller-inf", "caller-equal", "metadata-equal"])
+        ("# larmor_kHz=432\n# s0=0\n# s1=-1e308\nlabel,A_kHz,B_kHz\nC1,10,20\n",
+         None, None,
+         "reg.csv:3: s1 metadata line: s1=-1e+308 overflows the branch frequency "
+         "of C1"),
+        ("# larmor_kHz=432\n# s0=0\n# s1=-1\nlabel,A_kHz,B_kHz\nC1,10,20\n",
+         1e308, None,
+         "reg.csv: s0 from the caller: s0=1e+308 overflows the branch frequency "
+         "of C1"),
+    ], ids=["metadata-nan", "caller-inf", "caller-equal", "metadata-equal",
+            "metadata-overflow", "caller-overflow"])
     def test_bad_projection_names_its_origin(self, text, s0, s1, message):
         reg = parse_register(text, source="reg.csv", s0=s0, s1=s1)
         with pytest.raises(RegisterFormatError) as info:

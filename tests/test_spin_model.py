@@ -271,6 +271,11 @@ class TestResonanceTime:
         with pytest.raises(ValueError):
             resonance_time(spin_80_25, half_electron, 0)
 
+    def test_overflowing_branch_frequency_raises(self):
+        spin = NuclearSpinParams.from_khz("C1", 10.0, 20.0, 432.0)
+        with pytest.raises(ValueError, match="C1: branch frequencies sum to inf"):
+            resonance_time(spin, ElectronQubitSpec(0.0, -1e308), 1)
+
     def test_every_variant_accepted_and_no_other(self, spin_80_25, half_electron):
         for variant in RESONANCE_VARIANTS:
             assert resonance_time(spin_80_25, half_electron, 1, variant=variant) > 0
