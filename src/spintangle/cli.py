@@ -33,8 +33,8 @@ from .designer import (MAX_N_MAX, MAX_TIME_WINDOW, DesignConstraints,
                        optimize_register_gate)
 from .entanglement import MAX_PAIR_TANGLE, branch_angles, g1_amplitude, g1_from_angles
 from .qec import ERROR_KINDS, SCHEMES, QecScenario, error_surface, run_bitflip_code
-from .spin_model import (RESONANCE_VARIANTS, build_sequence, iterate, resonance_time,
-                         unit_propagator)
+from .spin_model import (MAX_UDD_ORDER, RESONANCE_VARIANTS, build_sequence, iterate,
+                         resonance_time, unit_propagator)
 
 MACHINE_FMT = "%.15g"
 HUMAN_FMT = "%.5g"
@@ -43,6 +43,8 @@ HUMAN_FMT = "%.5g"
 MAX_K_VALUES = 1000
 MAX_SWEEP_COUNTS = 10 ** 6
 MAX_GRID = 1000
+
+SEQUENCE_HELP = f"cpmg or uddN, 1 <= N <= {MAX_UDD_ORDER}"
 
 
 def _provenance(args: argparse.Namespace, reg, **extra) -> dict:
@@ -110,6 +112,15 @@ def _check_writable(flag: str, path: str) -> None:
         raise ValueError(f"{flag}: {folder!r} is not a writable directory")
 
 
+def _resonance_time(flag: str, spin, electron, k: int,
+                    variant: str = "primary") -> float:
+    """resonance_time, its ValueError naming the flag that gave k."""
+    try:
+        return resonance_time(spin, electron, k, variant=variant)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+
+
 def _counts(args: argparse.Namespace, name: str, least: int, cap: int,
             unit: str) -> range:
     """--NAME-min to --NAME-max: from at least `least`, not empty, at most cap."""
@@ -134,7 +145,8 @@ def cmd_resonances(args: argparse.Namespace, reg, electron):
     spins = sorted(reg.spins, key=lambda s: s.label)
     return {"label": [s.label for s in spins for _ in ks],
             "k": [k for _ in spins for k in ks],
-            "t_us": [resonance_time(s, electron, k, variant=args.variant) * 1e6
+            # t grows with k: any k too large means --k-max is
+            "t_us": [_resonance_time("--k-max", s, electron, k, args.variant) * 1e6
                      for s in spins for k in ks]}, {}
 
 
@@ -142,6 +154,8 @@ def cmd_design(args: argparse.Namespace, reg, electron):
     cons = DesignConstraints(**{f.name: getattr(args, f.name.lower())
                                 for f in dataclasses.fields(DesignConstraints)})
     anchor_index = _label_index(reg, args.anchor, "--anchor")
+    # the search starts at the anchor's k-th resonance
+    _resonance_time("--k", reg.spins[anchor_index], electron, args.k)
     design = optimize_register_gate(reg.spins, electron, cons, anchor_index,
                                     args.k, sequence_kind=args.sequence)
     if design is None:
@@ -164,6 +178,8 @@ def _qec_gates(args: argparse.Namespace, reg, electron):
     anchor_index = _label_index(reg, args.anchor, "--anchor")
     if args.ideal:
         return None, {}
+    # the search starts at the anchor's k-th resonance
+    _resonance_time("--k", reg.spins[anchor_index], electron, args.k)
     cons = DesignConstraints()
     sequence = "cpmg"  # the one sequence the gates are designed with and built from
     design = optimize_register_gate(reg.spins, electron, cons, anchor_index, args.k,
@@ -224,7 +240,7 @@ def cmd_sweep(args: argparse.Namespace, reg, electron):
                              f"got {args.t_us}")
         t = args.t_us * 1e-6
     else:
-        t = resonance_time(spin, electron, args.k, variant="primary")
+        t = _resonance_time("--k", spin, electron, args.k)
     rot = unit_propagator(build_sequence(args.sequence, t), spin, electron)
     counts = np.arange(ns.start, ns.stop)
     angles = branch_angles(rot.quaternions)
@@ -275,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--anchor", required=True, help="anchor nucleus label")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--sequence", default="cpmg")
+    p.add_argument("--sequence", default="cpmg", help=SEQUENCE_HELP)
     caps = {"time_window": f"at most {MAX_TIME_WINDOW} s",
             "N_max": f"at most {MAX_N_MAX}"}
     for f in dataclasses.fields(DesignConstraints):
@@ -301,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="invariant/tangle series over N")
     _add_common(p)
     p.add_argument("--spin", required=True, help="nucleus label")
-    p.add_argument("--sequence", default="cpmg")
+    p.add_argument("--sequence", default="cpmg", help=SEQUENCE_HELP)
     p.add_argument("--t-us", type=float, default=None,
                    help="unit time in microseconds (default: k-th resonance)")
     p.add_argument("--k", type=int, default=1)
@@ -328,8 +344,7 @@ def main(argv=None) -> int:
                     raise ValueError(f"unsupported sequence kind: {args.sequence!r}")
                 build_sequence(args.sequence, 1.0)
             except ValueError as exc:
-                raise ValueError(f"--sequence: {exc}; use cpmg or uddN, N >= 1"
-                                 ) from None
+                raise ValueError(f"--sequence: {exc}; use {SEQUENCE_HELP}") from None
         for flag, path in (("--csv", args.csv), ("--json", args.json)):
             if path:
                 _check_writable(flag, path)

@@ -151,6 +151,12 @@ def optimal_iterations(rot: ConditionalRotation, N_max: int = 300,
     return [int(v) for v in hits]
 
 
+def _folded_angle(h: float) -> float:
+    """Rotation angle in [0, pi] of a branch with half angle h in [0, pi]."""
+    # min() returns a NaN first argument
+    return 2.0 * min(h, math.pi - h)
+
+
 def analytic_iteration_candidates(rot: ConditionalRotation,
                                   kappa_range=range(1, 11),
                                   angle_tol: float = 1e-9) -> list[int]:
@@ -162,12 +168,16 @@ def analytic_iteration_candidates(rot: ConditionalRotation,
     N = round[(2 kappa + 1) pi / phi0].  For n01 > 0 G1 cannot vanish and
     no candidates are produced.
     """
-    phi, phi1 = rot.r0.axis_angle()[1], rot.r1.axis_angle()[1]
-    n01 = rot.axis_dot
+    h0, h1, n01 = branch_angles(rot.quaternions)
+    phi, phi1 = _folded_angle(h0), _folded_angle(h1)
     if abs(phi - phi1) > angle_tol:
         raise ValueError("analytic minima require phi0 = phi1")
-    if phi <= 0:
+    # a branch turned by less than the axis threshold has n01 = 1: no minima
+    if min(phi, phi1) < 2.0 * _EPS_AXIS:
         return []
+    # folding one branch past pi flips its axis
+    if (h0 > math.pi / 2.0) != (h1 > math.pi / 2.0):
+        n01 = -n01
     out: set[int] = set()
     if n01 < -1e-9:
         delta = 2.0 * math.atan(math.sqrt(-1.0 / n01))
@@ -191,9 +201,9 @@ def udd4_jump_locations(rot: ConditionalRotation, N_max: int) -> list[int]:
     The jumps cluster around N = round[2 kappa pi / (phi0 + phi1)]; sequences
     with identical branch angles have none.
     """
-    h0u, h1u = (float(h) for h in branch_angles(rot.quaternions)[:2])
-    phi_sum = 2.0 * (min(h0u, math.pi - h0u) + min(h1u, math.pi - h1u))
-    if abs(h0u - h1u) < 1e-12 or phi_sum <= 0:
+    h0, h1, _ = branch_angles(rot.quaternions)
+    phi_sum = _folded_angle(h0) + _folded_angle(h1)
+    if abs(h0 - h1) < 1e-12 or phi_sum <= 0:
         return []
     out = []
     kappa = 1

@@ -31,8 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_model import ConditionalRotation
-
 
 class CapacityError(Exception):
     """Too many unwanted spins for the exponential Kraus enumeration."""
@@ -87,26 +85,19 @@ def target_subspace_fidelity(partition: RegisterPartition) -> float:
     return float(_subspace_fidelity(partition.K, branch_overlaps(partition.unwanted)))
 
 
-def fidelity_with_local_target(partition: RegisterPartition,
-                               primed_axes, primed_angles) -> float:
+def fidelity_with_local_target(partition: RegisterPartition, primed) -> float:
     """Fidelity against a local-rotation-adjusted target gate.
 
-    The target branch rotations are compared with supplied per-target
-    (axis, angle) pairs; each target contributes a real overlap factor
-    f_j = prod_k (cos(phi/2) cos(phi'/2) + n . n' sin(phi/2) sin(phi'/2)).
-    Each primed entry is either a single axis/angle applied to both electron
-    branches or a per-branch pair (shape (2, 3) axis, length-2 angle).
-    Equals target_subspace_fidelity when the primed values match the actual
-    branch rotations.
+    primed holds one ConditionalRotation per target, which the target's
+    branch rotations are compared with; each target contributes a real
+    overlap factor f_j = prod_k (cos(phi/2) cos(phi'/2)
+    + n . n' sin(phi/2) sin(phi'/2)).  Equals target_subspace_fidelity when
+    primed holds the targets themselves.
     """
-    if len(primed_axes) != partition.K or len(primed_angles) != partition.K:
-        raise ValueError("primed lists must have one entry per target")
+    if len(primed) != partition.K:
+        raise ValueError("primed must hold one rotation per target")
     f = np.ones(2)
-    for rot, axis, angle in zip(partition.targets, primed_axes, primed_angles):
-        ax = np.broadcast_to(np.asarray(axis, dtype=float), (2, 3))
-        ang = np.broadcast_to(np.asarray(angle, dtype=float), (2,))
-        ref = ConditionalRotation.from_axis_angles(ax[0], float(ang[0]),
-                                                   ax[1], float(ang[1]))
+    for rot, ref in zip(partition.targets, primed):
         f *= np.sum(rot.quaternions * ref.quaternions, axis=1)
     overlaps = branch_overlaps(partition.unwanted)
     return float(_subspace_fidelity(partition.K, overlaps, *f))

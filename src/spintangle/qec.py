@@ -40,7 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spin_model import (ConditionalRotation, ElectronQubitSpec, NuclearSpinParams,
-                         branch_frequency, branch_tilt, finite_1d)
+                         Rotation, _quaternion_power, branch_frequency, branch_tilt,
+                         finite_1d)
 
 STAGES = ("initial", "encoded", "error", "decoded", "corrected")
 ERROR_KINDS = ("none", "electron", "nucleus1", "nucleus2")
@@ -219,8 +220,8 @@ def nuclear_trajectories(scenario: QecScenario, samples: int = 64) -> dict:
             path = []
             for seg in segments:
                 for f in fracs:
-                    vec = seg.power(f).matrix() @ psi
-                    path.append(_bloch(vec))
+                    w, *v = _quaternion_power(seg.w, *seg.v.tolist(), f)
+                    path.append(_bloch(Rotation(w, v).matrix() @ psi))
                 psi = seg.matrix() @ psi
             branches[f"branch{branch}"] = np.array(path)
         out[f"nucleus{nuc + 1}"] = branches
@@ -244,7 +245,7 @@ def disentanglement_residual(rot: ConditionalRotation) -> float:
     This is the term that keeps the decode from disentangling the nuclei
     exactly after an electron bit-flip; it scales as (B/omega_L)^2.
     """
-    return float(abs(rot.r1.v[2] - rot.r0.v[2]))
+    return float(abs(rot.quaternions[1, 3] - rot.quaternions[0, 3]))
 
 
 def residual_closed_form(spin: NuclearSpinParams, electron: ElectronQubitSpec,

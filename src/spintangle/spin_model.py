@@ -121,6 +121,13 @@ class PulseSequence:
         return len(self.spacings) - 1
 
 
+# Largest UDD order build_sequence accepts.  Each order adds a segment to
+# every kernel call, and the design scan keeps a cos and sin block per
+# distinct spacing: design --sequence udd100 peaks at about 70 MB and udd1000
+# at about 240 MB.  The bundled data and tests use orders up to 8.
+MAX_UDD_ORDER = 100
+
+
 def _udd_spacings(n: int) -> np.ndarray:
     s = np.arange(1, n + 2)
     edges = np.sin(np.pi * s / (2 * n + 2)) ** 2
@@ -142,7 +149,8 @@ def build_sequence(kind: str, unit_time: float,
                    custom_spacings: Sequence[float] | None = None) -> PulseSequence:
     """Build a pi-pulse sequence unit.
 
-    kind is "cpmg", "uddN" for N >= 1, or "custom" (with custom_spacings).
+    kind is "cpmg", "uddN" for 1 <= N <= MAX_UDD_ORDER, or "custom" (with
+    custom_spacings).
     Odd-pulse bases are symmetrized by doubling at half scale, so udd1 and
     udd2 both give the CPMG spacings (0.25, 0.5, 0.25), up to rounding.
     """
@@ -156,6 +164,8 @@ def build_sequence(kind: str, unit_time: float,
             raise ValueError(f"unsupported sequence kind: {kind!r}")
         if n < 1:
             raise ValueError("UDD order must be >= 1")
+        if n > MAX_UDD_ORDER:
+            raise ValueError(f"UDD order {n} is above the cap {MAX_UDD_ORDER}")
         q = _udd_spacings(n)
     elif kind == "custom":
         if custom_spacings is None:
@@ -172,7 +182,7 @@ def build_sequence(kind: str, unit_time: float,
 # rotations
 
 class Rotation:
-    """A single-qubit rotation stored as the quadruple (cos(phi/2), sin(phi/2)*n).
+    """One branch of a ConditionalRotation: the quadruple (cos(phi/2), sin(phi/2)*n).
 
     The quadruple is the SU(2) element w*I - i*(v . sigma); keeping it avoids
     trigonometric loss in long compositions and preserves the relative sign
@@ -185,41 +195,10 @@ class Rotation:
         self.w = float(w)
         self.v = np.asarray(v, dtype=float)
 
-    @classmethod
-    def from_axis_angle(cls, axis, angle: float) -> "Rotation":
-        n = np.asarray(axis, dtype=float)
-        norm = np.linalg.norm(n)
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError("axis must be a unit vector")
-        return cls(math.cos(angle / 2.0), math.sin(angle / 2.0) * (n / norm))
-
-    # -- queries ----------------------------------------------------------
-
-    def axis_angle(self) -> tuple[np.ndarray, float, bool]:
-        """Extract (axis, angle, near_identity) with angle folded into [0, pi].
-
-        Angles above pi are replaced by 2*pi - phi with the axis sign-flipped.
-        A near-identity rotation reports the z axis by convention.
-        """
-        s = float(np.linalg.norm(self.v))
-        if s < _EPS_AXIS:
-            return np.array([0.0, 0.0, 1.0]), 0.0, True
-        phi = 2.0 * math.atan2(s, self.w)
-        if phi > math.pi:
-            return -self.v / s, 2.0 * math.pi - phi, False
-        return self.v / s, phi, False
-
     def matrix(self) -> np.ndarray:
         w, (x, y, z) = self.w, self.v
         return np.array([[w - 1j * z, -y - 1j * x],
                          [y - 1j * x, w + 1j * z]])
-
-    # -- algebra ----------------------------------------------------------
-
-    def power(self, n: float) -> "Rotation":
-        """Exact n-th power: the angle scales on a fixed axis."""
-        w, *v = _quaternion_power(self.w, *self.v.tolist(), n)
-        return Rotation(w, v)
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +233,15 @@ class ConditionalRotation:
 
     @classmethod
     def from_axis_angles(cls, n0, phi0: float, n1, phi1: float) -> "ConditionalRotation":
-        r0, r1 = Rotation.from_axis_angle(n0, phi0), Rotation.from_axis_angle(n1, phi1)
-        return cls([[r0.w, *r0.v.tolist()], [r1.w, *r1.v.tolist()]])
+        """Branch j rotates by the angle phi_j about the unit axis n_j."""
+        rows = []
+        for axis, phi in ((n0, phi0), (n1, phi1)):
+            n = np.asarray(axis, dtype=float)
+            norm = np.linalg.norm(n)
+            if abs(norm - 1.0) > 1e-9:
+                raise ValueError("axis must be a unit vector")
+            rows.append([math.cos(phi / 2.0), *(math.sin(phi / 2.0) * (n / norm)).tolist()])
+        return cls(rows)
 
     @property
     def r0(self) -> Rotation:
@@ -264,15 +250,6 @@ class ConditionalRotation:
     @property
     def r1(self) -> Rotation:
         return Rotation(self.quaternions[1, 0], self.quaternions[1, 1:])
-
-    @property
-    def axis_dot(self) -> float:
-        """n0 . n1 under the [0, pi] convention; 1 when either branch is trivial."""
-        n0, _, t0 = self.r0.axis_angle()
-        n1, _, t1 = self.r1.axis_angle()
-        if t0 or t1:
-            return 1.0
-        return float(n0 @ n1)
 
 
 def unit_quaternions(A, B, omega_L, electron: ElectronQubitSpec,
@@ -348,7 +325,8 @@ def resonance_time(spin: NuclearSpinParams, electron: ElectronQubitSpec,
     """k-th resonance unit time t_k = 4*pi*(2k-1)/(omega_0 + omega_1).
 
     variant is one of RESONANCE_VARIANTS; "udd4_extra" returns the
-    additional UDD4 family at twice the time.
+    additional UDD4 family at twice the time.  A k whose time overflows
+    raises ValueError.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -359,8 +337,16 @@ def resonance_time(spin: NuclearSpinParams, electron: ElectronQubitSpec,
     if not math.isfinite(wsum):
         raise ValueError(f"{spin.label}: branch frequencies sum to {wsum}, "
                          f"so no resonance time")
-    t = 4.0 * math.pi * (2 * k - 1) / wsum
-    return 2.0 * t if variant == "udd4_extra" else t
+    try:
+        t = 4.0 * math.pi * (2 * k - 1) / wsum
+    except OverflowError:  # 2k - 1 is past the float range
+        t = math.inf
+    if variant == "udd4_extra":
+        t *= 2.0
+    if t == math.inf:
+        raise ValueError(f"k={k} is too large: the resonance time of {spin.label} "
+                         f"overflows")
+    return t
 
 
 def coherence(rot: ConditionalRotation) -> tuple[float, float]:

@@ -328,8 +328,10 @@ class TestCriterion7Properties:
         rot = unit_propagator(build_sequence("udd4", 3.1861e-6), spin,
                               electron)
         hits = ent.udd4_jump_locations(rot, 300)
-        dphi = np.array([abs(r.r0.axis_angle()[1] - r.r1.axis_angle()[1])
-                         for r in (iterate(rot, n) for n in range(1, 302))])
+        halves = [ent.branch_angles(iterate(rot, n).quaternions)[:2]
+                  for n in range(1, 302)]
+        dphi = np.array([abs(ent._folded_angle(h0) - ent._folded_angle(h1))
+                         for h0, h1 in halves])
         minima = [n + 1 for n in range(1, 300)
                   if dphi[n] <= dphi[n - 1] and dphi[n] <= dphi[n + 1]
                   and dphi[n] < 0.3]

@@ -43,6 +43,8 @@ REACHES_WORK = {
     "qec": ["qec", "--register", "nv27"],
     "sweep": ["sweep", "--register", "nv27", "--spin", "C5"],
 }
+# 401 digits: past the float range, so 2k - 1 cannot become a float
+HUGE_K = int("9" * 401)
 SPECIAL = ["nan", "inf", "-inf", "0", "-0.0", "5e-324", "-5e-324", "2.2e-308",
            "1e308", "-1e308"]
 FLOATS = st.one_of(st.sampled_from(SPECIAL), st.floats().map(repr))
@@ -435,7 +437,8 @@ class TestInputErrors:
         ["qec", "--register", "nv27", "--ideal", "--grid", "1000", "1000"],
         ["design", "--register", "nv27", "--anchor", "C5", "--k", "3",
          "--time-window", "1e-3", "--n-max", "10000"],
-    ], ids=["resonances-k", "sweep-n", "qec-grid", "design"])
+        ["sweep", "--register", "nv27", "--spin", "C5", "--sequence", "udd100"],
+    ], ids=["resonances-k", "sweep-n", "qec-grid", "design", "sweep-udd"])
     def test_sizes_at_the_cap_reach_the_work(self, argv, no_work):
         with pytest.raises(AssertionError, match="reached the work"):
             main(argv)
@@ -486,10 +489,21 @@ class TestInputErrors:
         *[(argv + ["--s1=-1e308"],
            ["nv27: s1 from the caller", "overflows the branch frequency of C1"])
           for argv in REACHES_WORK.values()],
+        *[(REACHES_WORK[command] + ["--sequence", "udd101"],
+           ["--sequence", "UDD order 101 is above the cap 100", "uddN"])
+          for command in ("design", "sweep")],
+        *[(REACHES_WORK[command] + [f"--k={HUGE_K}"],
+           ["--k: k=", "is too large: the resonance time of"])
+          for command in ("design", "qec", "sweep")],
+        (["resonances", "--register", "nv27", f"--k-min={HUGE_K}", f"--k-max={HUGE_K}"],
+         ["--k-max: k=", "is too large: the resonance time of"]),
     ], ids=["larmor-metadata", "larmor-flag-nan", "t-us-negative", "t-us-nan-named",
             "design-custom", "sweep-custom", "sweep-uddx", "s0-metadata-nan",
             "s0-flag-equal", "qec-s1-flag-equal",
-            *[f"{command}-s1-overflow" for command in REACHES_WORK]])
+            *[f"{command}-s1-overflow" for command in REACHES_WORK],
+            "design-udd-over-cap", "sweep-udd-over-cap",
+            "design-k-overflow", "qec-k-overflow", "sweep-k-overflow",
+            "resonances-k-overflow"])
     def test_bad_input_named_with_nothing_on_stdout(self, argv, names, tmp_path,
                                                      capsys):
         bad = tmp_path / "bad.csv"

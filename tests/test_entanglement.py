@@ -269,11 +269,36 @@ class TestOptimalIterations:
             (0.0, 0.0, 1.0), 0.0, (0.0, 0.0, 1.0), 0.0)
         assert analytic_iteration_candidates(identity) == []
 
+    def test_analytic_candidates_of_near_identity_past_pi_are_empty(self):
+        # branch 0 turns by just under 2 pi, branch 1 by just over 0: both
+        # fold to an angle below the axis threshold, so n01 reads 1 unflipped
+        rot = ConditionalRotation([[-1.0, 1e-13, 0.0, 0.0], [1.0, 1e-13, 0.0, 0.0]])
+        assert analytic_iteration_candidates(rot) == []
+
     def test_analytic_candidates_need_equal_angles(self):
         rot = ConditionalRotation.from_axis_angles(
             (1.0, 0.0, 0.0), 0.5, (-1.0, 0.0, 0.0), 0.9)
         with pytest.raises(ValueError):
             analytic_iteration_candidates(rot)
+
+    @pytest.mark.parametrize("dot", [0.96, -0.96])
+    @pytest.mark.parametrize("past_pi", [(False, True), (True, False), (True, True)],
+                             ids=["branch1", "branch0", "both"])
+    def test_analytic_candidates_fold_angles_past_pi(self, past_pi, dot):
+        # three units turn branch j by phi, or by 2 pi - phi where past_pi[j]:
+        # the same gate as 2 pi - phi about -n_j, folded into [0, pi]
+        phi, N = 2.0, 3
+        n0, n1 = np.array([0.6, 0.0, 0.8]), np.array([0.8, 0.0, 0.6]) * np.sign(dot)
+        angles = [2.0 * math.pi - phi if p else phi for p in past_pi]
+        rot = iterate(ConditionalRotation.from_axis_angles(
+            n0, angles[0] / N, n1, angles[1] / N), N)
+        assert (rot.quaternions[:, 0] < 0).tolist() == list(past_pi)
+        folded = ConditionalRotation.from_axis_angles(
+            -n0 if past_pi[0] else n0, phi, -n1 if past_pi[1] else n1, phi)
+        expected = analytic_iteration_candidates(folded)
+        # G1 vanishes only for a negative folded axis dot
+        assert bool(expected) == (branch_angles(folded.quaternions)[2] < 0)
+        assert analytic_iteration_candidates(rot) == expected
 
 
 class TestUdd4Jumps:
@@ -290,7 +315,9 @@ class TestUdd4Jumps:
         electron = ElectronQubitSpec(0.5, -0.5)
         rot = unit_propagator(build_sequence("udd4", 3.1861e-6), spin, electron)
         hits = udd4_jump_locations(rot, 300)
-        dots = np.array([iterate(rot, n).axis_dot for n in range(1, 302)])
+        quats = [iterate(rot, n).quaternions for n in range(1, 302)]
+        # the sign of the folded n0 . n1: a branch past pi (w < 0) flips its axis
+        dots = np.array([q[0, 0] * q[1, 0] * (q[0, 1:] @ q[1, 1:]) for q in quats])
         sign_changes = [n + 1 for n in range(300)
                         if np.sign(dots[n + 1]) != np.sign(dots[n])]
         assert hits
@@ -309,13 +336,12 @@ class TestUdd4Jumps:
 
 def test_g1_invariant_under_local_conjugation():
     rng = np.random.default_rng(11)
-    from spintangle.spin_model import Rotation
     from .conftest import random_unit_vector
 
     for _ in range(30):
         rot = random_rotation_pair(rng)
-        frame = Rotation.from_axis_angle(random_unit_vector(rng),
-                                         rng.uniform(0, 2 * math.pi))
+        n, angle = random_unit_vector(rng), rng.uniform(0, 2 * math.pi)
+        frame = ConditionalRotation.from_axis_angles(n, angle, n, angle).r0
         # conjugate the nucleus by F on both electron branches: I (x) F
         f = np.kron(np.eye(2), frame.matrix())
         u = f @ conditional_unitary([rot]) @ f.conj().T

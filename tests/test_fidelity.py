@@ -14,6 +14,7 @@ from spintangle.fidelity import (
     fidelity_with_local_target,
     target_subspace_fidelity,
 )
+from spintangle.entanglement import branch_angles
 from spintangle.oracle import (conditional_unitary, kraus_coefficients,
                                numeric_kraus_fidelity)
 from spintangle.spin_model import ConditionalRotation
@@ -189,24 +190,20 @@ class TestLocalTargetFidelity:
         rng = np.random.default_rng(10)
         for _ in range(20):
             part = _partition(rng, int(rng.integers(1, 4)), int(rng.integers(0, 5)))
-            axes, angles = [], []
-            for rot in part.targets:
-                n0, phi0, _ = rot.r0.axis_angle()
-                n1, phi1, _ = rot.r1.axis_angle()
-                axes.append(np.stack([n0, n1]))
-                angles.append([phi0, phi1])
-            f = fidelity_with_local_target(part, axes, angles)
+            f = fidelity_with_local_target(part, part.targets)
             assert f == pytest.approx(target_subspace_fidelity(part), abs=1e-12)
 
     def test_wrong_target_angle_lowers_fidelity(self):
         rng = np.random.default_rng(11)
         part = _partition(rng, 1, 2)
-        n0, phi0, _ = part.targets[0].r0.axis_angle()
-        n1, phi1, _ = part.targets[0].r1.axis_angle()
-        good = fidelity_with_local_target(
-            part, [np.stack([n0, n1])], [[phi0, phi1]])
-        shifted = fidelity_with_local_target(
-            part, [np.stack([n0, n1])], [[phi0 + math.pi, phi1 + math.pi]])
+        rot = part.targets[0]
+        # random_rotation_pair draws angles below pi: no fold
+        h0, h1, _ = branch_angles(rot.quaternions)
+        n0, n1 = (r.v / np.linalg.norm(r.v) for r in (rot.r0, rot.r1))
+        good = fidelity_with_local_target(part, [ConditionalRotation.from_axis_angles(
+            n0, 2.0 * h0, n1, 2.0 * h1)])
+        shifted = fidelity_with_local_target(part, [ConditionalRotation.from_axis_angles(
+            n0, 2.0 * h0 + math.pi, n1, 2.0 * h1 + math.pi)])
         assert shifted < good
 
     def test_orthogonal_pi_rotations_floor(self):
@@ -215,14 +212,16 @@ class TestLocalTargetFidelity:
         rot = ConditionalRotation.from_axis_angles(
             (1.0, 0.0, 0.0), math.pi, (1.0, 0.0, 0.0), math.pi)
         part = RegisterPartition([rot], [])
-        f = fidelity_with_local_target(part, [(0.0, 1.0, 0.0)], [math.pi])
+        y_pi = ConditionalRotation.from_axis_angles((0.0, 1.0, 0.0), math.pi,
+                                                    (0.0, 1.0, 0.0), math.pi)
+        f = fidelity_with_local_target(part, [y_pi])
         assert f == pytest.approx(1.0 / (2.0 ** 2 + 1.0), abs=1e-12)
 
     def test_length_mismatch_rejected(self):
         rng = np.random.default_rng(12)
         part = _partition(rng, 2, 0)
         with pytest.raises(ValueError):
-            fidelity_with_local_target(part, [(0.0, 0.0, 1.0)], [0.5])
+            fidelity_with_local_target(part, part.targets[:1])
 
 
 def test_partition_requires_target():

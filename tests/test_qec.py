@@ -8,6 +8,7 @@ import pytest
 
 from spintangle.datasets import load_register
 from spintangle.designer import DesignConstraints, optimize_register_gate
+from spintangle.entanglement import branch_angles
 from spintangle.oracle import conditional_unitary
 from spintangle.qec import (
     QecScenario,
@@ -53,12 +54,10 @@ class TestThetaSolution:
         assert (t1 - t2 + t3 - t4) % (2.0 * math.pi) == pytest.approx(0.0)
 
     def test_ideal_gate_angles_match(self):
-        rot = ideal_crx()
-        n0, phi0, _ = rot.r0.axis_angle()
-        n1, phi1, _ = rot.r1.axis_angle()
-        assert phi0 == pytest.approx(math.pi / 2.0, abs=1e-12)
-        assert phi1 == pytest.approx(math.pi / 2.0, abs=1e-12)
-        assert float(n0 @ n1) == pytest.approx(-1.0, abs=1e-12)
+        h0, h1, n01 = branch_angles(ideal_crx().quaternions)
+        assert 2.0 * h0 == pytest.approx(math.pi / 2.0, abs=1e-12)
+        assert 2.0 * h1 == pytest.approx(math.pi / 2.0, abs=1e-12)
+        assert n01 == pytest.approx(-1.0, abs=1e-12)
 
 
 class TestSequentialIdeal:

@@ -7,13 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spintangle import spin_model
 from spintangle.spin_model import (
+    MAX_UDD_ORDER,
     RESONANCE_VARIANTS,
     ConditionalRotation,
     ElectronQubitSpec,
     NuclearSpinParams,
     PulseSequence,
     Rotation,
+    _quaternion_power,
     build_sequence,
     closed_form_angles,
     coherence,
@@ -27,6 +30,7 @@ from spintangle.spin_model import (
 from spintangle.constants import KHZ
 from spintangle.datasets import load_register
 from spintangle.designer import generate_random_ensemble
+from spintangle.entanglement import _folded_angle, branch_angles
 from spintangle.oracle import segment_exponential_rotation
 
 from .conftest import random_rotation_pair, random_unit_vector
@@ -151,6 +155,19 @@ class TestBuildSequence:
         with pytest.raises(ValueError):
             build_sequence("udd0", 1e-6)
 
+    def test_udd_order_capped(self, monkeypatch):
+        # N pulses, or 2N once an odd N is symmetrized
+        assert build_sequence(f"udd{MAX_UDD_ORDER}", 1e-6).pulse_count >= MAX_UDD_ORDER
+
+        def fail(n):
+            raise AssertionError("spacings built")
+
+        monkeypatch.setattr(spin_model, "_udd_spacings", fail)
+        order = MAX_UDD_ORDER + 1
+        with pytest.raises(ValueError, match=f"UDD order {order} is above the cap "
+                                             f"{MAX_UDD_ORDER}"):
+            build_sequence(f"udd{order}", 1e-6)
+
 
 # ---------------------------------------------------------------------------
 # unit propagator
@@ -161,16 +178,16 @@ class TestUnitPropagator:
         # the axes become antiparallel within a few ns of the analytic time
         t0 = resonance_time(spin_80_25, half_electron, 1)
         assert t0 == pytest.approx(3.1822e-6, abs=1e-9)
-        dots = [unit_propagator(build_sequence("cpmg", t0 + dt * 1e-9),
-                                spin_80_25, half_electron).axis_dot
+        dots = [branch_angles(unit_propagator(build_sequence("cpmg", t0 + dt * 1e-9),
+                                              spin_80_25, half_electron).quaternions)[2]
                 for dt in range(-50, 51)]
         assert min(dots) == pytest.approx(-1.0, abs=1e-3)
 
     def test_b_zero_axes_along_z(self, half_electron):
         spin = NuclearSpinParams.from_khz("z", 50.0, 0.0, 314.0)
         rot = unit_propagator(build_sequence("cpmg", 2e-6), spin, half_electron)
-        assert rot.axis_dot == pytest.approx(1.0, abs=1e-12)
-        assert abs(rot.r0.axis_angle()[0][2]) == pytest.approx(1.0, abs=1e-12)
+        assert branch_angles(rot.quaternions)[2] == pytest.approx(1.0, abs=1e-12)
+        assert abs(rot.r0.v[2]) / np.linalg.norm(rot.r0.v) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("kind", ["cpmg", "udd3", "udd4"])
     def test_matches_matrix_exponential_oracle(self, kind, spin_60_30, half_electron):
@@ -194,28 +211,30 @@ class TestUnitPropagator:
         seq = build_sequence("cpmg", 2.5e-6)
         a = unit_propagator(seq, spin_60_30, ElectronQubitSpec(0.5, -0.5))
         b = unit_propagator(seq, spin_60_30, ElectronQubitSpec(-0.5, 0.5))
-        a_n0, a_phi0, _ = a.r0.axis_angle()
-        b_n1, b_phi1, _ = b.r1.axis_angle()
-        assert a_phi0 == pytest.approx(b_phi1, abs=1e-12)
-        assert np.allclose(a_n0, b_n1, atol=1e-12)
+        a_h0 = branch_angles(a.quaternions)[0]
+        b_h1 = branch_angles(b.quaternions)[1]
+        assert 2.0 * a_h0 == pytest.approx(2.0 * b_h1, abs=1e-12)
+        assert np.allclose(a.r0.v / np.linalg.norm(a.r0.v),
+                           b.r1.v / np.linalg.norm(b.r1.v), atol=1e-12)
 
 
 class TestIterate:
     def test_single_iteration_identity(self, spin_60_30, half_electron):
         rot = unit_propagator(build_sequence("cpmg", 2e-6), spin_60_30, half_electron)
         one = iterate(rot, 1)
-        one_n0, one_phi0, _ = one.r0.axis_angle()
-        n0, phi0, _ = rot.r0.axis_angle()
-        assert one_phi0 == pytest.approx(phi0, abs=1e-15)
-        assert np.allclose(one_n0, n0)
+        one_h0, h0 = branch_angles(one.quaternions)[0], branch_angles(rot.quaternions)[0]
+        assert 2.0 * one_h0 == pytest.approx(2.0 * h0, abs=1e-15)
+        assert np.allclose(one.r0.v / np.linalg.norm(one.r0.v),
+                           rot.r0.v / np.linalg.norm(rot.r0.v))
 
     def test_angle_accumulates_on_fixed_axis(self):
         rot = ConditionalRotation.from_axis_angles(
             (1.0, 0.0, 0.0), math.pi / 50.0, (0.0, 0.0, 1.0), math.pi / 50.0)
         out = iterate(rot, 25)
-        n0, phi0, _ = out.r0.axis_angle()
-        assert phi0 == pytest.approx(math.pi / 2.0, abs=1e-12)
-        assert np.allclose(n0, (1.0, 0.0, 0.0), atol=1e-12)
+        h0 = branch_angles(out.quaternions)[0]
+        assert 2.0 * h0 == pytest.approx(math.pi / 2.0, abs=1e-12)
+        assert np.allclose(out.r0.v / np.linalg.norm(out.r0.v), (1.0, 0.0, 0.0),
+                           atol=1e-12)
 
     @pytest.mark.parametrize("branch", [0, 1], ids=["r0", "r1"])
     @pytest.mark.parametrize("N, atol", [(1, 1e-10), (37, 1e-10), (10 ** 5, 1e-8)],
@@ -237,12 +256,13 @@ class TestIterate:
         with pytest.raises(ValueError):
             iterate(random_rotation_pair(rng), 0)
 
-    def test_axis_dot_constant_over_n_for_cpmg(self, spin_60_30, half_electron):
+    def test_n01_constant_over_n_for_cpmg(self, spin_60_30, half_electron):
         rot = unit_propagator(build_sequence("cpmg", 2.9e-6), spin_60_30,
                               half_electron)
-        base = rot.axis_dot
+        base = branch_angles(rot.quaternions)[2]
         for n in range(1, 101):
-            assert iterate(rot, n).axis_dot == pytest.approx(base, abs=1e-9)
+            n01 = branch_angles(iterate(rot, n).quaternions)[2]
+            assert n01 == pytest.approx(base, abs=1e-9)
 
 
 class TestResonanceTime:
@@ -270,6 +290,19 @@ class TestResonanceTime:
     def test_invalid_k(self, spin_80_25, half_electron):
         with pytest.raises(ValueError):
             resonance_time(spin_80_25, half_electron, 0)
+
+    @pytest.mark.parametrize("k, variant", [
+        (10 ** 400, "primary"),  # 2k - 1 is past the float range
+        (10 ** 307, "primary"),  # 4 pi (2k - 1) is not, but overflows
+        (10 ** 7, "udd4_extra"),  # only twice the time overflows
+    ], ids=["int-overflow", "float-overflow", "udd4-extra-overflow"])
+    def test_k_whose_time_overflows_raises(self, k, variant, half_electron):
+        # omega_0 + omega_1 = 2e-300 rad/s: t_k is finite up to k of about 1.4e7
+        slow = NuclearSpinParams("slow", 0.0, 0.0, 1e-300)
+        assert resonance_time(slow, half_electron, 10 ** 7) < math.inf
+        with pytest.raises(ValueError, match=f"k={k} is too large: the resonance "
+                                             f"time of slow overflows"):
+            resonance_time(slow, half_electron, k, variant=variant)
 
     def test_overflowing_branch_frequency_raises(self):
         spin = NuclearSpinParams.from_khz("C1", 10.0, 20.0, 432.0)
@@ -300,8 +333,8 @@ class TestCoherence:
         rot = unit_propagator(build_sequence("cpmg", 3.0e-6), spin_60_30,
                               half_electron)
         m, _ = coherence(rot)
-        phi0 = rot.r0.axis_angle()[1]
-        ref = 1.0 - math.sin(phi0 / 2.0) ** 2 * (1.0 - rot.axis_dot)
+        h0, _, n01 = branch_angles(rot.quaternions)
+        ref = 1.0 - math.sin(h0) ** 2 * (1.0 - n01)
         assert m == pytest.approx(ref, abs=1e-12)
 
     def test_resonance_is_local_minimum_of_px(self, spin_80_25, half_electron):
@@ -388,29 +421,32 @@ class TestTrivialEvolution:
 class TestAxes:
     def test_non_unit_axis_rejected(self):
         with pytest.raises(ValueError, match="unit vector"):
-            Rotation.from_axis_angle((1.0, 1.0, 0.0), 0.5)
+            ConditionalRotation.from_axis_angles((1.0, 1.0, 0.0), 0.5,
+                                                 (0.0, 0.0, 1.0), 0.5)
 
     @pytest.mark.parametrize("trivial_branch", [0, 1])
-    def test_axis_dot_is_one_with_a_trivial_branch(self, trivial_branch):
-        r = Rotation.from_axis_angle((1.0, 0.0, 0.0), 0.7)
-        q = [[r.w, *r.v]] * 2
+    def test_n01_is_one_with_a_trivial_branch(self, trivial_branch):
+        rot = ConditionalRotation.from_axis_angles((1.0, 0.0, 0.0), 0.7,
+                                                   (1.0, 0.0, 0.0), 0.7)
+        q = rot.quaternions.copy()
         q[trivial_branch] = [1.0, 0.0, 0.0, 0.0]
-        assert ConditionalRotation(q).axis_dot == 1.0
+        assert branch_angles(q)[2] == 1.0
 
 
 class TestPower:
     @pytest.mark.parametrize("n", [0.5, 0.25, 2.5])
     def test_fractional_power_of_identity_keeps_z_axis(self, n):
-        out = Rotation(1.0, (0.0, 0.0, 0.0)).power(n)
-        assert out.w == 1.0
-        assert np.array_equal(out.v, (0.0, 0.0, 0.0))
-        axis, angle, trivial = out.axis_angle()
-        assert trivial and angle == 0.0 and np.array_equal(axis, (0.0, 0.0, 1.0))
+        out = _quaternion_power(1.0, 0.0, 0.0, 0.0, n)
+        assert out == (1.0, 0.0, 0.0, 0.0)
+        h0, _, n01 = branch_angles(np.array([out, out]))
+        assert h0 == 0.0 and n01 == 1.0
 
     def test_half_powers_compose_to_the_rotation(self):
         rng = np.random.default_rng(12)
-        r = Rotation.from_axis_angle(random_unit_vector(rng), 2.3)
-        half = r.power(0.5)
+        n = random_unit_vector(rng)
+        r = ConditionalRotation.from_axis_angles(n, 2.3, n, 2.3).r0
+        w, *v = _quaternion_power(r.w, *r.v.tolist(), 0.5)
+        half = Rotation(w, v)
         assert np.allclose(half.matrix() @ half.matrix(), r.matrix(), atol=1e-14)
 
 
@@ -462,8 +498,9 @@ class TestClosedFormAngles:
             t = rng.uniform(0.5e-6, 12e-6)
             phi0, phi1 = closed_form_angles(kind, spin, half_electron, t)
             rot = unit_propagator(build_sequence(kind, t), spin, half_electron)
-            assert phi0 == pytest.approx(rot.r0.axis_angle()[1], abs=1e-9)
-            assert phi1 == pytest.approx(rot.r1.axis_angle()[1], abs=1e-9)
+            h0, h1, _ = branch_angles(rot.quaternions)
+            assert phi0 == pytest.approx(_folded_angle(h0), abs=1e-9)
+            assert phi1 == pytest.approx(_folded_angle(h1), abs=1e-9)
 
     def test_unknown_kind(self, spin_60_30, half_electron):
         with pytest.raises(ValueError):
@@ -480,20 +517,19 @@ class TestClosedFormAngles:
 # properties
 
 
+_AXES = st.lists(st.floats(-1, 1), min_size=3, max_size=3).map(np.array).filter(
+    lambda v: np.linalg.norm(v) >= 1e-3).map(lambda v: v / np.linalg.norm(v))
+_ANGLES = st.floats(1e-6, math.pi - 1e-6)
+
+
 @settings(max_examples=200, deadline=None)
-@given(nx=st.floats(-1, 1), ny=st.floats(-1, 1), nz=st.floats(-1, 1),
-       phi=st.floats(1e-6, math.pi - 1e-6))
-def test_axis_angle_round_trip(nx, ny, nz, phi):
-    v = np.array([nx, ny, nz])
-    norm = np.linalg.norm(v)
-    if norm < 1e-3:
-        return
-    r = Rotation.from_axis_angle(v / norm, phi)
-    axis, angle, trivial = r.axis_angle()
-    assert not trivial
-    rebuilt = Rotation.from_axis_angle(axis, angle)
-    assert np.allclose(rebuilt.matrix(), r.matrix(), atol=1e-10)
-    assert angle == pytest.approx(phi, abs=1e-10)
+@given(n0=_AXES, phi0=_ANGLES, n1=_AXES, phi1=_ANGLES)
+def test_from_axis_angles_round_trip(n0, phi0, n1, phi1):
+    rot = ConditionalRotation.from_axis_angles(n0, phi0, n1, phi1)
+    h0, h1, n01 = branch_angles(rot.quaternions)
+    assert h0 == pytest.approx(phi0 / 2.0, abs=1e-10)
+    assert h1 == pytest.approx(phi1 / 2.0, abs=1e-10)
+    assert n01 == pytest.approx(float(n0 @ n1), abs=1e-10)
 
 
 _ELECTRONS = (ElectronQubitSpec(0.5, -0.5), ElectronQubitSpec(0.0, -1.0),
@@ -612,14 +648,15 @@ def test_small_tilt_dot_product_quadratic_scaling(half_electron):
         spin = NuclearSpinParams.from_khz("w", 60.0, 30.0, larmor_khz)
         t = 0.7 * resonance_time(spin, half_electron, 1)
         rot = unit_propagator(build_sequence("cpmg", t), spin, half_electron)
+        h0, _, n01 = branch_angles(rot.quaternions)
         w0 = math.hypot(spin.omega_L + 0.5 * spin.A, 0.5 * spin.B)
         w1 = math.hypot(spin.omega_L - 0.5 * spin.A, 0.5 * spin.B)
         th0 = math.atan2(0.5 * spin.B, spin.omega_L + 0.5 * spin.A)
         th1 = math.atan2(-0.5 * spin.B, spin.omega_L - 0.5 * spin.A)
         approx = (4.0 * math.sin(th0 - th1) ** 2
                   * math.sin(w0 * t / 8.0) ** 2 * math.sin(w1 * t / 8.0) ** 2
-                  / math.sin(rot.r0.axis_angle()[1] / 2.0) ** 2)
-        return abs((1.0 - rot.axis_dot) - approx)
+                  / math.sin(h0) ** 2)
+        return abs((1.0 - n01) - approx)
 
     # 10x larger Larmor frequency shrinks B/wL 10x, the mismatch ~100x
     assert mismatch(314.0) / mismatch(3140.0) > 50.0
