@@ -45,6 +45,8 @@ MAX_SWEEP_COUNTS = 10 ** 6
 MAX_GRID = 1000
 
 SEQUENCE_HELP = f"cpmg or uddN, 1 <= N <= {MAX_UDD_ORDER}"
+# the register values a flag overrides, by the names register errors use
+_REGISTER_FLAGS = {"larmor_kHz": "--larmor-khz", "s0": "--s0", "s1": "--s1"}
 
 
 def _provenance(args: argparse.Namespace, reg, **extra) -> dict:
@@ -348,9 +350,16 @@ def main(argv=None) -> int:
         for flag, path in (("--csv", args.csv), ("--json", args.json)):
             if path:
                 _check_writable(flag, path)
-        reg = load_register(args.register, larmor_khz=args.larmor_khz,
-                            s0=args.s0, s1=args.s1)
-        columns, extra = args.func(args, reg, reg.electron())
+        try:
+            reg = load_register(args.register, larmor_khz=args.larmor_khz,
+                                s0=args.s0, s1=args.s1)
+            electron = reg.electron()
+        except (ValueError, OSError) as exc:
+            # the message names each value's origin: a flag, else the register
+            flags = [flag for key, flag in _REGISTER_FLAGS.items()
+                     if f"{key} from the caller" in str(exc)]
+            raise ValueError(f"{', '.join(flags) or '--register'}: {exc}") from None
+        columns, extra = args.func(args, reg, electron)
         _emit(columns, args, reg, **extra)
         return 0
     except (ValueError, KeyError, OSError) as exc:

@@ -56,10 +56,16 @@ def g1_amplitude(h0, h1, n01, N):
     """The amplitude m(N) with G1 = m^2, broadcast over all arguments.
 
     Written as cos(N(h0-h1)) minus its (1-n01)/2 share of the difference
-    to cos(N(h0+h1)), so that N = 0 gives exactly 1.
+    to cos(N(h0+h1)), so that N = 0 gives exactly 1.  Python floats with an
+    int N and finite phases run on math.cos: numpy's bits, no ufunc call.
     """
-    c_diff = np.cos(N * (h0 - h1))
-    return c_diff - 0.5 * (1.0 - n01) * (c_diff - np.cos(N * (h0 + h1)))
+    # the larger phase is N(|h0| + |h1|) in magnitude; math.cos raises on
+    # an infinite phase, where np.cos gives NaN
+    cos = (math.cos if type(h0) is type(h1) is type(n01) is float
+           and type(N) is int and math.isfinite(N * (abs(h0) + abs(h1)))
+           else np.cos)
+    c_diff = cos(N * (h0 - h1))
+    return c_diff - 0.5 * (1.0 - n01) * (c_diff - cos(N * (h0 + h1)))
 
 
 def tangle_upper_bound(h0, h1, n01, N_max):
@@ -73,8 +79,8 @@ def tangle_upper_bound(h0, h1, n01, N_max):
 def g1_from_angles(h0, h1, n01, N):
     """G1 = min(1, m^2), broadcast over all arguments (see g1_amplitude)."""
     m = g1_amplitude(h0, h1, n01, N)
-    # np.minimum, unlike min(), keeps a NaN amplitude NaN
-    return np.minimum(1.0, m * m)
+    # min() keeps a NaN first argument; np.minimum keeps it in either place
+    return min(m * m, 1.0) if type(m) is float else np.minimum(1.0, m * m)
 
 
 def makhlin_g1(rot: ConditionalRotation, N: int) -> float:

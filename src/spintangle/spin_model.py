@@ -265,7 +265,8 @@ def unit_quaternions(A, B, omega_L, electron: ElectronQubitSpec,
     passes them) run the same formulas on Python floats: the batch numbers,
     bit for bit, at a fraction of the call cost.
     """
-    # math's cos and sin give numpy's bits; math.hypot does not
+    # math's cos and sin give numpy's bits, and so does complex abs, which
+    # calls C hypot as np.hypot does; math.hypot differs in the last bit
     scalar = (isinstance(A, float) and isinstance(B, float)
               and isinstance(omega_L, float) and isinstance(t, float))
     cos, sin = (math.cos, math.sin) if scalar else (np.cos, np.sin)
@@ -273,7 +274,10 @@ def unit_quaternions(A, B, omega_L, electron: ElectronQubitSpec,
     for s in (electron.s0, electron.s1):
         wz = omega_L + s * A
         wx = s * B
-        w = float(np.hypot(wz, wx)) if scalar else np.hypot(wz, wx)
+        try:
+            w = abs(complex(wz, wx)) if scalar else np.hypot(wz, wx)
+        except OverflowError:  # finite wz and wx: np.hypot gives inf
+            w = math.inf
         # a branch with zero frequency does not rotate; give it the z axis
         still = w == 0.0
         axes[s] = (wx / (w + still), (wz + still) / (w + still), 0.5 * w * t)

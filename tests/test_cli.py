@@ -497,13 +497,24 @@ class TestInputErrors:
           for command in ("design", "qec", "sweep")],
         (["resonances", "--register", "nv27", f"--k-min={HUGE_K}", f"--k-max={HUGE_K}"],
          ["--k-max: k=", "is too large: the resonance time of"]),
+        (["design", "--register", "nope", "--anchor", "C1", "--k", "1"],
+         ["error: --register: 'nope' is neither a file nor one of nv27"]),
+        (["resonances", "--register", "{bad_larmor}"],
+         ["error: --register: ", "bad.csv:2: larmor_kHz metadata line"]),
+        (["resonances", "--register", "nv27", "--larmor-khz", "1e306"],
+         ["error: --larmor-khz: nv27: larmor_kHz from the caller", "overflows in rad/s"]),
+        (["sweep", "--register", "nv27", "--spin", "C5", "--s0", "nan"],
+         ["error: --s0: nv27: s0 from the caller", "got nan"]),
+        (["qec", "--register", "nv27", "--ideal", "--s1=-1e308"],
+         ["error: --s1: nv27: s1 from the caller", "overflows the branch frequency"]),
     ], ids=["larmor-metadata", "larmor-flag-nan", "t-us-negative", "t-us-nan-named",
             "design-custom", "sweep-custom", "sweep-uddx", "s0-metadata-nan",
             "s0-flag-equal", "qec-s1-flag-equal",
             *[f"{command}-s1-overflow" for command in REACHES_WORK],
             "design-udd-over-cap", "sweep-udd-over-cap",
             "design-k-overflow", "qec-k-overflow", "sweep-k-overflow",
-            "resonances-k-overflow"])
+            "resonances-k-overflow", "register-flag-named", "register-metadata-named",
+            "larmor-flag-named", "s0-flag-named", "s1-flag-named"])
     def test_bad_input_named_with_nothing_on_stdout(self, argv, names, tmp_path,
                                                      capsys):
         bad = tmp_path / "bad.csv"

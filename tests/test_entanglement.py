@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spintangle.entanglement import (
     MAX_PAIR_TANGLE,
@@ -11,6 +13,7 @@ from spintangle.entanglement import (
     branch_angles,
     electron_one_tangle,
     entangling_power,
+    g1_amplitude,
     g1_from_angles,
     g1_over_iterations,
     makhlin_g1,
@@ -439,3 +442,30 @@ class TestScalarG1:
             assert np.array_equal(g1_over_iterations(q, self.COUNTS),
                                   g1_over_iterations(q[..., None], self.COUNTS)[0],
                                   equal_nan=True)
+
+
+# half angles and axis dots as one rotation gives them, then the edges: NaN,
+# infinite phases, and dots a few ulp outside [-1, 1]
+_HALF_ANGLES = st.one_of(st.floats(-2 * math.pi, 2 * math.pi), st.sampled_from(
+    [0.0, math.nan, math.inf, -math.inf, 1e308, -1e308, 5e307]))
+_DOTS = st.one_of(st.floats(-1.0, 1.0), st.sampled_from(
+    [s * (1.0 + k * math.ulp(1.0)) for s in (1.0, -1.0) for k in (1, 2, 4)]
+    + [math.nan]))
+
+
+@settings(max_examples=500, deadline=None)
+# |N (h0 + h1)| reaches 1e6 at N = 80000
+@given(h0=_HALF_ANGLES, h1=_HALF_ANGLES, n01=_DOTS,
+       N=st.one_of(st.just(0), st.integers(0, 80_000)))
+def test_g1_on_floats_equals_the_array_call(h0, h1, n01, N):
+    """Python floats and an int count take math.cos: the array call's bits."""
+    finite = math.isfinite(N * (h0 - h1)) and math.isfinite(N * (h0 + h1))
+    with np.errstate(over="ignore", invalid="ignore"):  # infinite phases
+        for f in (g1_amplitude, g1_from_angles):
+            got = f(h0, h1, n01, N)
+            ref = f(np.array([h0]), np.array([h1]), np.array([n01]), N)[0]
+            assert (np.float64(got).tobytes() == ref.tobytes()
+                    or (math.isnan(got) and math.isnan(ref))), (got, ref)
+            # an infinite phase, or a numpy count, keeps the numpy path
+            assert (type(got) is float) == finite
+            assert type(f(h0, h1, n01, np.int64(N))) is np.float64

@@ -630,6 +630,33 @@ def test_scalar_kernel_equals_the_batch_kernel(kind, electron):
                 assert np.array_equal(got, batch[..., i]), (spin.label, t)
 
 
+@pytest.mark.parametrize("kind", ["cpmg", "udd3", "udd4"])
+@pytest.mark.parametrize("electron, spin, times", [
+    (ElectronQubitSpec(0.5, -0.5), NuclearSpinParams.from_khz("b0", 60.0, 0.0, 314.0),
+     (0.0, 1e-12, 7.3e-6)),
+    (ElectronQubitSpec(0.0, -1.0), NuclearSpinParams.from_khz("s0", 60.0, 30.0, 314.0),
+     (0.0, 1e-12, 7.3e-6)),
+    # finite wz = 1.1e308 and wx = 1.6e308 under s = 1: hypot overflows to
+    # inf, which at t = 0 makes every component NaN (0 * inf)
+    (ElectronQubitSpec(1.0, 0.0), NuclearSpinParams("huge", 1e307, 1.6e308, 1e308),
+     (0.0,)),
+], ids=["b-zero", "s-zero-branch", "frequency-overflow"])
+def test_scalar_kernel_equals_the_batch_kernel_at_edges(kind, electron, spin, times):
+    """The float path's bits at B = 0, an s = 0 branch and an overflowing frequency."""
+    spacings = build_sequence(kind, 1.0).spacings
+    for t in times:
+        with np.errstate(over="ignore", invalid="ignore"):  # inf frequency, 0 * inf
+            batch = unit_quaternions(np.array([spin.A]), np.array([spin.B]),
+                                     spin.omega_L, electron, spacings, t)[..., 0]
+        got = unit_quaternions(spin.A, spin.B, spin.omega_L, electron, spacings, t)
+        assert np.array_equal(got, batch, equal_nan=True), t
+    if spin.label == "huge":
+        assert np.isnan(got).all()
+        # at t > 0 the inf frequency reaches math.cos(inf), not an OverflowError
+        with pytest.raises(ValueError, match="math domain error"):
+            unit_quaternions(spin.A, spin.B, spin.omega_L, electron, spacings, 7.3e-6)
+
+
 @settings(max_examples=100, deadline=None)
 @given(a_khz=st.floats(-200, 200), b_khz=st.floats(0, 200),
        t_us=st.floats(0.1, 20.0))
