@@ -148,10 +148,12 @@ def evaluate_design(register: list[NuclearSpinParams],
 # spacing of the unit-time grid the search scans
 _TIME_STEP = 1e-9
 
-# (unit time, spin) elements per kernel call of the scan.  Bounds each
-# float64 temporary of unit_quaternions and branch_angles to 256 kB; the
-# default 501-point window is one call for up to 65 spins.
-_KERNEL_BLOCK_ELEMENTS = 1 << 15
+# (unit time, spin, cos and sin pair) elements per kernel call of the scan.
+# unit_quaternions holds one pair per (projection, distinct spacing), so this
+# bounds its trig blocks to 4 MB for any sequence.  At CPMG's 4 pairs each
+# other float64 temporary of the kernel and of branch_angles is 512 kB, and
+# the default 501-point window is one call for up to 130 spins.
+_KERNEL_BLOCK_ELEMENTS = 1 << 18
 
 # (unit time, spin, N) elements per chunk of a block's scoring.  Bounds
 # every float64 temporary of the scoring to 4 MB, even when the bound skips
@@ -159,6 +161,10 @@ _KERNEL_BLOCK_ELEMENTS = 1 << 15
 # blocks, no temporary of the scan grows with the time window; of each
 # chunk only the feasible points are kept, for the grouping.
 _SCAN_CHUNK_ELEMENTS = 1 << 19
+
+
+# fewest targets of a feasible point; the scan prunes with the same rule
+_MIN_TARGETS = 2
 
 
 def _feasibility(tangles: np.ndarray, constraints: DesignConstraints):
@@ -171,7 +177,7 @@ def _feasibility(tangles: np.ndarray, constraints: DesignConstraints):
     unw_mean = np.where(n_unw > 0, unw_sum / np.maximum(n_unw, 1), 0.0)
     tgt_sum = np.where(is_target, tangles, 0.0).sum(axis=0)
     tgt_mean = np.where(n_targets > 0, tgt_sum / np.maximum(n_targets, 1), 0.0)
-    ok = ((n_targets >= 2)
+    ok = ((n_targets >= _MIN_TARGETS)
           & (unw_max < constraints.unwanted_tangle_max)
           & (unw_mean < constraints.unwanted_tangle_mean_max))
     return ok, tgt_mean, unw_mean, is_target
@@ -199,14 +205,21 @@ def _scan_unit_times(spins: np.ndarray, electron: ElectronQubitSpec, spacings,
                      times: np.ndarray, constraints: DesignConstraints):
     """Winning grid point (t, N, target indices) of the scan, or None.
 
-    spins holds the A, B and omega_L rows of _spin_arrays.  Every (t, N)
-    with 1 <= N <= min(N_max, max_gate_time / t) is scored, a block of unit
-    times per kernel call and a chunk of them at a time.  A spin whose
-    tangle is in the band between unwanted_tangle_max and target_tangle_min
-    rules a point out, so the spins are scored one after another on the
-    points still in play, each only where tangle_upper_bound lets it reach
-    the band.  The survivors are scored in full, so the skip never changes
-    the _winning_point.
+    spins holds the A, B and omega_L rows of _spin_arrays.  The points are
+    every (t, N) with 1 <= N <= min(N_max, max_gate_time / t), a block of
+    unit times per kernel call and a chunk of them at a time.  The spins are
+    scored one after another on the points still in play, and two rules
+    drop a point on the way:
+    - band: a spin whose tangle is in the band between unwanted_tangle_max
+      and target_tangle_min rules the point out;
+    - targets: the targets found, plus the spins not yet scored that may
+      still be one, are fewer than _MIN_TARGETS.
+    A spin is scored only where tangle_upper_bound lets it reach the lower
+    of the two floors; elsewhere it is neither in the band nor a target.  A
+    unit time at which fewer than _MIN_TARGETS spins may be targets is not
+    scored at all.  Both rules drop only points that _feasibility rejects,
+    and the survivors are scored in full, so neither changes the
+    _winning_point.
     """
     n_cap = np.zeros(len(times), dtype=int)
     pos = times > 0
@@ -214,32 +227,45 @@ def _scan_unit_times(spins: np.ndarray, electron: ElectronQubitSpec, spacings,
                             constraints.max_gate_time / times[pos]).astype(int)
     N_values = np.arange(1, max(1, n_cap.max()) + 1)
     n_spins = spins.shape[1]
-    block = max(1, _KERNEL_BLOCK_ELEMENTS // n_spins)
+    # unit_quaternions holds a cos and sin block per (projection, spacing)
+    pairs = len({electron.s0, electron.s1}) * len(set(spacings))
+    block = max(1, _KERNEL_BLOCK_ELEMENTS // (n_spins * pairs))
     rows = max(1, _SCAN_CHUNK_ELEMENTS // (len(N_values) * n_spins))
     lo, hi = constraints.unwanted_tangle_max, constraints.target_tangle_min
 
     feasible = []
     for first in range(0, len(times), block):
-        tb, cap = times[first:first + block], n_cap[first:first + block]
+        tb = times[first:first + block]
         # angles (h0, h1, n01) as (spin, unit time) rows
         ang = np.array(branch_angles(unit_quaternions(
             *spins[:, :, None], electron, spacings, tb)))
-        # unit times at which each spin may reach the band (NaN bounds
-        # included); spins with near-parallel branch axes rarely rule a
-        # point out, so last
-        reach = ~(tangle_upper_bound(*ang, cap) < lo - 1e-9)
-        order = [s for s in np.argsort(ang[2].mean(axis=1)) if reach[s].any()]
+        # (spin, unit time) masks, NaN bounds included: where the spin may be
+        # a target, and where it is scored, as it may be a target or in the
+        # band; elsewhere it is a bystander below both floors
+        bound = tangle_upper_bound(*ang, n_cap[first:first + block])
+        may_target = ~(bound < hi - 1e-9)
+        reach = ~(bound < min(lo, hi) - 1e-9)
+        n_may = may_target.sum(axis=0)
+        # a unit time with too few possible targets has no point to score
+        cap = np.where(n_may >= _MIN_TARGETS, n_cap[first:first + block], 0)
+        # spins with near-parallel branch axes rarely rule a point out, so last
+        order = np.argsort(ang[2].mean(axis=1))
         for start in range(0, len(tb), rows):
             ti, ni = np.nonzero(N_values <= cap[start:start + rows, None])
             ti += start
             N = N_values[ni]
-            for s in order:
+            # targets found, plus the unscored spins that may still be one,
+            # less the fewest a feasible point holds
+            spare = n_may.take(ti) - _MIN_TARGETS
+            for s in order[reach[order, start:start + rows].any(axis=1)]:
                 # take() and compress() are the fast forms of these gathers
                 at = slice(None) if reach[s].all() else np.flatnonzero(reach[s].take(ti))
                 tangle = 1.0 - g1_from_angles(*ang[:, s].take(ti[at], axis=1), N[at])
+                is_target = tangle > hi
+                spare[at] += is_target.astype(int) - may_target[s].take(ti[at])
                 keep = np.ones(ti.size, dtype=bool)
-                keep[at] = (tangle > hi) | (tangle < lo)
-                ti, N = ti.compress(keep), N.compress(keep)
+                keep[at] = (is_target | (tangle < lo)) & (spare[at] >= 0)
+                ti, N, spare = ti.compress(keep), N.compress(keep), spare.compress(keep)
             # take() keeps each (spin, point) block C-ordered, as a single-time
             # block is, so _feasibility sums over spins in the same order
             tangles = 1.0 - g1_from_angles(*ang.take(ti, axis=2), N)

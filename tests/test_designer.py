@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from spintangle import constants, designer
-from spintangle.datasets import load_register
+from spintangle.datasets import RegisterFile, load_register
 from spintangle.designer import (
     DesignConstraints,
     _scan_unit_times,
@@ -250,9 +250,75 @@ class TestOptimizeRegisterGate:
         assert self._grid_point(reg, anchor, k, cons, kind) == (
             set_best[winner][1], set_best[winner][2], list(winner))
 
-    def test_scan_skips_spins_that_cannot_reach_the_band(self, monkeypatch):
-        reg = load_register("nv27")
-        cons = DesignConstraints()
+    @staticmethod
+    def _full_scan(spins, electron, spacings, times, cons):
+        """The scan's grid point with every (t, N) point scored, or None."""
+        cap = np.minimum(cons.N_max, cons.max_gate_time / times).astype(int)
+        N_values = np.arange(1, cap.max() + 1)
+        quats = unit_quaternions(*designer._spin_arrays(spins)[:, :, None],
+                                 electron, spacings, times)
+        valid = N_values <= cap[:, None]
+        # (spin, point) with the points in (t, N) order
+        ok, tgt_mean, unw_mean, is_target = designer._feasibility(
+            1.0 - g1_over_iterations(quats, N_values)[:, valid], cons)
+        t = np.broadcast_to(times[:, None], valid.shape)[valid][ok]
+        N = np.broadcast_to(N_values, valid.shape)[valid][ok]
+        tgt_mean, unw_mean = tgt_mean[ok], unw_mean[ok]
+        if not t.size:
+            return None
+        # one integer per target set; the registers here have < 63 spins
+        sets = (1 << np.arange(len(spins))) @ is_target[:, ok]
+        _, first, inverse = np.unique(sets, return_index=True,
+                                      return_inverse=True)
+        best = {}
+        for u in range(first.size):
+            j = np.flatnonzero(inverse == u)
+            # lexsort is stable: ties go to the first point in (t, N) order
+            p = j[np.lexsort((unw_mean[j], N[j] * t[j], -tgt_mean[j]))[0]]
+            # most unit times, then highest mean, then the first-seen set
+            best[len(set(t[j])), tgt_mean[p], -first[u]] = p
+        p = best[max(best)]
+        return float(t[p]), int(N[p]), np.flatnonzero(is_target[:, ok][:, p]).tolist()
+
+    @pytest.mark.parametrize("name, kind", [
+        ("nv27", "cpmg"), ("rand-cpmg-k1", "cpmg"), ("rand-udd3-k3", "udd3"),
+        # weakly coupled pools on the nv27 electron, where many a spin may
+        # be a target but not in the band
+        ("pool-1", "cpmg"), ("pool-2", "cpmg")])
+    def test_scan_matches_full_scoring_below_the_bystander_bound(self, name, kind):
+        # with the target floor below the bystander bound, a spin is scored
+        # where it may be a target although it cannot be in the band
+        if name.startswith("pool-"):
+            reg = RegisterFile(generate_random_ensemble(
+                10, A_range_khz=(-60.0, 60.0), B_range_khz=(2.0, 40.0),
+                distinctness_khz=5.0, seed=int(name[5:]), larmor_khz=432.0),
+                s0=0.0, s1=-1.0)
+        else:
+            reg = load_register(name)
+        constraint_sets = [
+            DesignConstraints(target_tangle_min=0.5, unwanted_tangle_max=0.9,
+                              unwanted_tangle_mean_max=0.5, N_max=60),
+            DesignConstraints(target_tangle_min=0.3, unwanted_tangle_max=0.6,
+                              unwanted_tangle_mean_max=0.3, N_max=30)]
+        electron = reg.electron()
+        spins = designer._spin_arrays(reg.spins)
+        found = 0
+        for spin in reg.spins:
+            for k in (1, 2, 3):
+                seq = build_sequence(kind, resonance_time(spin, electron, k))
+                times = seq.unit_time + np.arange(-100, 101) * 1e-9
+                for cons in constraint_sets:
+                    got = _scan_unit_times(spins, electron, seq.spacings,
+                                           times, cons)
+                    assert got == self._full_scan(
+                        reg.spins, electron, seq.spacings, times, cons), (
+                        spin.label, k, cons)
+                    found += got is not None
+        assert found
+
+    @staticmethod
+    def _scored(monkeypatch) -> list:
+        """A list that gathers the size of each G1 block scored from now on."""
         evaluated = []
 
         def counting(h0, h1, n01, N):
@@ -260,15 +326,44 @@ class TestOptimizeRegisterGate:
             return g1_from_angles(h0, h1, n01, N)
 
         monkeypatch.setattr(designer, "g1_from_angles", counting)
-        skipping = self._grid_point(reg, "C23", 3, cons)
-        n_skipping = sum(evaluated)
-        evaluated.clear()
+        return evaluated
+
+    @staticmethod
+    def _without_bound(monkeypatch):
         # a NaN bound is never skipped
         monkeypatch.setattr(designer, "tangle_upper_bound",
                             lambda *args: np.full(np.broadcast(*args).shape,
                                                   np.nan))
+
+    def test_scan_skips_spins_that_cannot_reach_the_band(self, monkeypatch):
+        reg = load_register("nv27")
+        cons = DesignConstraints()
+        evaluated = self._scored(monkeypatch)
+        skipping = self._grid_point(reg, "C23", 3, cons)
+        n_skipping = sum(evaluated)
+        evaluated.clear()
+        self._without_bound(monkeypatch)
         assert self._grid_point(reg, "C23", 3, cons) == skipping
         assert n_skipping < 0.7 * sum(evaluated)
+
+    @pytest.mark.parametrize("anchor", ["C18", "C6"])
+    def test_scan_scores_nothing_where_no_time_holds_two_targets(
+            self, monkeypatch, anchor):
+        reg = load_register("nv27")
+        cons = DesignConstraints()
+        evaluated = self._scored(monkeypatch)
+        assert self._grid_point(reg, anchor, 5, cons) is None
+        n_pruning = sum(evaluated)
+        evaluated.clear()
+        self._without_bound(monkeypatch)
+        assert self._grid_point(reg, anchor, 5, cons) is None
+        assert n_pruning < 0.1 * sum(evaluated)
+
+    def test_scan_drops_points_that_cannot_hold_two_targets(self, monkeypatch):
+        evaluated = self._scored(monkeypatch)
+        self._grid_point(load_register("nv27"), "C23", 3, DesignConstraints())
+        # the bystander band as the only rule scores 191,962 elements
+        assert sum(evaluated) < 0.8 * 191962
 
     @staticmethod
     def _mask(n_spins, sets):
