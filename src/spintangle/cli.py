@@ -10,8 +10,9 @@ Subcommands:
 Every command prints a human-readable table (5 significant digits) and can
 also emit CSV and/or JSON files carrying the same records at 15 significant
 digits plus a provenance header (version, flags, seed, constants hash,
-Python and numpy versions, the sha256 of the register file read and, for
-``qec`` with designed gates, the design the gates came from).
+Python and numpy versions, the sha256 of the register file read, for
+``qec`` with designed gates the design the gates came from, and the wall
+seconds of reading the register and of the subcommand's computation).
 Exit codes: 0 success (including "no design"), 1 input error; argparse
 usage errors exit 2.
 """
@@ -24,6 +25,7 @@ import math
 import os
 import platform
 import sys
+import time
 
 import numpy as np
 
@@ -350,6 +352,7 @@ def main(argv=None) -> int:
         for flag, path in (("--csv", args.csv), ("--json", args.json)):
             if path:
                 _check_writable(flag, path)
+        start = time.perf_counter()
         try:
             reg = load_register(args.register, larmor_khz=args.larmor_khz,
                                 s0=args.s0, s1=args.s1)
@@ -359,8 +362,11 @@ def main(argv=None) -> int:
             flags = [flag for key, flag in _REGISTER_FLAGS.items()
                      if f"{key} from the caller" in str(exc)]
             raise ValueError(f"{', '.join(flags) or '--register'}: {exc}") from None
+        loaded = time.perf_counter()
         columns, extra = args.func(args, reg, electron)
-        _emit(columns, args, reg, **extra)
+        # wall seconds of each stage, for the provenance only
+        _emit(columns, args, reg, **extra, wall_register_s=loaded - start,
+              wall_command_s=time.perf_counter() - loaded)
         return 0
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import constants
 from .entanglement import (G1_MAXIMAL_THRESHOLD, branch_angles, g1_from_angles,
-                           g1_over_iterations, optimal_iterations,
+                           g1_from_phase_rates, g1_over_iterations, optimal_iterations,
                            tangle_upper_bound)
 from .fidelity import branch_overlaps, gate_error
 from .spin_model import (ConditionalRotation, ElectronQubitSpec,
@@ -131,6 +131,13 @@ def evaluate_design(register: list[NuclearSpinParams],
     """Recompute all GateDesign figures of merit from (t, N) alone."""
     quats = unit_quaternions(*_spin_arrays(register), electron,
                              build_sequence(sequence_kind, t).spacings, t)
+    return _design(register, quats, t, N, k, anchor_label, target_indices)
+
+
+def _design(register: list[NuclearSpinParams], quats: np.ndarray, t: float,
+            N: int, k: int, anchor_label: str, target_indices: list[int]
+            ) -> GateDesign:
+    """The GateDesign of the register's unit quaternions (2, 4, n_spins) at t."""
     tangles = 1.0 - g1_over_iterations(quats, [N])[:, 0]
     targets = sorted(target_indices)
     others = [i for i in range(len(register)) if i not in targets]
@@ -219,7 +226,9 @@ def _scan_unit_times(spins: np.ndarray, electron: ElectronQubitSpec, spacings,
     unit time at which fewer than _MIN_TARGETS spins may be targets is not
     scored at all.  Both rules drop only points that _feasibility rejects,
     and the survivors are scored in full, so neither changes the
-    _winning_point.
+    _winning_point.  The phase rates and weights of phase_amplitude are
+    computed once per kernel block, and scoring a spin gathers them at the
+    points it may reach.
     """
     n_cap = np.zeros(len(times), dtype=int)
     pos = times > 0
@@ -233,12 +242,18 @@ def _scan_unit_times(spins: np.ndarray, electron: ElectronQubitSpec, spacings,
     rows = max(1, _SCAN_CHUNK_ELEMENTS // (len(N_values) * n_spins))
     lo, hi = constraints.unwanted_tangle_max, constraints.target_tangle_min
 
+    A, B, omega_L = spins[:, :, None]
+    if (spins[2] == spins[2, :1]).all():
+        # one Larmor frequency: the s = 0 trig of the kernel spans t alone
+        omega_L = spins[2, :1]
     feasible = []
     for first in range(0, len(times), block):
         tb = times[first:first + block]
         # angles (h0, h1, n01) as (spin, unit time) rows
-        ang = np.array(branch_angles(unit_quaternions(
-            *spins[:, :, None], electron, spacings, tb)))
+        ang = branch_angles(unit_quaternions(A, B, omega_L, electron, spacings, tb))
+        h0, h1, n01 = ang
+        # the phase rates and weight of phase_amplitude, (spin, rate, unit time)
+        rates = np.stack([h0 - h1, h0 + h1, 0.5 * (1.0 - n01)], axis=1)
         # (spin, unit time) masks, NaN bounds included: where the spin may be
         # a target, and where it is scored, as it may be a target or in the
         # band; elsewhere it is a bystander below both floors
@@ -246,29 +261,42 @@ def _scan_unit_times(spins: np.ndarray, electron: ElectronQubitSpec, spacings,
         may_target = ~(bound < hi - 1e-9)
         reach = ~(bound < min(lo, hi) - 1e-9)
         n_may = may_target.sum(axis=0)
+        may_target_int = may_target.view(np.int8)
         # a unit time with too few possible targets has no point to score
         cap = np.where(n_may >= _MIN_TARGETS, n_cap[first:first + block], 0)
         # spins with near-parallel branch axes rarely rule a point out, so last
-        order = np.argsort(ang[2].mean(axis=1))
+        order = np.argsort(n01.mean(axis=1))
         for start in range(0, len(tb), rows):
-            ti, ni = np.nonzero(N_values <= cap[start:start + rows, None])
-            ti += start
-            N = N_values[ni]
-            # targets found, plus the unscored spins that may still be one,
-            # less the fewest a feasible point holds
-            spare = n_may.take(ti) - _MIN_TARGETS
+            # the points in play in (t, N) order, as rows: unit time index,
+            # N from 1 to the time's cap, and the targets found plus the
+            # unscored spins that may still be one, less the fewest a
+            # feasible point holds
+            caps = cap[start:start + rows]
+            ti = np.repeat(np.arange(start, start + caps.size), caps)
+            points = np.stack([ti, np.arange(1, ti.size + 1)
+                               - np.repeat(np.cumsum(caps) - caps, caps),
+                               n_may.take(ti) - _MIN_TARGETS])
             for s in order[reach[order, start:start + rows].any(axis=1)]:
-                # take() and compress() are the fast forms of these gathers
-                at = slice(None) if reach[s].all() else np.flatnonzero(reach[s].take(ti))
-                tangle = 1.0 - g1_from_angles(*ang[:, s].take(ti[at], axis=1), N[at])
+                ti, N, spare = points
+                hit = reach[s].take(ti)
+                # take() and compress() are the fast forms of these gathers,
+                # and a spin that may reach every point in play needs none
+                at = slice(None) if hit.all() else np.flatnonzero(hit)
+                t_at = ti[at]
+                r = rates[s].take(t_at, axis=1)
+                tangle = np.subtract(1.0, g1_from_phase_rates(*r, N[at], out=r[0]),
+                                     out=r[0])
                 is_target = tangle > hi
-                spare[at] += is_target.astype(int) - may_target[s].take(ti[at])
-                keep = np.ones(ti.size, dtype=bool)
+                spare[at] += is_target - may_target_int[s].take(t_at)
+                # the points out of reach stay
+                keep = ~hit
                 keep[at] = (is_target | (tangle < lo)) & (spare[at] >= 0)
-                ti, N, spare = ti.compress(keep), N.compress(keep), spare.compress(keep)
-            # take() keeps each (spin, point) block C-ordered, as a single-time
-            # block is, so _feasibility sums over spins in the same order
-            tangles = 1.0 - g1_from_angles(*ang.take(ti, axis=2), N)
+                points = points.compress(keep, axis=1)
+            ti, N, _ = points
+            # take() and the ufuncs keep each (spin, point) block C-ordered,
+            # as a single-time block is, so _feasibility sums over spins in
+            # the same order
+            tangles = 1.0 - g1_from_phase_rates(*rates.take(ti, axis=2).swapaxes(0, 1), N)
             ok, tgt_mean, unw_mean, targets = _feasibility(tangles, constraints)
             feasible.append((tb[ti[ok]], N[ok], tgt_mean[ok], unw_mean[ok],
                              targets[:, ok]))
@@ -341,16 +369,16 @@ def optimize_register_gate(register: list[NuclearSpinParams],
 
     t_ref = _golden_section(objective, t_best - _TIME_STEP, t_best + _TIME_STEP,
                             xatol=1e-13)
-    tangles = 1.0 - g1_over_iterations(
-        unit_quaternions(*spins, electron, spacings, t_ref), [n_best])[:, 0]
+    quats = unit_quaternions(*spins, electron, spacings, t_ref)
+    tangles = 1.0 - g1_over_iterations(quats, [n_best])[:, 0]
     ok, _, _, is_target = _feasibility(tangles[:, None], constraints)
     if not (ok[0] and list(np.nonzero(is_target[:, 0])[0]) == target_idx
             and n_best * t_ref <= constraints.max_gate_time
             and objective(t_ref) <= objective(t_best)):
         t_ref = t_best
-
-    return evaluate_design(register, electron, t_ref, n_best, k,
-                           anchor.label, target_idx, sequence_kind)
+        quats = unit_quaternions(*spins, electron, spacings, t_ref)
+    # evaluate_design's figures, from the kernel of the check
+    return _design(register, quats, t_ref, n_best, k, anchor.label, target_idx)
 
 
 # ---------------------------------------------------------------------------

@@ -56,16 +56,27 @@ def g1_amplitude(h0, h1, n01, N):
     """The amplitude m(N) with G1 = m^2, broadcast over all arguments.
 
     Written as cos(N(h0-h1)) minus its (1-n01)/2 share of the difference
-    to cos(N(h0+h1)), so that N = 0 gives exactly 1.  Python floats with an
-    int N and finite phases run on math.cos: numpy's bits, no ufunc call.
+    to cos(N(h0+h1)), so that N = 0 gives exactly 1: phase_amplitude of
+    the phase rates h0 - h1 and h0 + h1 and the weight (1-n01)/2.
     """
-    # the larger phase is N(|h0| + |h1|) in magnitude; math.cos raises on
-    # an infinite phase, where np.cos gives NaN
-    cos = (math.cos if type(h0) is type(h1) is type(n01) is float
-           and type(N) is int and math.isfinite(N * (abs(h0) + abs(h1)))
-           else np.cos)
-    c_diff = cos(N * (h0 - h1))
-    return c_diff - 0.5 * (1.0 - n01) * (c_diff - cos(N * (h0 + h1)))
+    return phase_amplitude(h0 - h1, h0 + h1, 0.5 * (1.0 - n01), N)
+
+
+def phase_amplitude(d, sigma, weight, N, out=None):
+    """m(N) = cos(N d) - weight (cos(N d) - cos(N sigma)), broadcast.
+
+    Python floats with an int N and finite phases N d and N sigma run on
+    math.cos: numpy's bits, no ufunc call.  Otherwise numpy computes it,
+    into out when given: a float array of the broadcast shape.
+    """
+    if type(d) is type(sigma) is type(weight) is float and type(N) is int:
+        # math.cos raises on an infinite phase, where np.cos gives NaN
+        phase_d, phase_s = N * d, N * sigma
+        if math.isfinite(phase_d) and math.isfinite(phase_s):
+            c_diff = math.cos(phase_d)
+            return c_diff - weight * (c_diff - math.cos(phase_s))
+    c_diff = np.cos(np.multiply(N, d, out=out), out=out)
+    return np.subtract(c_diff, weight * (c_diff - np.cos(N * sigma)), out=out)
 
 
 def tangle_upper_bound(h0, h1, n01, N_max):
@@ -78,9 +89,16 @@ def tangle_upper_bound(h0, h1, n01, N_max):
 
 def g1_from_angles(h0, h1, n01, N):
     """G1 = min(1, m^2), broadcast over all arguments (see g1_amplitude)."""
-    m = g1_amplitude(h0, h1, n01, N)
+    return g1_from_phase_rates(h0 - h1, h0 + h1, 0.5 * (1.0 - n01), N)
+
+
+def g1_from_phase_rates(d, sigma, weight, N, out=None):
+    """G1 = min(1, m^2) of phase_amplitude, into out when given."""
+    m = phase_amplitude(d, sigma, weight, N, out)
     # min() keeps a NaN first argument; np.minimum keeps it in either place
-    return min(m * m, 1.0) if type(m) is float else np.minimum(1.0, m * m)
+    if type(m) is float:
+        return min(m * m, 1.0)
+    return np.minimum(1.0, np.multiply(m, m, out=out), out=out)
 
 
 def makhlin_g1(rot: ConditionalRotation, N: int) -> float:

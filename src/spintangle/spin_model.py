@@ -278,6 +278,14 @@ def unit_quaternions(A, B, omega_L, electron: ElectronQubitSpec,
             w = abs(complex(wz, wx)) if scalar else np.hypot(wz, wx)
         except OverflowError:  # finite wz and wx: np.hypot gives inf
             w = math.inf
+        # s = 0 gives w = omega_L, bit for bit, for the positive omega_L and
+        # finite A and B that NuclearSpinParams holds: the branch has the z
+        # axis, and its rate, and so its cos and sin blocks, span only the
+        # distinct (omega_L, t)
+        if s == 0 and (w == omega_L > 0.0 if scalar
+                       else bool(np.all((w == omega_L) & (w > 0.0)))):
+            axes[s] = (None, None, 0.5 * omega_L * t)
+            continue
         # a branch with zero frequency does not rotate; give it the z axis
         still = w == 0.0
         axes[s] = (wx / (w + still), (wz + still) / (w + still), 0.5 * w * t)
@@ -288,19 +296,28 @@ def unit_quaternions(A, B, omega_L, electron: ElectronQubitSpec,
                                 for q in set(spacings)}
     out = []
     for order in ((electron.s0, electron.s1), (electron.s1, electron.s0)):
-        w, x, y, z = 1.0, 0.0, 0.0, 0.0
         for i, q in enumerate(spacings):
             s = order[i % 2]
             nx, nz, rate = axes[s]
             c, sn = (cos(rate * q), sin(rate * q)) if scalar else trig[s, q]
-            # left-multiply by the segment quaternion (c, sn*(nx, 0, nz))
-            w, x, y, z = (c * w - sn * (nx * x + nz * z),
-                          c * x + sn * (nx * w - nz * y),
-                          c * y + sn * (nz * x - nx * z),
-                          c * z + sn * (nz * w + nx * y))
-        # after the first segment every component has the full shape
+            if i == 0:  # the first segment's quaternion starts the product
+                w, x, y, z = (c, 0.0, 0.0, sn) if nx is None else (c, sn * nx, 0.0, sn * nz)
+            elif nx is None:  # left-multiply by (c, 0, 0, sn)
+                w, x, y, z = c * w - sn * z, c * x - sn * y, c * y + sn * x, c * z + sn * w
+            else:  # left-multiply by the segment quaternion (c, sn*(nx, 0, nz))
+                w, x, y, z = (c * w - sn * (nx * x + nz * z),
+                              c * x + sn * (nx * w - nz * y),
+                              c * y + sn * (nz * x - nx * z),
+                              c * z + sn * (nz * w + nx * y))
         out.append((w, x, y, z))
-    return np.array(out)
+    if scalar:
+        return np.array(out)
+    # a component can fall short of the full shape after one segment
+    quats = np.empty((2, 4) + np.broadcast(A, B, omega_L, t).shape)
+    for branch, components in enumerate(out):
+        for i, value in enumerate(components):
+            quats[branch, i] = value
+    return quats
 
 
 def unit_propagator(seq: PulseSequence, spin: NuclearSpinParams,

@@ -126,11 +126,18 @@ class TestOutputs:
         js1 = str(tmp_path / "a.json")
         args = ["resonances", "--register", "nv27", "--k-max", "2",
                 "--csv", csv1, "--json", js1]
+
+        def timeless(path):
+            """The file's lines, less the two stage wall times."""
+            lines = open(path, "rb").read().splitlines()
+            kept = [l for l in lines if not l.startswith(b"# wall_")]
+            assert len(kept) == len(lines) - 2
+            return kept
+
         assert main(args) == 0
-        a = open(csv1, "rb").read()
+        a = timeless(csv1)
         assert main(args) == 0
-        b = open(csv1, "rb").read()
-        assert a == b
+        assert timeless(csv1) == a
         payload = json.loads(open(js1).read())
         assert payload["provenance"]["version"] == __version__
         assert "constants" in payload["provenance"]
@@ -169,6 +176,21 @@ class TestOutputs:
         assert prov["register_sha256"] == header["register_sha256"] == digest
         assert prov["numpy"] == header["numpy"] == np.__version__
         assert prov["python"] == header["python"] == platform.python_version()
+
+    @pytest.mark.parametrize("command", ALL)
+    def test_provenance_records_stage_wall_times(self, command, tmp_path, capsys):
+        out, js = str(tmp_path / "p.csv"), str(tmp_path / "p.json")
+        argv = REACHES_WORK[command]
+        assert main(argv) == 0
+        table = capsys.readouterr().out
+        assert main(argv + ["--csv", out, "--json", js]) == 0
+        assert capsys.readouterr().out == table
+        header = dict(l[2:].split("=", 1) for l in open(out).read().splitlines()
+                      if l.startswith("#"))
+        prov = json.loads(open(js).read())["provenance"]
+        for key in ("wall_register_s", "wall_command_s"):
+            assert float(header[key]) >= 0.0
+            assert type(prov[key]) is float and prov[key] >= 0.0
 
     def test_import_loads_no_scipy(self):
         src = str(Path(spintangle.__file__).resolve().parents[1])

@@ -24,7 +24,7 @@ from spintangle.designer import (
     position_to_hyperfine,
     spins_on_trivial_circle,
 )
-from spintangle.entanglement import (g1_from_angles, g1_over_iterations,
+from spintangle.entanglement import (g1_from_phase_rates, g1_over_iterations,
                                      nuclear_one_tangle)
 from spintangle.fidelity import RegisterPartition, target_subspace_fidelity
 from spintangle.spin_model import (
@@ -284,15 +284,26 @@ class TestOptimizeRegisterGate:
         ("nv27", "cpmg"), ("rand-cpmg-k1", "cpmg"), ("rand-udd3-k3", "udd3"),
         # weakly coupled pools on the nv27 electron, where many a spin may
         # be a target but not in the band
-        ("pool-1", "cpmg"), ("pool-2", "cpmg")])
+        ("pool-1", "cpmg"), ("pool-2", "cpmg"),
+        # the kernel's general path: one Larmor frequency per spin, and no
+        # zero projection; every third spin anchors
+        ("nv27-mixed-larmor", "cpmg"), ("nv27-spin-one", "cpmg")])
     def test_scan_matches_full_scoring_below_the_bystander_bound(self, name, kind):
         # with the target floor below the bystander bound, a spin is scored
         # where it may be a target although it cannot be in the band
+        anchors = slice(None, None, 3 if name.startswith("nv27-") else 1)
         if name.startswith("pool-"):
             reg = RegisterFile(generate_random_ensemble(
                 10, A_range_khz=(-60.0, 60.0), B_range_khz=(2.0, 40.0),
                 distinctness_khz=5.0, seed=int(name[5:]), larmor_khz=432.0),
                 s0=0.0, s1=-1.0)
+        elif name == "nv27-mixed-larmor":
+            reg = load_register("nv27")
+            reg = RegisterFile([NuclearSpinParams(s.label, s.A, s.B,
+                                                  s.omega_L * (1.0 + 0.01 * (i % 2)))
+                                for i, s in enumerate(reg.spins)], s0=reg.s0, s1=reg.s1)
+        elif name == "nv27-spin-one":
+            reg = RegisterFile(load_register("nv27").spins, s0=-1.0, s1=1.0)
         else:
             reg = load_register(name)
         constraint_sets = [
@@ -303,7 +314,7 @@ class TestOptimizeRegisterGate:
         electron = reg.electron()
         spins = designer._spin_arrays(reg.spins)
         found = 0
-        for spin in reg.spins:
+        for spin in reg.spins[anchors]:
             for k in (1, 2, 3):
                 seq = build_sequence(kind, resonance_time(spin, electron, k))
                 times = seq.unit_time + np.arange(-100, 101) * 1e-9
@@ -321,11 +332,11 @@ class TestOptimizeRegisterGate:
         """A list that gathers the size of each G1 block scored from now on."""
         evaluated = []
 
-        def counting(h0, h1, n01, N):
-            evaluated.append(np.broadcast(h0, h1, n01, N).size)
-            return g1_from_angles(h0, h1, n01, N)
+        def counting(d, sigma, weight, N, out=None):
+            evaluated.append(np.broadcast(d, sigma, weight, N).size)
+            return g1_from_phase_rates(d, sigma, weight, N, out)
 
-        monkeypatch.setattr(designer, "g1_from_angles", counting)
+        monkeypatch.setattr(designer, "g1_from_phase_rates", counting)
         return evaluated
 
     @staticmethod

@@ -599,9 +599,9 @@ def test_unit_quaternions_equal_the_per_segment_loop(kind):
         assert np.array_equal(got, ref)
 
 
-def _edge_spins(electron):
+def _edge_spins(electron, larmor_khz=314.0):
     """B = 0, and a branch of zero frequency: A = -omega_L/s with B = 0."""
-    omega_L = 314.0 * KHZ
+    omega_L = larmor_khz * KHZ
     s = electron.s0 if electron.s0 != 0 else electron.s1
     return [NuclearSpinParams("b0", 60.0 * KHZ, 0.0, omega_L),
             NuclearSpinParams("still", -omega_L / s, 0.0, omega_L)]
@@ -628,6 +628,47 @@ def test_scalar_kernel_equals_the_batch_kernel(kind, electron):
             for i, spin in enumerate(spins):
                 got = unit_propagator(seq, spin, electron).quaternions
                 assert np.array_equal(got, batch[..., i]), (spin.label, t)
+
+
+_KERNEL_ELECTRONS = (ElectronQubitSpec(0.0, -1.0), ElectronQubitSpec(-1.0, 0.0),
+                     ElectronQubitSpec(-1.0, 1.0), ElectronQubitSpec(0.5, -0.5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(("cpmg", "udd3", "udd4")),
+       electron=st.sampled_from(_KERNEL_ELECTRONS),
+       couplings=st.lists(st.tuples(st.floats(-200, 200),
+                                    st.one_of(st.just(0.0), st.floats(0, 200)),
+                                    st.sampled_from((314.0, 432.0, 1070.7))),
+                          min_size=1, max_size=5),
+       mixed_larmor=st.booleans(),
+       t_us=st.floats(0.05, 20.0))
+def test_batch_kernel_equals_the_float_path_bit_for_bit(kind, electron, couplings,
+                                                        mixed_larmor, t_us):
+    """Every (spin, t) of a batch, signed zeros included, as the float path gives it.
+
+    The batch runs with one Larmor frequency per spin and, when they share
+    one, with it passed once, as the design scan passes it.
+    """
+    larmor = [wl if mixed_larmor else couplings[0][2] for _, _, wl in couplings]
+    spins = [NuclearSpinParams.from_khz("h", a, b, wl)
+             for (a, b, _), wl in zip(couplings, larmor)]
+    # B = 0 and a branch of zero frequency
+    spins += _edge_spins(electron, larmor[-1])
+    A, B, omega_L = (np.array([getattr(s, f) for s in spins])[:, None]
+                     for f in ("A", "B", "omega_L"))
+    spacings = build_sequence(kind, 1.0).spacings
+    times = np.array([0.0, 1e-12, t_us * 1e-6])
+    batches = [unit_quaternions(A, B, omega_L, electron, spacings, times)]
+    if not mixed_larmor:
+        batches.append(unit_quaternions(A, B, omega_L[0], electron, spacings, times))
+    for i, spin in enumerate(spins):
+        for j, t in enumerate(times.tolist()):
+            got = unit_quaternions(spin.A, spin.B, spin.omega_L, electron, spacings, t)
+            for batch in batches:
+                assert np.array_equal(got, batch[..., i, j]), (spin, t)
+                assert np.array_equal(np.signbit(got), np.signbit(batch[..., i, j])), (
+                    spin, t)
 
 
 @pytest.mark.parametrize("kind", ["cpmg", "udd3", "udd4"])
