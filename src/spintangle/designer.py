@@ -422,6 +422,8 @@ def minimize_unwanted_tangle(target: NuclearSpinParams,
 
 # candidate (A, B) pairs per draw: larger blocks gain nothing at 800 spins
 _SAMPLER_BLOCK = 128
+# a spin's own grid cell and its eight neighbours, the cells a conflict can use
+_NEIGHBOUR_CELLS = tuple((i, j) for i in (-1, 0, 1) for j in (-1, 0, 1))
 
 
 def generate_random_ensemble(count: int,
@@ -439,11 +441,16 @@ def generate_random_ensemble(count: int,
     and a positive one must leave every range bound / distinctness_khz
     finite.  Candidates violating this against any accepted spin are
     rejected; generation fails once a spin exhausts its attempt budget (the
-    range cannot host the requested density).
+    range cannot host the requested density).  count must be >= 0 and
+    max_attempts_per_spin >= 1.
     Candidates are drawn in blocks as lo + (hi - lo) u, Generator.uniform's
     arithmetic on the same stream of u: a seed gives the same pool, bit for
     bit, as one uniform draw per coordinate.
     """
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    if max_attempts_per_spin < 1:
+        raise ValueError(f"max_attempts_per_spin must be >= 1, got {max_attempts_per_spin}")
     d = distinctness_khz
     if not (math.isfinite(d) and d >= 0):
         raise ValueError(f"distinctness_khz must be finite and nonnegative, got {d}")
@@ -451,7 +458,7 @@ def generate_random_ensemble(count: int,
     if not np.all(np.isfinite(hi - lo)):
         raise ValueError(f"A_range_khz {A_range_khz} and B_range_khz {B_range_khz} "
                          "must have finite bounds")
-    # place() hashes a // d to an int, so every value / d must be finite
+    # the grid hashes a // d to an int, so every value / d must be finite
     if d > 0 and not all(math.isfinite(x / d) for x in lo.tolist() + hi.tolist()):
         raise ValueError(f"distinctness_khz {d} is too small for A_range_khz "
                          f"{A_range_khz} and B_range_khz {B_range_khz}")
@@ -459,34 +466,32 @@ def generate_random_ensemble(count: int,
     # spatial hash on a d-sized grid: conflicts only involve neighbor cells,
     # and two spins in one cell would conflict, so a cell holds one spin
     cells: dict[tuple[int, int], tuple[float, float]] = {}
-
-    def place(a: float, b: float) -> bool:
-        ci, cj = int(a // d), int(b // d)
-        for i in range(ci - 1, ci + 2):
-            for j in range(cj - 1, cj + 2):
-                p = cells.get((i, j))
-                if p is not None and abs(p[0] - a) < d and abs(p[1] - b) < d:
-                    return False
-        cells[ci, cj] = (a, b)
-        return True
-
-    def candidates():
-        while True:
-            yield from (lo + (hi - lo) * rng.random((_SAMPLER_BLOCK, 2))).tolist()
-
-    pairs = candidates()
-    spins = []
-    for idx in range(count):
-        for _, (a, b) in zip(range(max_attempts_per_spin), pairs):
-            if d == 0 or place(a, b):  # d = 0: no check
-                spins.append(NuclearSpinParams.from_khz(f"R{idx + 1}", a, b,
-                                                        larmor_khz))
+    # misses: candidates rejected since the last accepted spin
+    spins, misses = [], 0
+    while len(spins) < count:
+        for a, b in (lo + (hi - lo) * rng.random((_SAMPLER_BLOCK, 2))).tolist():
+            if d:  # d = 0: no check
+                ci, cj = int(a // d), int(b // d)
+                for di, dj in _NEIGHBOUR_CELLS:
+                    p = cells.get((ci + di, cj + dj))
+                    if p is not None and abs(p[0] - a) < d and abs(p[1] - b) < d:
+                        break
+                else:
+                    p = None
+                if p is not None:  # a conflict broke the loop
+                    misses += 1
+                    if misses == max_attempts_per_spin:
+                        raise RuntimeError(
+                            f"could not place spin {len(spins) + 1} of {count} after "
+                            f"{max_attempts_per_spin} attempts; range too dense for "
+                            f"distinctness {distinctness_khz} kHz")
+                    continue
+                cells[ci, cj] = (a, b)
+            misses = 0
+            spins.append(NuclearSpinParams.from_khz(f"R{len(spins) + 1}", a, b,
+                                                    larmor_khz))
+            if len(spins) == count:
                 break
-        else:
-            raise RuntimeError(
-                f"could not place spin {idx + 1} of {count} after "
-                f"{max_attempts_per_spin} attempts; range too dense for "
-                f"distinctness {distinctness_khz} kHz")
     return spins
 
 
@@ -500,9 +505,10 @@ def estimate_position(A: float, B: float) -> tuple[float, float]:
     The couplings (angular rad/s) decompose as A = A0 (3 cos^2 theta - 1),
     B = 3 A0 cos theta sin theta with A0 = mu0 gamma_n gamma_e hbar/(4 pi R^3).
     Eliminating A0 gives sin(2 theta - atan2(B, A)) = B / (3 |(A, B)|), solved
-    in closed form; B >= 0 and (A, B) != (0, 0) required.
+    in closed form; finite A and B, B >= 0 and (A, B) != (0, 0) required.
     """
-    if B < 0 or (A == 0 and B == 0):
+    if (not (math.isfinite(A) and math.isfinite(B)) or B < 0
+            or (A == 0 and B == 0)):
         raise ValueError("no dipolar solution for these couplings")
     prefactor = (constants.MU0 * constants.GAMMA_E * constants.GAMMA_C13
                  * constants.HBAR / (4.0 * math.pi))
@@ -579,6 +585,7 @@ def gate_error_vs_bath(targets: list[ConditionalRotation],
     each bin, bath size and ensemble, a fresh random permutation of the
     bin's spins is drawn and its first bath-size spins form the bath; bins
     holding fewer spins than requested report the largest available bath.
+    A bin (lo, hi) holds the tangles lo <= tangle < hi and needs lo < hi.
     Returns one record per (bin, bath size) with the ensemble-mean error.
     """
     if n_ensembles < 1:
@@ -587,21 +594,28 @@ def gate_error_vs_bath(targets: list[ConditionalRotation],
         raise ValueError(f"bath_sizes must all be >= 1, got {list(bath_sizes)}")
     if not targets:
         raise ValueError("need at least one target spin")
+    for lo, hi in tangle_bins:
+        if not lo < hi:  # also a NaN bound
+            raise ValueError(f"tangle bin {(lo, hi)} must have lo < hi")
     k = len(targets)
     rng = np.random.Generator(np.random.Philox(seed))
+    tangles = np.array([tangle for tangle, _ in unwanted_pool], dtype=float)
+    overlaps = branch_overlaps([rot for _, rot in unwanted_pool])
     records = []
     for lo, hi in tangle_bins:
-        overlaps = branch_overlaps([rot for tangle, rot in unwanted_pool
-                                    if lo <= tangle < hi])
+        members = overlaps[(lo <= tangles) & (tangles < hi)]
+        n = len(members)
+        if n == 0:
+            continue
+        order = np.broadcast_to(np.arange(n), (n_ensembles, n))
         for size in bath_sizes:
-            eff = min(size, len(overlaps))
-            if eff == 0:
-                continue
-            # (ensemble, spin) indices: one permutation per ensemble, in order
-            baths = np.array([rng.permutation(len(overlaps))[:eff]
-                              for _ in range(n_ensembles)])
+            eff = min(size, n)
+            # one permutation per ensemble row, the stream of one
+            # rng.permutation(n) call per ensemble; a C-order gather keeps
+            # the product's reduction order
+            baths = np.ascontiguousarray(rng.permuted(order, axis=1)[:, :eff])
             records.append({"bin": (lo, hi), "bath_size": eff,
                             "requested_size": size,
-                            "mean_error": float(gate_error(k, overlaps[baths]).mean()),
+                            "mean_error": float(gate_error(k, members[baths]).mean()),
                             "n_ensembles": n_ensembles})
     return records

@@ -228,7 +228,7 @@ class ConditionalRotation:
         view = np.asarray(q, dtype=float).view()
         if view.shape != (2, 4):
             raise ValueError(f"quaternions must have shape (2, 4), got {view.shape}")
-        view.flags.writeable = False
+        view.setflags(write=False)
         self.quaternions = view
 
     @classmethod

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -633,6 +634,18 @@ class TestRandomEnsemble:
         with pytest.raises(ValueError, match="must have finite bounds"):
             generate_random_ensemble(3, A_range_khz=(10.0, math.inf))
 
+    @pytest.mark.parametrize("count", [-1, -3])
+    def test_negative_count_rejected_before_any_draw(self, count, no_stream):
+        with pytest.raises(ValueError, match=f"count must be >= 0, got {count}"):
+            generate_random_ensemble(count, seed=1)
+
+    @pytest.mark.parametrize("attempts", [0, -5])
+    def test_attempt_budget_below_one_rejected_before_any_draw(self, attempts,
+                                                               no_stream):
+        with pytest.raises(ValueError,
+                           match=f"max_attempts_per_spin must be >= 1, got {attempts}"):
+            generate_random_ensemble(3, seed=1, max_attempts_per_spin=attempts)
+
     def test_tiny_distinctness_within_range_keeps_the_stream(self):
         settings = dict(count=5, A_range_khz=(10.0, 200.0),
                         B_range_khz=(10.0, 200.0), distinctness_khz=1e-300,
@@ -693,6 +706,14 @@ class TestPositionEstimate:
             estimate_position(0.0, 0.0)
         with pytest.raises(ValueError):
             estimate_position(100.0, -1.0)
+
+    @pytest.mark.parametrize("A, B", [
+        (math.nan, 1.0), (1.0, math.nan), (1.0, math.inf), (math.inf, 1.0),
+        (-math.inf, 0.0),
+    ])
+    def test_non_finite_couplings_have_no_solution(self, A, B):
+        with pytest.raises(ValueError, match="no dipolar solution"):
+            estimate_position(A, B)
 
 
 class TestTrivialCircle:
@@ -773,8 +794,15 @@ class TestGateErrorVsBath:
         rng = np.random.default_rng(9)
         pool = self._pool(rng, 40)
         targets = [random_rotation_pair(rng), random_rotation_pair(rng)]
-        bins = [(0.0, 0.3), (0.3, 0.7), (0.7, 1.01)]
-        sizes = [1, 3, 8, 40]
+        # a bin around one spin's tangle holds that spin alone, and a bin
+        # above every tangle, between two filled ones, holds none
+        one = pool[5][0]
+        bins = [(0.0, 0.3), (one, math.nextafter(one, math.inf)), (1.01, 2.0),
+                (0.3, 0.7), (0.7, 1.01)]
+        counts = [sum(lo <= tangle < hi for tangle, _ in pool) for lo, hi in bins]
+        assert counts[1:3] == [1, 0] and min(counts[0], counts[3]) > 1
+        # 50 is above every bin's count
+        sizes = [1, 3, 8, 40, 50]
         records = gate_error_vs_bath(targets, pool, bins, sizes, 7, seed=11)
 
         ref_rng = np.random.Generator(np.random.Philox(11))
@@ -792,7 +820,7 @@ class TestGateErrorVsBath:
                                              tuple(members[i] for i in order))
                     errors.append(1.0 - target_subspace_fidelity(part))
                 expected.append(((lo, hi), eff, float(np.mean(errors))))
-        assert len(records) == len(expected) > 4
+        assert len(records) == len(expected) == 20
         for rec, (b, eff, err) in zip(records, expected):
             assert (rec["bin"], rec["bath_size"]) == (b, eff)
             assert rec["mean_error"] == err
@@ -823,6 +851,21 @@ class TestGateErrorVsBath:
         pool = self._pool(np.random.default_rng(10), 3)
         with pytest.raises(ValueError, match="need at least one target spin"):
             gate_error_vs_bath([], pool, [(0.0, 1.0)], [2], 3, seed=0)
+
+    @pytest.mark.parametrize("bad", [(1.0, 0.0), (0.5, 0.5), (math.nan, 1.0),
+                                     (0.0, math.nan)],
+                             ids=["reversed", "empty", "nan-lo", "nan-hi"])
+    def test_empty_or_nan_bin_rejected_before_any_draw(self, bad, monkeypatch):
+        rng = np.random.default_rng(10)
+        pool = self._pool(rng, 3)
+        targets = [random_rotation_pair(rng)]
+
+        def no_stream(*args):
+            raise AssertionError("built a random stream")
+
+        monkeypatch.setattr(np.random, "Philox", no_stream)
+        with pytest.raises(ValueError, match=re.escape(f"tangle bin {bad}")):
+            gate_error_vs_bath(targets, pool, [(0.0, 1.01), bad], [2], 3, seed=0)
 
 
 class TestDesignConstraintsValidation:
