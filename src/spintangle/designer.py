@@ -1,9 +1,8 @@
 """Multi-spin gate synthesis and register utilities.
 
-Covers the common-iteration intersection search, the constrained register
-optimization over (unit time, iteration count), unwanted-tangle
-minimization, random-ensemble generation, hyperfine-to-position inversion,
-and bath-size gate-error studies.
+Covers the constrained register optimization over (unit time, iteration
+count), unwanted-tangle minimization, random-ensemble generation,
+hyperfine-to-position inversion, and bath-size gate-error studies.
 """
 from __future__ import annotations
 
@@ -13,51 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constants
-from .entanglement import (G1_MAXIMAL_THRESHOLD, branch_angles, g1_from_angles,
-                           g1_from_phase_rates, g1_over_iterations, optimal_iterations,
-                           tangle_upper_bound)
+from .entanglement import (branch_angles, g1_from_angles, g1_from_phase_rates,
+                           g1_over_iterations, optimal_iterations, tangle_upper_bound)
 from .fidelity import branch_overlaps, gate_error
 from .spin_model import (ConditionalRotation, ElectronQubitSpec,
-                         NuclearSpinParams, build_sequence, iterate,
-                         resonance_time, trivial_evolution_radius,
+                         NuclearSpinParams, build_sequence, power,
+                         resonance_time, stack_quaternions, trivial_evolution_radius,
                          trivial_evolution_time, unit_propagator, unit_quaternions)
-
-
-# ---------------------------------------------------------------------------
-# common-iteration search
-
-
-def find_common_iterations(spins: list[ConditionalRotation], N_max: int,
-                           threshold: float = G1_MAXIMAL_THRESHOLD
-                           ) -> tuple[int, list[int]]:
-    """Find an iteration count entangling as many spins as possible.
-
-    Each spin contributes the row of N <= N_max with nearly maximal
-    one-tangle at the shared unit time.  The first spin's row anchors a
-    running intersection; spins whose rows do not meet it are dropped.
-    Returns (N*, indices of participating spins); N* is the surviving N with
-    the lowest mean G1 over participants (smallest N on ties).
-    """
-    if len(spins) < 2:
-        raise ValueError("need at least two spins")
-    if N_max < 1:
-        raise ValueError(f"N_max must be >= 1, got {N_max}")
-    g1 = g1_over_iterations(np.stack([r.quaternions for r in spins], axis=-1),
-                            np.arange(1, N_max + 1))
-    hits = g1 < threshold
-    common = hits[0]
-    if not common.any():
-        raise ValueError("anchor spin has no entangling iteration count "
-                         "at this unit time")
-    participants = [0]
-    for j in range(1, len(spins)):
-        if (common & hits[j]).any():
-            common &= hits[j]
-            participants.append(j)
-    candidates = np.flatnonzero(common)
-    # sum() adds the rows in turn, not in np.sum's pairwise order
-    best = candidates[np.argmin(sum(g1[j, candidates] for j in participants))]
-    return int(best) + 1, participants
 
 
 # ---------------------------------------------------------------------------
@@ -129,21 +90,22 @@ def evaluate_design(register: list[NuclearSpinParams],
                     anchor_label: str, target_indices: list[int],
                     sequence_kind: str = "cpmg") -> GateDesign:
     """Recompute all GateDesign figures of merit from (t, N) alone."""
+    n, idx = len(register), sorted(target_indices)
+    if not (idx and len(set(idx)) == len(idx) and 0 <= idx[0] and idx[-1] < n):
+        raise ValueError(f"target_indices must be 1+ distinct indices in [0, {n}), "
+                         f"got {target_indices!r}")
     quats = unit_quaternions(*_spin_arrays(register), electron,
                              build_sequence(sequence_kind, t).spacings, t)
-    return _design(register, quats, t, N, k, anchor_label, target_indices)
+    return _design(register, quats, t, N, k, anchor_label, idx)
 
 
 def _design(register: list[NuclearSpinParams], quats: np.ndarray, t: float,
-            N: int, k: int, anchor_label: str, target_indices: list[int]
-            ) -> GateDesign:
-    """The GateDesign of the register's unit quaternions (2, 4, n_spins) at t."""
+            N: int, k: int, anchor_label: str, targets: list[int]) -> GateDesign:
+    """The GateDesign of the register's unit quaternions (2, 4, n_spins) at t,
+    for the sorted target indices."""
     tangles = 1.0 - g1_over_iterations(quats, [N])[:, 0]
-    targets = sorted(target_indices)
     others = [i for i in range(len(register)) if i not in targets]
-    error = gate_error(len(targets), branch_overlaps(
-        [iterate(ConditionalRotation(quats[..., i]), N)
-         for i in others]))
+    error = gate_error(len(targets), branch_overlaps(power(quats[..., others], N)))
     return GateDesign(
         unit_time=t, iterations=N, k=k, anchor_label=anchor_label,
         target_labels=tuple(register[i].label for i in targets),
@@ -600,7 +562,7 @@ def gate_error_vs_bath(targets: list[ConditionalRotation],
     k = len(targets)
     rng = np.random.Generator(np.random.Philox(seed))
     tangles = np.array([tangle for tangle, _ in unwanted_pool], dtype=float)
-    overlaps = branch_overlaps([rot for _, rot in unwanted_pool])
+    overlaps = branch_overlaps(stack_quaternions([rot for _, rot in unwanted_pool]))
     records = []
     for lo, hi in tangle_bins:
         members = overlaps[(lo <= tangles) & (tangles < hi)]

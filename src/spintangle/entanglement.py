@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .spin_model import _EPS_AXIS, ConditionalRotation
+from .spin_model import _EPS_AXIS, ConditionalRotation, half_angles
 
 MAX_PAIR_TANGLE = 2.0 / 9.0
 
@@ -32,20 +32,17 @@ def branch_angles(quats) -> tuple:
     quats has shape (2, 4, ...): branch, then (w, x, y, z), as returned by
     unit_quaternions or ConditionalRotation.quaternions.  n01 is 1 when
     either branch is trivial.  One rotation's (2, 4) array is read on Python
-    floats, anything else on arrays: the same numbers, bit for bit.
+    floats (see half_angles), anything else on arrays: bit for bit alike.
     """
     if getattr(quats, "shape", None) == (2, 4):
-        (w0, x0, y0, z0), (w1, x1, y1, z1) = quats.tolist()
-        s0 = math.sqrt(x0 * x0 + y0 * y0 + z0 * z0)
-        s1 = math.sqrt(x1 * x1 + y1 * y1 + z1 * z1)
-        # np.arctan2, as on arrays: math.atan2 differs in the last bit
-        h0, h1 = np.arctan2((s0, s1), (w0, w1)).tolist()
+        rows = quats.tolist()
+        (h0, h1), (s0, s1) = half_angles(rows)
+        (_, x0, y0, z0), (_, x1, y1, z1) = rows
         # max() keeps a NaN product only as its first argument
         return h0, h1, (1.0 if s0 < _EPS_AXIS or s1 < _EPS_AXIS
                         else (x0 * x1 + y0 * y1 + z0 * z1) / max(s0 * s1, 1e-300))
     q = np.asarray(quats, dtype=float)
-    s = np.sqrt(np.sum(q[:, 1:] ** 2, axis=1))
-    h = np.arctan2(s, q[:, 0])
+    h, s = half_angles(q)
     dot = np.sum(q[0, 1:] * q[1, 1:], axis=0)
     n01 = np.where((s[0] < _EPS_AXIS) | (s[1] < _EPS_AXIS), 1.0,
                    dot / np.maximum(s[0] * s[1], 1e-300))

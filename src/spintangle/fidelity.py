@@ -31,6 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .spin_model import stack_quaternions
+
 
 class CapacityError(Exception):
     """Too many unwanted spins for the exponential Kraus enumeration."""
@@ -54,16 +56,17 @@ class RegisterPartition:
         return len(self.targets)
 
 
-def _amplitudes(rots) -> tuple[np.ndarray, np.ndarray]:
-    """Amplitudes a_j and b_j (see module doc), each of shape (n_spins, 2)."""
-    q = np.array([r.quaternions for r in rots]).reshape(-1, 2, 4)
-    return q[..., 0] - 1j * q[..., 3], q[..., 2] - 1j * q[..., 1]
+def _amplitudes(quats) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitudes a_j and b_j (module doc) of quaternions (2, 4, ...), each (..., 2)."""
+    q = np.moveaxis(np.asarray(quats, dtype=float), 0, -1)
+    return q[0] - 1j * q[3], q[2] - 1j * q[1]
 
 
-def branch_overlaps(rots) -> np.ndarray:
-    """Per-spin branch overlaps a0 conj(a1) + b0 conj(b1), shape (n_spins,)."""
-    a, b = _amplitudes(rots)
-    return a[:, 0] * a[:, 1].conj() + b[:, 0] * b[:, 1].conj()
+def branch_overlaps(quats) -> np.ndarray:
+    """Per-spin branch overlaps a0 conj(a1) + b0 conj(b1), shape (n_spins,),
+    of branch quaternions (2, 4, n_spins) as unit_quaternions and power give."""
+    a, b = _amplitudes(quats)
+    return a[..., 0] * a[..., 1].conj() + b[..., 0] * b[..., 1].conj()
 
 
 def _subspace_fidelity(k: int, overlaps, f0=1.0, f1=1.0):
@@ -82,7 +85,8 @@ def gate_error(k: int, overlaps):
 
 def target_subspace_fidelity(partition: RegisterPartition) -> float:
     """Average gate fidelity of the iterated gate on the target subspace."""
-    return float(_subspace_fidelity(partition.K, branch_overlaps(partition.unwanted)))
+    overlaps = branch_overlaps(stack_quaternions(partition.unwanted))
+    return float(_subspace_fidelity(partition.K, overlaps))
 
 
 def fidelity_with_local_target(partition: RegisterPartition, primed) -> float:
@@ -96,10 +100,9 @@ def fidelity_with_local_target(partition: RegisterPartition, primed) -> float:
     """
     if len(primed) != partition.K:
         raise ValueError("primed must hold one rotation per target")
-    f = np.ones(2)
-    for rot, ref in zip(partition.targets, primed):
-        f *= np.sum(rot.quaternions * ref.quaternions, axis=1)
-    overlaps = branch_overlaps(partition.unwanted)
+    f = np.prod(np.sum(stack_quaternions(partition.targets) * stack_quaternions(primed),
+                       axis=1), axis=-1)
+    overlaps = branch_overlaps(stack_quaternions(partition.unwanted))
     return float(_subspace_fidelity(partition.K, overlaps, *f))
 
 
@@ -113,6 +116,6 @@ def kraus_sum_by_enumeration(partition: RegisterPartition) -> float:
         raise CapacityError("enumeration limited to 20 unwanted spins")
     # one row per environment basis state, one column per electron branch
     amps = np.ones((1, 2), dtype=complex)
-    for a, b in zip(*_amplitudes(partition.unwanted)):
+    for a, b in zip(*_amplitudes(stack_quaternions(partition.unwanted))):
         amps = np.concatenate([amps * a, amps * b])
     return float(np.sum(np.abs(amps.sum(axis=1)) ** 2))

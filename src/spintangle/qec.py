@@ -40,8 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spin_model import (ConditionalRotation, ElectronQubitSpec, NuclearSpinParams,
-                         Rotation, _quaternion_power, branch_frequency, branch_tilt,
-                         finite_1d)
+                         branch_frequency, branch_tilt, finite_1d, power)
 
 STAGES = ("initial", "encoded", "error", "decoded", "corrected")
 ERROR_KINDS = ("none", "electron", "nucleus1", "nucleus2")
@@ -211,28 +210,24 @@ def nuclear_trajectories(scenario: QecScenario, samples: int = 64) -> dict:
     fracs = np.linspace(0.0, 1.0, samples)
     out = {}
     for nuc, (encode, decode) in enumerate(_nuclear_gates(scenario)):
+        gates = encode + decode
+        sweeps = [power(rot.quaternions, fracs) for rot in gates]  # (2, 4, samples)
         branches = {}
         for branch in (0, 1):
-            dec_branch = branch ^ 1 if flip else branch
-            segments = ([(rot.r0, rot.r1)[branch] for rot in encode]
-                        + [(rot.r0, rot.r1)[dec_branch] for rot in decode])
+            rows = [branch] * len(encode) + [branch ^ flip] * len(decode)
             psi = np.array([0.0, 1.0], dtype=complex)
             path = []
-            for seg in segments:
-                for f in fracs:
-                    w, *v = _quaternion_power(seg.w, *seg.v.tolist(), f)
-                    path.append(_bloch(Rotation(w, v).matrix() @ psi))
-                psi = seg.matrix() @ psi
-            branches[f"branch{branch}"] = np.array(path)
+            for rot, sweep, row in zip(gates, sweeps, rows):
+                # Rotation.matrix() @ psi at every fraction
+                w, x, y, z = sweep[row]
+                a = (w - 1j * z) * psi[0] + (-y - 1j * x) * psi[1]
+                b = (y - 1j * x) * psi[0] + (w + 1j * z) * psi[1]
+                ab = a.conj() * b
+                path.append(np.stack([2.0 * ab.real, 2.0 * ab.imag, abs(a) ** 2 - abs(b) ** 2], 1))
+                psi = (rot.r0, rot.r1)[row].matrix() @ psi
+            branches[f"branch{branch}"] = np.concatenate(path)
         out[f"nucleus{nuc + 1}"] = branches
     return out
-
-
-def _bloch(psi: np.ndarray) -> tuple[float, float, float]:
-    a, b = psi
-    return (float(2.0 * np.real(np.conj(a) * b)),
-            float(2.0 * np.imag(np.conj(a) * b)),
-            float(np.abs(a) ** 2 - np.abs(b) ** 2))
 
 
 # ---------------------------------------------------------------------------

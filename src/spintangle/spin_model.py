@@ -20,6 +20,7 @@ by 2*pi*1e3 internally.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -205,17 +206,51 @@ class Rotation:
 # conditional rotations
 
 
-def _quaternion_power(w: float, x: float, y: float, z: float,
-                      n: float) -> tuple[float, float, float, float]:
-    """n-th power of one quaternion: the half angle scales on a fixed axis.
+def half_angles(quats):
+    """Half angles atan2(|v|, w) and axis lengths |v| of branch quaternions.
 
-    A near-identity quaternion keeps the z axis; NaN stays NaN.
+    An array (2, 4, ...) gives two arrays (2, ...); one rotation's rows as a
+    list of two [w, x, y, z] lists give two lists, on Python floats.  Both use
+    np.arctan2 (math.atan2 differs in the last bit): the same numbers.
     """
-    s = math.sqrt(x * x + y * y + z * z)
-    half = n * math.atan2(s, w)
-    axis = (x / s, y / s, z / s) if s >= _EPS_AXIS else (0.0, 0.0, 1.0)
-    sn = math.sin(half)
-    return math.cos(half), sn * axis[0], sn * axis[1], sn * axis[2]
+    if isinstance(quats, list):
+        (w0, x0, y0, z0), (w1, x1, y1, z1) = quats
+        s = [math.sqrt(x0 * x0 + y0 * y0 + z0 * z0),
+             math.sqrt(x1 * x1 + y1 * y1 + z1 * z1)]
+        return np.arctan2(s, (w0, w1)).tolist(), s
+    q = np.asarray(quats, dtype=float)
+    s = np.sqrt(np.sum(q[:, 1:] ** 2, axis=1))
+    return np.arctan2(s, q[:, 0]), s
+
+
+def power(quats, N) -> np.ndarray:
+    """N-th power of branch quaternions: each half angle scales by N on its axis.
+
+    quats has shape (2, 4, ...); N, any real count, broadcasts against its
+    trailing axes, giving shape (2, 4) + their broadcast shape.  |v| below
+    _EPS_AXIS keeps the z axis; NaN stays NaN.  One rotation's (2, 4) array
+    with a Python int or float N runs on Python floats, bit for bit.
+    """
+    if getattr(quats, "shape", None) == (2, 4) and type(N) in (int, float):
+        rows = quats.tolist()
+        out = []
+        for (_, x, y, z), h, s in zip(rows, *half_angles(rows)):
+            half = N * h
+            # math's cos and sin raise on an infinite angle, where numpy gives NaN
+            c, sn = (math.cos(half), math.sin(half)) if math.isfinite(half) else (math.nan,) * 2
+            if not s >= _EPS_AXIS:
+                x, y, z, s = 0.0, 0.0, 1.0, 1.0
+            out.append((c, sn * (x / s), sn * (y / s), sn * (z / s)))
+        return np.array(out)
+    q = np.asarray(quats, dtype=float)
+    shape = np.broadcast_shapes(q.shape[2:], np.shape(N))
+    # the branch axis stays in front of any axes N adds
+    q = q.reshape(q.shape[:2] + (1,) * (len(shape) + 2 - q.ndim) + q.shape[2:])
+    h, s = half_angles(q)
+    half, axis = N * h, s >= _EPS_AXIS
+    s, sn = np.where(axis, s, 1.0), np.sin(half)
+    return np.stack([np.cos(half)] + [sn * (np.where(axis, q[:, i], still) / s)
+                                      for i, still in ((1, 0.0), (2, 0.0), (3, 1.0))], axis=1)
 
 
 class ConditionalRotation:
@@ -235,11 +270,13 @@ class ConditionalRotation:
     def from_axis_angles(cls, n0, phi0: float, n1, phi1: float) -> "ConditionalRotation":
         """Branch j rotates by the angle phi_j about the unit axis n_j."""
         rows = []
-        for axis, phi in ((n0, phi0), (n1, phi1)):
-            n = np.asarray(axis, dtype=float)
+        for i, axis, phi in ((0, n0, phi0), (1, n1, phi1)):
+            n = finite_1d(axis, f"n{i}")
             norm = np.linalg.norm(n)
-            if abs(norm - 1.0) > 1e-9:
-                raise ValueError("axis must be a unit vector")
+            if n.shape != (3,) or abs(norm - 1.0) > 1e-9:
+                raise ValueError(f"n{i} must be a unit vector (x, y, z), got {axis!r}")
+            if not math.isfinite(phi):
+                raise ValueError(f"phi{i} must be finite, got {phi!r}")
             rows.append([math.cos(phi / 2.0), *(math.sin(phi / 2.0) * (n / norm)).tolist()])
         return cls(rows)
 
@@ -250,6 +287,11 @@ class ConditionalRotation:
     @property
     def r1(self) -> Rotation:
         return Rotation(self.quaternions[1, 0], self.quaternions[1, 1:])
+
+
+def stack_quaternions(rots) -> np.ndarray:
+    """Branch quaternions of ConditionalRotations as one (2, 4, n) array."""
+    return np.array([r.quaternions for r in rots]).reshape(-1, 2, 4).transpose(1, 2, 0)
 
 
 def unit_quaternions(A, B, omega_L, electron: ElectronQubitSpec,
@@ -328,11 +370,11 @@ def unit_propagator(seq: PulseSequence, spin: NuclearSpinParams,
 
 
 def iterate(rot: ConditionalRotation, N: int) -> ConditionalRotation:
-    """N repetitions of the unit: exact rotation powers per branch."""
+    """N repetitions of the unit, an integer N >= 1: power on one rotation."""
+    N = operator.index(N)  # a float N raises TypeError; power takes fractions
     if N < 1:
-        raise ValueError("N must be >= 1")
-    return ConditionalRotation(
-        [_quaternion_power(*q, N) for q in rot.quaternions.tolist()])
+        raise ValueError(f"N must be >= 1, got {N}")
+    return ConditionalRotation(power(rot.quaternions, N))
 
 
 # ---------------------------------------------------------------------------

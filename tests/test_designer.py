@@ -17,7 +17,6 @@ from spintangle.designer import (
     _winning_point,
     estimate_position,
     evaluate_design,
-    find_common_iterations,
     gate_error_vs_bath,
     generate_random_ensemble,
     minimize_unwanted_tangle,
@@ -40,58 +39,6 @@ from spintangle.spin_model import (
 )
 
 from .conftest import random_rotation_pair
-
-
-class TestFindCommonIterations:
-    def test_ten_spin_register_all_participate(self):
-        reg = load_register("rand-cpmg-k1")
-        electron = reg.electron()
-        seq = build_sequence("cpmg", 3.1874e-6)
-        rots = [unit_propagator(seq, s, electron) for s in reg.spins]
-        best, participants = find_common_iterations(rots, 300)
-        assert best == 56
-        assert participants == list(range(10))
-
-    def test_identical_spins(self, spin_60_30, half_electron):
-        from spintangle.spin_model import resonance_time
-
-        t = resonance_time(spin_60_30, half_electron, 1)
-        rot = unit_propagator(build_sequence("cpmg", t), spin_60_30, half_electron)
-        best, participants = find_common_iterations([rot, rot], 300)
-        from spintangle.entanglement import optimal_iterations
-
-        assert participants == [0, 1]
-        assert best in optimal_iterations(rot, N_max=300)
-
-    def test_disjoint_sets_drop_second_spin(self):
-        a = ConditionalRotation.from_axis_angles(
-            (1.0, 0.0, 0.0), math.pi / 40.0, (-1.0, 0.0, 0.0), math.pi / 40.0)
-        b = ConditionalRotation.from_axis_angles(
-            (1.0, 0.0, 0.0), math.pi / 37.0, (-1.0, 0.0, 0.0), math.pi / 37.0)
-        best, participants = find_common_iterations([a, b], 25, threshold=5e-4)
-        assert participants == [0]
-        assert best == 20
-
-    def test_needs_two_spins(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            find_common_iterations([random_rotation_pair(rng)], 100)
-
-    def test_anchor_without_entangling_count_rejected(self):
-        # the same rotation on both branches: G1 = 1 at every N
-        parallel = ConditionalRotation.from_axis_angles(
-            (0.0, 0.0, 1.0), 0.9, (0.0, 0.0, 1.0), 0.9)
-        entangler = ConditionalRotation.from_axis_angles(
-            (1.0, 0.0, 0.0), math.pi / 40.0, (-1.0, 0.0, 0.0), math.pi / 40.0)
-        with pytest.raises(ValueError, match="anchor spin has no entangling"):
-            find_common_iterations([parallel, entangler], 100)
-
-    @pytest.mark.parametrize("N_max", [0, -5])
-    def test_n_max_below_one_named(self, N_max):
-        rng = np.random.default_rng(0)
-        rots = [random_rotation_pair(rng), random_rotation_pair(rng)]
-        with pytest.raises(ValueError, match=f"N_max must be >= 1, got {N_max}"):
-            find_common_iterations(rots, N_max)
 
 
 class TestOptimizeRegisterGate:
@@ -118,6 +65,29 @@ class TestOptimizeRegisterGate:
         assert design.unwanted_tangles == {}
         assert design.mean_unwanted_tangle == 0.0
         assert design.gate_error == 0.0
+
+    @pytest.mark.parametrize("targets", [[3, -1], [3, 3], [], [3, 99]],
+                             ids=["negative", "duplicate", "empty", "out-of-range"])
+    def test_bad_target_indices_named(self, targets):
+        reg = load_register("nv27")
+        c4 = reg.by_label("C4")
+        t = resonance_time(c4, reg.electron(), 3)
+        with pytest.raises(ValueError, match="target_indices"):
+            evaluate_design(reg.spins, reg.electron(), t, 82, 3, "C4", targets)
+
+    @pytest.mark.parametrize("anchor, k, targets", [("C4", 3, ["C4", "C5", "C15"]),
+                                                    ("C23", 3, ["C4", "C23"])])
+    def test_gate_error_equals_the_per_bystander_iterate_loop(self, anchor, k, targets):
+        reg = load_register("nv27")
+        el = reg.electron()
+        seq = build_sequence("cpmg", resonance_time(reg.by_label(anchor), el, k))
+        idx = [reg.labels.index(l) for l in targets]
+        design = evaluate_design(reg.spins, el, seq.unit_time, 82, k, anchor, idx)
+        rots = [iterate(unit_propagator(seq, s, el), 82)
+                for i, s in enumerate(reg.spins) if i not in idx]
+        part = RegisterPartition([iterate(unit_propagator(seq, reg.spins[i], el), 82)
+                                  for i in idx], rots)
+        assert design.gate_error == 1.0 - target_subspace_fidelity(part)
 
     def test_round_trip_and_feasibility(self):
         reg = load_register("nv27")

@@ -17,7 +17,7 @@ from spintangle.fidelity import (
 from spintangle.entanglement import branch_angles
 from spintangle.oracle import (conditional_unitary, kraus_coefficients,
                                numeric_kraus_fidelity)
-from spintangle.spin_model import ConditionalRotation
+from spintangle.spin_model import ConditionalRotation, stack_quaternions
 
 from .conftest import random_rotation_pair
 
@@ -48,7 +48,7 @@ class TestKrausCoefficients:
         rot = random_rotation_pair(rng)
         u0 = rot.r0.matrix()
         u1 = rot.r1.matrix()
-        (overlap,) = branch_overlaps([rot])
+        (overlap,) = branch_overlaps(rot.quaternions[..., None])
         assert overlap == pytest.approx(np.vdot(u1[:, 0], u0[:, 0]), abs=1e-14)
 
     def test_index_out_of_range(self):
@@ -163,7 +163,7 @@ class TestGateError:
         rng = np.random.default_rng(12)
         for m in range(0, 13):
             part = _partition(rng, int(rng.integers(1, 4)), m)
-            err = gate_error(part.K, branch_overlaps(part.unwanted))
+            err = gate_error(part.K, branch_overlaps(stack_quaternions(part.unwanted)))
             assert err == 1.0 - target_subspace_fidelity(part)
 
     @pytest.mark.parametrize("m", range(0, 13))
@@ -173,12 +173,13 @@ class TestGateError:
         k = part.K
         total = kraus_sum_by_enumeration(part)
         ref = 1.0 - (1.0 + 2.0 ** (k - 1) * total) / (2.0 ** (k + 1) + 1.0)
-        err = gate_error(k, branch_overlaps(part.unwanted))
+        err = gate_error(k, branch_overlaps(stack_quaternions(part.unwanted)))
         assert abs(err - ref) <= 1e-12
 
     def test_leading_ensemble_axis_equals_row_loop(self):
         rng = np.random.default_rng(13)
-        overlaps = branch_overlaps([random_rotation_pair(rng) for _ in range(30)])
+        overlaps = branch_overlaps(stack_quaternions(
+            [random_rotation_pair(rng) for _ in range(30)]))
         baths = np.array([rng.permutation(30)[:9] for _ in range(17)])
         errors = gate_error(2, overlaps[baths])
         assert errors.shape == (17,)

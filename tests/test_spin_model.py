@@ -15,12 +15,11 @@ from spintangle.spin_model import (
     ElectronQubitSpec,
     NuclearSpinParams,
     PulseSequence,
-    Rotation,
-    _quaternion_power,
     build_sequence,
     closed_form_angles,
     coherence,
     iterate,
+    power,
     resonance_time,
     trivial_evolution_condition,
     trivial_evolution_radius,
@@ -31,9 +30,11 @@ from spintangle.constants import KHZ
 from spintangle.datasets import load_register
 from spintangle.designer import generate_random_ensemble
 from spintangle.entanglement import _folded_angle, branch_angles
-from spintangle.oracle import segment_exponential_rotation
+from spintangle.designer import _spin_arrays
+from spintangle.oracle import (conditional_unitary, dense_propagator,
+                               segment_exponential_rotation)
 
-from .conftest import random_rotation_pair, random_unit_vector
+from .conftest import random_rotation_pair, random_spin, random_unit_vector
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +257,19 @@ class TestIterate:
         with pytest.raises(ValueError):
             iterate(random_rotation_pair(rng), 0)
 
+    @pytest.mark.parametrize("N", [1.5, math.nan, 3.0])
+    def test_count_must_be_an_integer(self, N):
+        # fractional powers go through power
+        rng = np.random.default_rng(8)
+        with pytest.raises(TypeError, match="integer"):
+            iterate(random_rotation_pair(rng), N)
+
+    def test_numpy_integer_count(self):
+        rng = np.random.default_rng(8)
+        rot = random_rotation_pair(rng)
+        assert np.array_equal(iterate(rot, np.int64(82)).quaternions,
+                              iterate(rot, 82).quaternions)
+
     def test_n01_constant_over_n_for_cpmg(self, spin_60_30, half_electron):
         rot = unit_propagator(build_sequence("cpmg", 2.9e-6), spin_60_30,
                               half_electron)
@@ -424,6 +438,17 @@ class TestAxes:
             ConditionalRotation.from_axis_angles((1.0, 1.0, 0.0), 0.5,
                                                  (0.0, 0.0, 1.0), 0.5)
 
+    @pytest.mark.parametrize("branch, value, name", [
+        (0, (math.nan, 0.0, 1.0), "n0"), (1, (0.0, math.inf, 1.0), "n1"),
+        (0, (1.0, 0.0), "n0"), (1, (1.0, 0.0, 0.0, 0.0), "n1"),
+        (1, ((1.0, 0.0), 0.0, 0.0), "n1"), (0, math.inf, "phi0"),
+        (1, math.nan, "phi1")])
+    def test_bad_axis_or_angle_named(self, branch, value, name):
+        args = [(0.0, 0.0, 1.0), 0.5, (1.0, 0.0, 0.0), 0.5]
+        args[2 * branch + name.startswith("phi")] = value
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            ConditionalRotation.from_axis_angles(*args)
+
     @pytest.mark.parametrize("trivial_branch", [0, 1])
     def test_n01_is_one_with_a_trivial_branch(self, trivial_branch):
         rot = ConditionalRotation.from_axis_angles((1.0, 0.0, 0.0), 0.7,
@@ -436,18 +461,60 @@ class TestAxes:
 class TestPower:
     @pytest.mark.parametrize("n", [0.5, 0.25, 2.5])
     def test_fractional_power_of_identity_keeps_z_axis(self, n):
-        out = _quaternion_power(1.0, 0.0, 0.0, 0.0, n)
-        assert out == (1.0, 0.0, 0.0, 0.0)
-        h0, _, n01 = branch_angles(np.array([out, out]))
+        out = power(np.array([[1.0, 0.0, 0.0, 0.0]] * 2), n)
+        assert out.tolist() == [[1.0, 0.0, 0.0, 0.0]] * 2
+        h0, _, n01 = branch_angles(out)
         assert h0 == 0.0 and n01 == 1.0
 
     def test_half_powers_compose_to_the_rotation(self):
         rng = np.random.default_rng(12)
         n = random_unit_vector(rng)
-        r = ConditionalRotation.from_axis_angles(n, 2.3, n, 2.3).r0
-        w, *v = _quaternion_power(r.w, *r.v.tolist(), 0.5)
-        half = Rotation(w, v)
-        assert np.allclose(half.matrix() @ half.matrix(), r.matrix(), atol=1e-14)
+        rot = ConditionalRotation.from_axis_angles(n, 2.3, n, 2.3)
+        half = ConditionalRotation(power(rot.quaternions, 0.5))
+        for r, h in ((rot.r0, half.r0), (rot.r1, half.r1)):
+            assert np.allclose(h.matrix() @ h.matrix(), r.matrix(), atol=1e-14)
+
+    def test_counts_broadcast_over_the_trailing_axes(self):
+        # one count per spin, or every count for one rotation
+        rng = np.random.default_rng(14)
+        rots = [random_rotation_pair(rng) for _ in range(5)]
+        quats = np.stack([r.quaternions for r in rots], axis=-1)
+        counts = np.arange(1, 301)[:, None]
+        got = power(quats, counts)
+        assert got.shape == (2, 4, 300, 5)
+        ref = [[iterate(r, n).quaternions for r in rots] for n in range(1, 301)]
+        assert np.array_equal(got, np.transpose(ref, (2, 3, 0, 1)))
+        assert power(rots[0].quaternions, np.linspace(0.0, 1.0, 7)).shape == (2, 4, 7)
+
+    @pytest.mark.parametrize("n_spins", range(1, 7))
+    @pytest.mark.parametrize("kind", ["cpmg", "udd4"])
+    def test_matches_the_dense_oracle_power(self, n_spins, kind):
+        rng = np.random.default_rng(20 + n_spins)
+        spins = [random_spin(rng) for _ in range(n_spins)]
+        for electron in (ElectronQubitSpec(0.5, -0.5), ElectronQubitSpec(0.0, -1.0)):
+            t = resonance_time(spins[0], electron, 2)
+            seq = build_sequence(kind, t)
+            quats = unit_quaternions(*_spin_arrays(spins), electron, seq.spacings, t)
+            for N in (1, 7, 82):
+                got = power(quats, N)
+                u = conditional_unitary([ConditionalRotation(got[..., i])
+                                         for i in range(n_spins)])
+                ref = dense_propagator(spins, electron, seq, N)
+                assert np.max(np.abs(u - ref)) <= 1e-12
+
+    def test_bundled_and_pooled_units_equal_iterate(self):
+        # the nv27 units and three seeded 800-spin pools, as bath-ensemble draws them
+        reg = load_register("nv27")
+        el, c4 = reg.electron(), reg.by_label("C4")
+        seq = build_sequence("cpmg", resonance_time(c4, el, 3))
+        for seed in (None, 1, 2, 3):
+            spins = reg.spins if seed is None else generate_random_ensemble(
+                800, A_range_khz=(-100.0, 200.0), B_range_khz=(5.0, 200.0),
+                distinctness_khz=2.0, seed=seed, larmor_khz=reg.larmor_khz)
+            units = [unit_propagator(seq, s, el) for s in spins]
+            quats = np.stack([u.quaternions for u in units], axis=-1)
+            ref = np.stack([iterate(u, 82).quaternions for u in units], axis=-1)
+            assert np.array_equal(power(quats, 82), ref)
 
 
 class TestConditionalRotationStorage:
@@ -530,6 +597,33 @@ def test_from_axis_angles_round_trip(n0, phi0, n1, phi1):
     assert h0 == pytest.approx(phi0 / 2.0, abs=1e-10)
     assert h1 == pytest.approx(phi1 / 2.0, abs=1e-10)
     assert n01 == pytest.approx(float(n0 @ n1), abs=1e-10)
+
+
+_NEAR_IDENTITY = st.lists(st.floats(-1e-12, 1e-12), min_size=3, max_size=3).map(
+    lambda v: [1.0, *v])
+_QUATERNION_ROWS = st.one_of(
+    st.lists(st.floats(-1, 1), min_size=4, max_size=4).map(np.array).filter(
+        lambda q: np.linalg.norm(q) >= 1e-3).map(lambda q: (q / np.linalg.norm(q)).tolist()),
+    _NEAR_IDENTITY,
+    st.lists(st.one_of(st.floats(-1, 1), st.just(math.nan)), min_size=4, max_size=4))
+_COUNTS = st.one_of(st.integers(-1000, 10 ** 6), st.floats(-1e3, 1e3),
+                    st.sampled_from((math.nan, math.inf, -math.inf, 0.5, 2.5)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.tuples(_QUATERNION_ROWS, _QUATERNION_ROWS), min_size=1, max_size=5),
+       counts=st.lists(_COUNTS, min_size=1, max_size=5))
+def test_power_on_arrays_equals_the_float_path(rows, counts):
+    """power on Python floats, one rotation and one count at a time, against
+    one array call with the counts broadcast over the rotations."""
+    quats = np.array(rows).transpose(1, 2, 0)
+    counts = (counts * len(rows))[:len(rows)]
+    with np.errstate(invalid="ignore"):  # np.sin of an infinite angle
+        batch = power(quats, np.array(counts))
+        for i, (q, n) in enumerate(zip(np.array(rows), counts)):
+            one = power(q, n)
+            assert np.array_equal(one, batch[..., i], equal_nan=True)
+            assert np.array_equal(one, power(q[..., None], n)[..., 0], equal_nan=True)
 
 
 _ELECTRONS = (ElectronQubitSpec(0.5, -0.5), ElectronQubitSpec(0.0, -1.0),
