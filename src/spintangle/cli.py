@@ -338,6 +338,7 @@ def main(argv=None) -> int:
     """Parse, check the shared flags, read the register, run, emit once."""
     args = build_parser().parse_args(argv)
     try:
+        constants.apply_env_overrides()
         # design, qec and sweep check --k even where the value goes unused
         if getattr(args, "k", 1) < 1:
             raise ValueError(f"--k must be >= 1, got {args.k}")

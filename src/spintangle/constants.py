@@ -2,8 +2,9 @@
 
 All values are SI. The gyromagnetic ratios are angular (rad s^-1 T^-1).
 The environment variable SPINTANGLE_CONSTANTS may point to a JSON file
-mapping any of mu0/hbar/gamma_e/gamma_n_c13 to replacement values; it is
-read once at import and reflected in the provenance hash.
+mapping any of mu0/hbar/gamma_e/gamma_n_c13 to positive, finite values.
+apply_env_overrides reads it: the CLI before every command, a library caller
+when it wants them.  The values in force are reflected in the provenance hash.
 """
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 
 CONSTANTS_ENV_VAR = "SPINTANGLE_CONSTANTS"
 
@@ -26,25 +28,34 @@ KHZ = 2.0 * math.pi * 1e3           # plain kHz -> angular rad/s
 _ATTR_BY_KEY = {"mu0": "MU0", "hbar": "HBAR", "gamma_e": "GAMMA_E",
                 "gamma_n_c13": "GAMMA_C13"}
 CONSTANTS_TABLE = {key: globals()[attr] for key, attr in _ATTR_BY_KEY.items()}
+_DEFAULTS = dict(CONSTANTS_TABLE)
 
 
-def _apply_env_overrides() -> None:
-    path = os.environ.get(CONSTANTS_ENV_VAR)
-    if not path:
-        return
-    with open(path) as fh:
-        table = json.load(fh)
-    unknown = set(table) - set(_ATTR_BY_KEY)
-    if unknown:
-        raise ValueError(
-            f"{CONSTANTS_ENV_VAR} file {path!r} has unknown keys: "
-            f"{', '.join(sorted(unknown))}")
+def apply_env_overrides() -> None:
+    """Set the constants to the defaults, updated from the SPINTANGLE_CONSTANTS
+    file when the variable is set.  A bad file raises one ValueError naming
+    the variable, the path and the key, and changes no constant."""
+    path, table = os.environ.get(CONSTANTS_ENV_VAR), dict(_DEFAULTS)
+    if path:
+        where = f"{CONSTANTS_ENV_VAR} file {path!r}"
+        try:
+            with open(path) as fh:
+                overrides = json.load(fh)
+        except (OSError, ValueError) as exc:  # a JSONDecodeError is a ValueError
+            raise ValueError(f"{where}: {exc}") from None
+        if not isinstance(overrides, dict):
+            raise ValueError(f"{where} must hold a JSON object, got {overrides!r}")
+        for key, value in overrides.items():
+            # a known key and a JSON number (type() leaves out true and false)
+            # that is a positive float
+            if key not in table or not (type(value) in (int, float)
+                                        and 0 < value <= sys.float_info.max):
+                raise ValueError(f"{where}: {key!r}: {value!r}; the keys are "
+                                 f"{', '.join(table)}, each a positive, finite number")
+            table[key] = float(value)
     for key, value in table.items():
-        globals()[_ATTR_BY_KEY[key]] = float(value)
-        CONSTANTS_TABLE[key] = float(value)
-
-
-_apply_env_overrides()
+        globals()[_ATTR_BY_KEY[key]] = value
+    CONSTANTS_TABLE.update(table)
 
 
 def constants_hash() -> str:

@@ -7,6 +7,7 @@ hyperfine-to-position inversion, and bath-size gate-error studies.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,8 +18,8 @@ from .entanglement import (branch_angles, g1_from_angles, g1_from_phase_rates,
 from .fidelity import branch_overlaps, gate_error
 from .spin_model import (ConditionalRotation, ElectronQubitSpec,
                          NuclearSpinParams, build_sequence, power,
-                         resonance_time, stack_quaternions, trivial_evolution_radius,
-                         trivial_evolution_time, unit_propagator, unit_quaternions)
+                         resonance_time, stack_quaternions, unit_propagator,
+                         unit_quaternions)
 
 
 # ---------------------------------------------------------------------------
@@ -89,8 +90,15 @@ def evaluate_design(register: list[NuclearSpinParams],
                     electron: ElectronQubitSpec, t: float, N: int, k: int,
                     anchor_label: str, target_indices: list[int],
                     sequence_kind: str = "cpmg") -> GateDesign:
-    """Recompute all GateDesign figures of merit from (t, N) alone."""
-    n, idx = len(register), sorted(target_indices)
+    """Recompute all GateDesign figures of merit from (t, N) alone.  N and
+    the target indices are integers, numpy ones included, as iterate reads N."""
+    if not hasattr(N, "__index__") or N < 1:
+        raise ValueError(f"N must be an integer >= 1, got {N!r}")
+    n = len(register)
+    try:
+        idx = sorted(map(operator.index, target_indices))
+    except TypeError:  # not integers, or not a sequence
+        idx = []
     if not (idx and len(set(idx)) == len(idx) and 0 <= idx[0] and idx[-1] < n):
         raise ValueError(f"target_indices must be 1+ distinct indices in [0, {n}), "
                          f"got {target_indices!r}")
@@ -514,8 +522,8 @@ def spins_on_trivial_circle(electron: ElectronQubitSpec, omega_L: float,
         s = electron.s0
     else:
         raise ValueError("need one electron branch with projection 0")
-    t = trivial_evolution_time(omega_L, kappa_time)
-    radius = trivial_evolution_radius(s, t, kappa_circle)
+    t = 8.0 * kappa_time * math.pi / omega_L
+    radius = abs(8.0 * kappa_circle * math.pi / (s * t))
     center = -omega_L / s
     spins = []
     psi_values = np.linspace(1e-3, math.pi - 1e-3, 4 * count)

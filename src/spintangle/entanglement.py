@@ -132,21 +132,6 @@ def electron_one_tangle(rots: list[ConditionalRotation], N: int,
     return val if scaled else val / 3.0
 
 
-def one_tangle_bound(n: int) -> float:
-    """Upper bound of the single-qubit one-tangle in an n-qubit register.
-
-    Enumerates all 2^n secondary bipartitions of the purification; each
-    contributes the inverse of the smaller effective dimension.
-    """
-    if n < 2:
-        raise ValueError("need n >= 2 qubits")
-    total = 0.0
-    for size in range(n + 1):
-        dim = min(2 ** (n - 1 + size), 2 ** (1 + n - size))
-        total += math.comb(n, size) / dim
-    return 1.0 - (2.0 / 3.0) ** n * total
-
-
 # ---------------------------------------------------------------------------
 # iteration-count search
 
@@ -163,76 +148,10 @@ def optimal_iterations(rot: ConditionalRotation, N_max: int = 300,
                        threshold: float = G1_MAXIMAL_THRESHOLD) -> list[int]:
     """Iteration counts with nearly maximal one-tangle (G1 below threshold).
 
-    Membership is decided by direct evaluation of G1 at every integer
-    N <= N_max, which subsumes the closed-form minima estimates (see
-    analytic_iteration_candidates) and also covers unequal-angle sequences.
+    Membership is decided by direct evaluation of G1 at every integer N <= N_max,
+    which subsumes the closed-form minima estimates of the oracle's
+    analytic_iteration_candidates and also covers unequal-angle sequences.
     """
     g1 = g1_over_iterations(rot.quaternions, np.arange(1, N_max + 1))
     hits = np.nonzero(g1 < threshold)[0] + 1
     return [int(v) for v in hits]
-
-
-def _folded_angle(h: float) -> float:
-    """Rotation angle in [0, pi] of a branch with half angle h in [0, pi]."""
-    # min() returns a NaN first argument
-    return 2.0 * min(h, math.pi - h)
-
-
-def analytic_iteration_candidates(rot: ConditionalRotation,
-                                  kappa_range=range(1, 11),
-                                  angle_tol: float = 1e-9) -> list[int]:
-    """Closed-form G1-minimum estimates for equal-angle sequences.
-
-    Valid when phi0 = phi1 (CPMG and symmetrized UDD3).  For n01 < 0 the
-    minima sit at N = round[(2 kappa pi -/+ 2 atan sqrt(-1/n01)) / phi0]
-    (offset by -pi between the two families); for n01 near 0 they follow
-    N = round[(2 kappa + 1) pi / phi0].  For n01 > 0 G1 cannot vanish and
-    no candidates are produced.
-    """
-    h0, h1, n01 = branch_angles(rot.quaternions)
-    phi, phi1 = _folded_angle(h0), _folded_angle(h1)
-    if abs(phi - phi1) > angle_tol:
-        raise ValueError("analytic minima require phi0 = phi1")
-    # a branch turned by less than the axis threshold has n01 = 1: no minima
-    if min(phi, phi1) < 2.0 * _EPS_AXIS:
-        return []
-    # folding one branch past pi flips its axis
-    if (h0 > math.pi / 2.0) != (h1 > math.pi / 2.0):
-        n01 = -n01
-    out: set[int] = set()
-    if n01 < -1e-9:
-        delta = 2.0 * math.atan(math.sqrt(-1.0 / n01))
-        for kappa in kappa_range:
-            for val in ((2.0 * kappa * math.pi - delta) / phi,
-                        ((2.0 * kappa - 1.0) * math.pi + delta) / phi):
-                n = round(val)
-                if n >= 1:
-                    out.add(n)
-    elif abs(n01) <= 1e-9:
-        for kappa in kappa_range:
-            n = round((2.0 * kappa + 1.0) * math.pi / phi)
-            if n >= 1:
-                out.add(n)
-    return sorted(out)
-
-
-def udd4_jump_locations(rot: ConditionalRotation, N_max: int) -> list[int]:
-    """Predicted N where the iterated axis dot product jumps (unequal angles).
-
-    The jumps cluster around N = round[2 kappa pi / (phi0 + phi1)]; sequences
-    with identical branch angles have none.
-    """
-    h0, h1, _ = branch_angles(rot.quaternions)
-    phi_sum = _folded_angle(h0) + _folded_angle(h1)
-    if abs(h0 - h1) < 1e-12 or phi_sum <= 0:
-        return []
-    out = []
-    kappa = 1
-    while True:
-        n = round(2.0 * kappa * math.pi / phi_sum)
-        if n > N_max:
-            break
-        if n >= 1 and (not out or out[-1] != n):
-            out.append(n)
-        kappa += 1
-    return out

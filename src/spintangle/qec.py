@@ -39,8 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_model import (ConditionalRotation, ElectronQubitSpec, NuclearSpinParams,
-                         branch_frequency, branch_tilt, finite_1d, power)
+from .spin_model import ConditionalRotation, finite_1d, power
 
 STAGES = ("initial", "encoded", "error", "decoded", "corrected")
 ERROR_KINDS = ("none", "electron", "nucleus1", "nucleus2")
@@ -241,14 +240,3 @@ def disentanglement_residual(rot: ConditionalRotation) -> float:
     exactly after an electron bit-flip; it scales as (B/omega_L)^2.
     """
     return float(abs(rot.quaternions[1, 3] - rot.quaternions[0, 3]))
-
-
-def residual_closed_form(spin: NuclearSpinParams, electron: ElectronQubitSpec,
-                         t: float) -> float:
-    """Sine-product form of the residual for one CPMG unit of duration t."""
-    th = [branch_tilt(spin, s) for s in (electron.s0, electron.s1)]
-    om = [branch_frequency(spin, s) for s in (electron.s0, electron.s1)]
-    val = 2.0 * math.sin(th[0] - th[1]) * (
-        math.sin(th[1]) * math.sin(t * om[0] / 4.0) * math.sin(t * om[1] / 8.0) ** 2
-        + math.sin(th[0]) * math.sin(t * om[1] / 4.0) * math.sin(t * om[0] / 8.0) ** 2)
-    return abs(val)

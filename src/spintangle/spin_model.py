@@ -79,11 +79,6 @@ def branch_frequency(spin: NuclearSpinParams, s: float) -> float:
     return math.hypot(spin.omega_L + s * spin.A, s * spin.B)
 
 
-def branch_tilt(spin: NuclearSpinParams, s: float) -> float:
-    """Tilt theta_j of the branch's precession axis away from z."""
-    return math.atan2(s * spin.B, spin.omega_L + s * spin.A)
-
-
 # ---------------------------------------------------------------------------
 # pulse sequences
 
@@ -417,111 +412,3 @@ def coherence(rot: ConditionalRotation) -> tuple[float, float]:
     q0, q1 = rot.quaternions
     m = float(np.clip(q0 @ q1, -1.0, 1.0))  # keeps a NaN, unlike min/max
     return m, 0.5 * (1.0 + m)
-
-
-# ---------------------------------------------------------------------------
-# trivial evolution
-
-
-def trivial_evolution_time(omega_L: float, kappa: int) -> float:
-    """Unit time 8*kappa*pi/omega_L at which an s = 0 branch decouples."""
-    return 8.0 * kappa * math.pi / omega_L
-
-
-def trivial_evolution_radius(electron_s: float, t: float, kappa: int) -> float:
-    """Radius of the kappa-th decoupling circle for one electron branch."""
-    if electron_s == 0:
-        raise ValueError("s = 0 branch has no circle; decoupling is periodic in t")
-    return abs(8.0 * kappa * math.pi / (electron_s * t))
-
-
-def trivial_evolution_condition(spin: NuclearSpinParams,
-                                electron: ElectronQubitSpec,
-                                t: float, kappa_max: int,
-                                tol: float = 1e-6) -> tuple[bool, float]:
-    """Check whether both branches decouple at unit time t.
-
-    For a branch with projection s != 0 the condition is that (A, B) lies on
-    a circle of center (-omega_L/s, 0) and radius 8*kappa*pi/(s*t) for some
-    kappa <= kappa_max (only radii exceeding the center offset are valid).
-    A branch with s = 0 decouples when t is a multiple of the Larmor period
-    pair t = 8*kappa*pi/omega_L.  Returns (ok, worst relative residual).
-    """
-    if t <= 0:
-        raise ValueError("t must be positive")
-    worst = 0.0
-    for s in (electron.s0, electron.s1):
-        best = math.inf
-        if s == 0:
-            for kappa in range(1, kappa_max + 1):
-                ref = trivial_evolution_time(spin.omega_L, kappa)
-                best = min(best, abs(t - ref) / ref)
-        else:
-            dx = spin.A + spin.omega_L / s
-            d = math.hypot(dx, spin.B)
-            for kappa in range(1, kappa_max + 1):
-                radius = trivial_evolution_radius(s, t, kappa)
-                if radius * radius < dx * dx:
-                    continue
-                best = min(best, abs(d - radius) / radius)
-        worst = max(worst, best)
-    return worst < tol, worst
-
-
-# ---------------------------------------------------------------------------
-# closed-form per-unit rotation angles
-
-
-def _g_factor(a_half: float, b_half: float, cos_tilt: float) -> float:
-    return (math.cos(a_half) * math.cos(b_half)
-            - cos_tilt * math.sin(a_half) * math.sin(b_half))
-
-
-def closed_form_angles(kind: str, spin: NuclearSpinParams,
-                       electron: ElectronQubitSpec, t: float) -> tuple[float, float]:
-    """Analytic per-unit rotation angles (phi0, phi1) in [0, pi].
-
-    kind is the build_sequence kind "cpmg", "udd3" (symmetrized, six pulses)
-    or "udd4", whose spacings the formulas read.  Angles agree with the
-    propagator extraction; for cpmg and udd3 phi0 = phi1 identically.
-    """
-    if kind not in ("cpmg", "udd3", "udd4"):
-        raise ValueError(f"unsupported kind: {kind!r}")
-    # unit spacings at a fixed unit time, so that a NaN t gives NaN angles
-    q = build_sequence(kind, 1.0).spacings
-    w0 = branch_frequency(spin, electron.s0) * t
-    w1 = branch_frequency(spin, electron.s1) * t
-    th0 = branch_tilt(spin, electron.s0)
-    th1 = branch_tilt(spin, electron.s1)
-
-    def one_branch(wa: float, wb: float, tilt: float) -> float:
-        ct, st2 = math.cos(tilt), math.sin(tilt) ** 2
-        if kind == "cpmg":
-            val = _g_factor((q[0] + q[2]) * wa / 2.0, q[1] * wb / 2.0, ct)
-        elif kind == "udd4":
-            odd = (q[0] + q[2] + q[4]) * wa / 2.0
-            even = (q[1] + q[3]) * wb / 2.0
-            val = (_g_factor(odd, even, ct)
-                   - 2.0 * st2 * math.sin(q[1] * wb / 2.0)
-                   * math.sin(q[2] * wa / 2.0)
-                   * math.sin(q[3] * wb / 2.0)
-                   * math.sin((q[0] + q[4]) * wa / 2.0))
-        else:  # udd3: the symmetrized unit starts with the half spacings q1, q2
-            q1, q2 = q[0], q[1]
-            odd = (2.0 * q1 + 2.0 * q2) * wa / 2.0
-            even = (2.0 * q1 + 2.0 * q2) * wb / 2.0
-            val = (_g_factor(odd, even, ct)
-                   + 4.0 * ct * st2
-                   * math.sin(q1 * wa) * math.sin(q1 * wb)
-                   * math.sin(q2 * wa / 2.0) ** 2
-                   * math.sin(q2 * wb / 2.0) ** 2
-                   - 2.0 * st2 * math.cos(q1 * wb) * math.sin(q1 * wa)
-                   * math.sin(q2 * wa) * math.sin(q2 * wb / 2.0) ** 2
-                   - 2.0 * st2 * math.sin(q1 * wb) * math.sin(q2 * wb)
-                   * math.sin(q2 * wa / 2.0)
-                   * math.sin(q1 * wa + q2 * wa / 2.0))
-        phi = 2.0 * math.acos(np.clip(val, -1.0, 1.0))  # keeps a NaN
-        # fold into [0, pi]; min() returns a NaN first argument
-        return min(phi, 2.0 * math.pi - phi)
-
-    return one_branch(w0, w1, th0 - th1), one_branch(w1, w0, th1 - th0)

@@ -24,6 +24,7 @@ from spintangle.designer import (
     optimize_register_gate,
     spins_on_trivial_circle,
 )
+from spintangle import oracle
 from spintangle.oracle import (
     conditional_unitary,
     kraus_coefficients,
@@ -327,10 +328,10 @@ class TestCriterion7Properties:
         electron = ElectronQubitSpec(0.5, -0.5)
         rot = unit_propagator(build_sequence("udd4", 3.1861e-6), spin,
                               electron)
-        hits = ent.udd4_jump_locations(rot, 300)
+        hits = oracle.udd4_jump_locations(rot, 300)
         halves = [ent.branch_angles(iterate(rot, n).quaternions)[:2]
                   for n in range(1, 302)]
-        dphi = np.array([abs(ent._folded_angle(h0) - ent._folded_angle(h1))
+        dphi = np.array([abs(oracle._folded_angle(h0) - oracle._folded_angle(h1))
                          for h0, h1 in halves])
         minima = [n + 1 for n in range(1, 300)
                   if dphi[n] <= dphi[n - 1] and dphi[n] <= dphi[n + 1]

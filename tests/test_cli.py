@@ -78,6 +78,16 @@ def _write(tmp_path, name, text):
     return str(p)
 
 
+def _run_cli(argv, env_extra, code=None):
+    """Run the CLI (or code) in a fresh interpreter with extra environment."""
+    src = str(Path(spintangle.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]), **env_extra)
+    cmd = ["-c", code] if code else ["-m", "spintangle.cli", *argv]
+    return subprocess.run([sys.executable, *cmd], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
 def _subparser(command):
     return next(a for a in build_parser()._actions
                 if isinstance(a, argparse._SubParsersAction)).choices[command]
@@ -193,14 +203,10 @@ class TestOutputs:
             assert type(prov[key]) is float and prov[key] >= 0.0
 
     def test_import_loads_no_scipy(self):
-        src = str(Path(spintangle.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src, os.environ.get("PYTHONPATH", "")]))
         code = ("import sys, spintangle, spintangle.cli; "
                 "print(sorted(m for m in sys.modules "
-                "if m.split('.')[0] == 'scipy'))")
-        done = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=120)
+                "if m.split('.')[0] == 'scipy' or m == 'spintangle.oracle'))")
+        done = _run_cli(None, {}, code)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
 
@@ -606,3 +612,61 @@ class TestInputErrors:
             assert name.format(flag=flag, value=value) in captured.err, captured.err
             outcomes[command] = "rejected"
         assert len(set(outcomes.values())) == 1, outcomes
+
+
+class TestConstantsFile:
+    """SPINTANGLE_CONSTANTS is read by main: a bad file is one input error."""
+
+    @pytest.mark.parametrize("text, key", [
+        (None, None),
+        ('{"hbar": "abc"}', "hbar"),
+        ("[1, 2]", None),
+        ('{"planck": 1}', "planck"),
+        ('{"hbar": -1, "mu0": NaN}', "hbar"),
+        ('{"mu0": NaN}', "mu0"),
+        ('{"gamma_e": 0}', "gamma_e"),
+        ('{"gamma_n_c13": Infinity}', "gamma_n_c13"),
+        ('{"hbar": true}', "hbar"),
+        ('{"hbar": 1e-34', None),
+    ], ids=["missing", "string", "not-object", "unknown-key", "negative",
+            "nan", "zero", "infinite", "bool", "bad-json"])
+    def test_bad_file_exits_one_naming_it(self, text, key, tmp_path):
+        path = tmp_path / "constants.json"
+        if text is not None:
+            path.write_text(text)
+        done = _run_cli(REACHES_WORK["resonances"],
+                        {"SPINTANGLE_CONSTANTS": str(path)})
+        assert (done.returncode, done.stdout) == (1, ""), done
+        assert "Traceback" not in done.stderr
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr
+        assert "SPINTANGLE_CONSTANTS" in lines[0] and str(path) in lines[0]
+        if key:
+            assert repr(key) in lines[0] or f"{key} must be" in lines[0], lines[0]
+
+    @pytest.mark.parametrize("command", ALL)
+    def test_every_subcommand_rejects_a_missing_file(self, command, tmp_path):
+        path = tmp_path / "missing.json"
+        done = _run_cli(REACHES_WORK[command], {"SPINTANGLE_CONSTANTS": str(path)})
+        assert (done.returncode, done.stdout) == (1, ""), done
+        assert done.stderr.startswith(f"error: SPINTANGLE_CONSTANTS file '{path}'")
+
+    def test_override_reaches_estimate_position_and_provenance(self, tmp_path):
+        from spintangle import constants
+        from spintangle.designer import estimate_position
+
+        path, out = tmp_path / "constants.json", tmp_path / "r.json"
+        path.write_text(json.dumps({"hbar": 8.0 * constants.HBAR}))
+        code = ("import json, sys; from spintangle import cli, constants, designer; "
+                f"assert cli.main(['resonances', '--register', 'nv27', '--k-max', '1', "
+                f"'--json', {str(out)!r}]) == 0; "
+                "print(json.dumps([designer.estimate_position(1e5, 5e4), "
+                "constants.constants_hash()]), file=sys.stderr)")
+        done = _run_cli(None, {"SPINTANGLE_CONSTANTS": str(path)}, code)
+        assert done.returncode == 0, done.stderr
+        (r, theta), digest = json.loads(done.stderr)
+        r0, theta0 = estimate_position(1e5, 5e4)
+        # the dipolar radius goes as the cube root of hbar
+        assert r == pytest.approx(2.0 * r0, rel=1e-12) and theta == theta0
+        prov = json.loads(out.read_text())["provenance"]
+        assert prov["constants"] == digest != constants.constants_hash()

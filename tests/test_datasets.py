@@ -211,34 +211,30 @@ class TestBundled:
 
 class TestConstantsOverride:
     def test_env_var_overrides_table(self, tmp_path, monkeypatch):
-        import importlib
-
         from spintangle import constants
 
         base_hash = constants.constants_hash()
         path = tmp_path / "constants.json"
         path.write_text('{"hbar": 1.0e-34}')
         monkeypatch.setenv(constants.CONSTANTS_ENV_VAR, str(path))
-        importlib.reload(constants)
         try:
+            constants.apply_env_overrides()
             assert constants.HBAR == 1.0e-34
             assert constants.constants_hash() != base_hash
         finally:
             monkeypatch.delenv(constants.CONSTANTS_ENV_VAR)
-            importlib.reload(constants)
+            constants.apply_env_overrides()
+        assert constants.HBAR == 1.0545718e-34
         assert constants.constants_hash() == base_hash
 
     def test_unknown_key_rejected(self, tmp_path, monkeypatch):
-        import importlib
-
         from spintangle import constants
 
+        base_hash = constants.constants_hash()
         path = tmp_path / "constants.json"
-        path.write_text('{"planck": 1}')
+        path.write_text('{"hbar": 1.0e-34, "planck": 1}')
         monkeypatch.setenv(constants.CONSTANTS_ENV_VAR, str(path))
-        try:
-            with pytest.raises(ValueError, match="unknown keys"):
-                importlib.reload(constants)
-        finally:
-            monkeypatch.delenv(constants.CONSTANTS_ENV_VAR)
-            importlib.reload(constants)
+        with pytest.raises(ValueError, match="'planck': 1; the keys are"):
+            constants.apply_env_overrides()
+        # a rejected file changes no constant
+        assert constants.constants_hash() == base_hash

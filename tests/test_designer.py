@@ -66,14 +66,30 @@ class TestOptimizeRegisterGate:
         assert design.mean_unwanted_tangle == 0.0
         assert design.gate_error == 0.0
 
-    @pytest.mark.parametrize("targets", [[3, -1], [3, 3], [], [3, 99]],
-                             ids=["negative", "duplicate", "empty", "out-of-range"])
+    @pytest.mark.parametrize("targets", [[3, -1], [3, 3], [], [3, 99], [3.0, 4], [3, 4.5]],
+                             ids=["negative", "duplicate", "empty", "out-of-range",
+                                  "float-3.0", "float-4.5"])
     def test_bad_target_indices_named(self, targets):
         reg = load_register("nv27")
         c4 = reg.by_label("C4")
         t = resonance_time(c4, reg.electron(), 3)
         with pytest.raises(ValueError, match="target_indices"):
             evaluate_design(reg.spins, reg.electron(), t, 82, 3, "C4", targets)
+
+    @pytest.mark.parametrize("N", [0, -3, 1.5, 82.0, "82", None])
+    def test_bad_iteration_count_named(self, N):
+        reg = load_register("nv27")
+        t = resonance_time(reg.by_label("C4"), reg.electron(), 3)
+        with pytest.raises(ValueError, match="N must be an integer >= 1"):
+            evaluate_design(reg.spins, reg.electron(), t, N, 3, "C4", [3, 4])
+
+    def test_numpy_integers_pass(self):
+        reg = load_register("nv27")
+        t = resonance_time(reg.by_label("C4"), reg.electron(), 3)
+        plain = evaluate_design(reg.spins, reg.electron(), t, 82, 3, "C4", [3, 4])
+        numpy = evaluate_design(reg.spins, reg.electron(), t, np.int64(82), 3, "C4",
+                                np.array([4, 3]))
+        assert numpy == plain
 
     @pytest.mark.parametrize("anchor, k, targets", [("C4", 3, ["C4", "C5", "C15"]),
                                                     ("C23", 3, ["C4", "C23"])])

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from spintangle.entanglement import (
     MAX_PAIR_TANGLE,
-    analytic_iteration_candidates,
     branch_angles,
     electron_one_tangle,
     entangling_power,
@@ -19,15 +18,16 @@ from spintangle.entanglement import (
     makhlin_g1,
     makhlin_g2,
     nuclear_one_tangle,
-    one_tangle_bound,
     optimal_iterations,
     tangle_upper_bound,
-    udd4_jump_locations,
 )
 from spintangle.oracle import (
+    analytic_iteration_candidates,
     conditional_unitary,
     magic_basis_invariants,
     mc_bipartition_entangling_power,
+    one_tangle_bound,
+    udd4_jump_locations,
 )
 from spintangle.spin_model import (
     ConditionalRotation,

@@ -1,9 +1,15 @@
 from __future__ import annotations
 
+import ast
+import inspect
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spintangle import oracle
+from spintangle import entanglement, fidelity, oracle, qec, spin_model
 from spintangle.oracle import (
     MAGIC_BASIS,
     conditional_unitary,
@@ -138,3 +144,82 @@ class TestNumericKraus:
         u = np.eye(2 ** 13, dtype=complex)
         with pytest.raises(ValueError):
             numeric_kraus_fidelity(u, np.eye(2, dtype=complex), 0)
+
+
+class TestIndependence:
+    """The analytic references live in the oracle and call no fast path."""
+
+    MOVED = ("closed_form_angles", "trivial_evolution_condition",
+             "residual_closed_form", "analytic_iteration_candidates",
+             "udd4_jump_locations", "one_tangle_bound")
+    GONE = {spin_model: ("closed_form_angles", "trivial_evolution_condition",
+                         "branch_tilt", "trivial_evolution_time",
+                         "trivial_evolution_radius", "_g_factor"),
+            entanglement: ("analytic_iteration_candidates", "udd4_jump_locations",
+                           "one_tangle_bound", "_folded_angle"),
+            qec: ("residual_closed_form",)}
+    # what the references may read of the fast modules: data types and spacings
+    ALLOWED = {spin_model.NuclearSpinParams, spin_model.ElectronQubitSpec,
+               spin_model.PulseSequence, spin_model.ConditionalRotation,
+               spin_model.build_sequence}
+
+    def test_references_only_in_the_oracle(self):
+        from spintangle.oracle import (analytic_iteration_candidates,  # noqa: F401
+                                       closed_form_angles, one_tangle_bound,
+                                       residual_closed_form,
+                                       trivial_evolution_condition,
+                                       udd4_jump_locations)
+
+        assert all(inspect.getmodule(getattr(oracle, name)) is oracle
+                   for name in self.MOVED)
+        assert {mod.__name__: [n for n in names if hasattr(mod, n)]
+                for mod, names in self.GONE.items()} == {
+                    mod.__name__: [] for mod in self.GONE}
+        fast = [getattr(spin_model, name) for name in (
+            "unit_quaternions", "unit_propagator", "iterate", "power",
+            "half_angles", "branch_frequency")]
+        fast += [f for _, f in inspect.getmembers(entanglement, inspect.isfunction)]
+        fast += [fidelity] + [f for _, f in inspect.getmembers(fidelity, inspect.isfunction)]
+        held = vars(oracle).values()
+        assert not [f for f in fast if any(f is v for v in held)]
+        # and nothing else of the package but the allowed data types
+        borrowed = {v for v in held
+                    if getattr(v, "__module__", "oracle").startswith("spintangle.")
+                    and v.__module__ != "spintangle.oracle"}
+        assert borrowed <= self.ALLOWED, borrowed - self.ALLOWED
+        # no import inside a function brings in more
+        imported = {alias.name for node in ast.walk(ast.parse(inspect.getsource(oracle)))
+                    if isinstance(node, ast.ImportFrom) and node.level
+                    for alias in node.names}
+        assert imported <= {f.__name__ for f in self.ALLOWED}, imported
+
+
+def _quaternion(h, axis):
+    """A branch quaternion (cos h, sin h * axis / |axis|)."""
+    n = np.asarray(axis) / np.linalg.norm(axis)
+    return [math.cos(h), *(math.sin(h) * n).tolist()]
+
+
+_AXES = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+    lambda a: 1e-3 < math.hypot(*a))
+# half angles in [0, pi]: past pi/2 the branch turns past pi
+_BRANCHES = st.one_of(
+    st.builds(_quaternion, st.floats(0.0, math.pi), _AXES),
+    # near identity, |v| < 1e-12, turned by about 0 or 2 pi
+    st.builds(lambda w, v, axis: [w, *(v * np.asarray(axis)
+                                      / np.linalg.norm(axis)).tolist()],
+              st.sampled_from([1.0, -1.0]), st.floats(0.0, 9e-13), _AXES))
+
+
+class TestAngleReader:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(rows=st.tuples(_BRANCHES, _BRANCHES),
+           nans=st.one_of(st.just([]), st.lists(st.integers(0, 7), min_size=1,
+                                                 max_size=3)))
+    def test_matches_branch_angles(self, rows, nans):
+        quats = np.array(rows)
+        quats.reshape(8)[nans] = math.nan
+        got = oracle._angles(quats)
+        want = entanglement.branch_angles(quats)
+        for g, w in zip(got, want):
+            assert (math.isnan(g) and math.isnan(w)) or abs(g - w) <= 1e-12, (got, want)

@@ -9,7 +9,7 @@ import pytest
 from spintangle.datasets import load_register
 from spintangle.designer import DesignConstraints, optimize_register_gate
 from spintangle.entanglement import branch_angles
-from spintangle.oracle import conditional_unitary
+from spintangle.oracle import conditional_unitary, residual_closed_form
 from spintangle.qec import (
     QecScenario,
     _circuit,
@@ -18,7 +18,6 @@ from spintangle.qec import (
     error_surface,
     ideal_crx,
     nuclear_trajectories,
-    residual_closed_form,
     run_bitflip_code,
     sequential_theta_solution,
 )

@@ -16,23 +16,21 @@ from spintangle.spin_model import (
     NuclearSpinParams,
     PulseSequence,
     build_sequence,
-    closed_form_angles,
     coherence,
     iterate,
     power,
     resonance_time,
-    trivial_evolution_condition,
-    trivial_evolution_radius,
     unit_propagator,
     unit_quaternions,
 )
 from spintangle.constants import KHZ
 from spintangle.datasets import load_register
 from spintangle.designer import generate_random_ensemble
-from spintangle.entanglement import _folded_angle, branch_angles
+from spintangle.entanglement import branch_angles
 from spintangle.designer import _spin_arrays
-from spintangle.oracle import (conditional_unitary, dense_propagator,
-                               segment_exponential_rotation)
+from spintangle.oracle import (_folded_angle, closed_form_angles, conditional_unitary,
+                               dense_propagator, segment_exponential_rotation,
+                               trivial_evolution_condition)
 
 from .conftest import random_rotation_pair, random_spin, random_unit_vector
 
@@ -400,10 +398,6 @@ class TestTrivialEvolution:
             for n in (1, 7, 40):
                 assert nuclear_one_tangle(rot, n, scaled=True) < 1e-4
 
-    def test_zero_projection_has_no_radius(self):
-        with pytest.raises(ValueError, match="s = 0"):
-            trivial_evolution_radius(0.0, 1e-6, 1)
-
     @pytest.mark.parametrize("t", [0.0, -1e-6])
     def test_nonpositive_time_rejected(self, spin_60_30, half_electron, t):
         with pytest.raises(ValueError, match="t must be positive"):
@@ -421,7 +415,7 @@ class TestTrivialEvolution:
             d = math.hypot(dx, spin.B)
             best = math.inf
             for kappa in range(1, 4):
-                radius = trivial_evolution_radius(s, t, kappa)
+                radius = abs(8.0 * kappa * math.pi / (s * t))
                 if radius ** 2 > dx ** 2:
                     best = min(best, abs(d - radius) / radius)
             worst = max(worst, best)
