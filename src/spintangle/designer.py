@@ -522,6 +522,8 @@ def spins_on_trivial_circle(electron: ElectronQubitSpec, omega_L: float,
         s = electron.s0
     else:
         raise ValueError("need one electron branch with projection 0")
+    if not hasattr(kappa_time, "__index__") or operator.index(kappa_time) < 1:
+        raise ValueError(f"kappa_time must be an integer >= 1, got {kappa_time!r}")
     t = 8.0 * kappa_time * math.pi / omega_L
     radius = abs(8.0 * kappa_circle * math.pi / (s * t))
     center = -omega_L / s

@@ -31,13 +31,14 @@ def branch_angles(quats) -> tuple:
 
     quats has shape (2, 4, ...): branch, then (w, x, y, z), as returned by
     unit_quaternions or ConditionalRotation.quaternions.  n01 is 1 when
-    either branch is trivial.  One rotation's (2, 4) array is read on Python
-    floats (see half_angles), anything else on arrays: bit for bit alike.
+    either branch is trivial.  A ConditionalRotation or a (2, 4) array is read
+    on Python floats (its half_angles()), anything else on arrays, bit for bit alike.
     """
     if getattr(quats, "shape", None) == (2, 4):
-        rows = quats.tolist()
-        (h0, h1), (s0, s1) = half_angles(rows)
-        (_, x0, y0, z0), (_, x1, y1, z1) = rows
+        quats = ConditionalRotation._of(quats.tolist())  # read once: list rows do
+    if isinstance(quats, ConditionalRotation):
+        (h0, h1), (s0, s1) = quats.half_angles()
+        (_, x0, y0, z0), (_, x1, y1, z1) = quats._rows
         # max() keeps a NaN product only as its first argument
         return h0, h1, (1.0 if s0 < _EPS_AXIS or s1 < _EPS_AXIS
                         else (x0 * x1 + y0 * y1 + z0 * z1) / max(s0 * s1, 1e-300))
@@ -102,7 +103,7 @@ def makhlin_g1(rot: ConditionalRotation, N: int) -> float:
     """First Makhlin invariant of the iterated conditional gate, in [0, 1]."""
     if N < 0:
         raise ValueError("N must be >= 0")
-    return float(g1_from_angles(*branch_angles(rot.quaternions), N))
+    return float(g1_from_angles(*branch_angles(rot), N))
 
 
 def makhlin_g2(rot: ConditionalRotation, N: int) -> float:

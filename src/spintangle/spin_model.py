@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -45,9 +46,9 @@ class NuclearSpinParams:
     omega_L: float
 
     def __post_init__(self) -> None:
-        for name in ("A", "B", "omega_L"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not (math.isfinite(self.A) and math.isfinite(self.B) and math.isfinite(self.omega_L)):
+            name = next(n for n in ("A", "B", "omega_L") if not math.isfinite(getattr(self, n)))
+            raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.B < 0:
             raise ValueError("B must be nonnegative")
         if self.omega_L <= 0:
@@ -202,17 +203,7 @@ class Rotation:
 
 
 def half_angles(quats):
-    """Half angles atan2(|v|, w) and axis lengths |v| of branch quaternions.
-
-    An array (2, 4, ...) gives two arrays (2, ...); one rotation's rows as a
-    list of two [w, x, y, z] lists give two lists, on Python floats.  Both use
-    np.arctan2 (math.atan2 differs in the last bit): the same numbers.
-    """
-    if isinstance(quats, list):
-        (w0, x0, y0, z0), (w1, x1, y1, z1) = quats
-        s = [math.sqrt(x0 * x0 + y0 * y0 + z0 * z0),
-             math.sqrt(x1 * x1 + y1 * y1 + z1 * z1)]
-        return np.arctan2(s, (w0, w1)).tolist(), s
+    """Half angles atan2(|v|, w) and axis lengths |v| of branch quaternions (2, 4, ...)."""
     q = np.asarray(quats, dtype=float)
     s = np.sqrt(np.sum(q[:, 1:] ** 2, axis=1))
     return np.arctan2(s, q[:, 0]), s
@@ -223,20 +214,8 @@ def power(quats, N) -> np.ndarray:
 
     quats has shape (2, 4, ...); N, any real count, broadcasts against its
     trailing axes, giving shape (2, 4) + their broadcast shape.  |v| below
-    _EPS_AXIS keeps the z axis; NaN stays NaN.  One rotation's (2, 4) array
-    with a Python int or float N runs on Python floats, bit for bit.
+    _EPS_AXIS keeps the z axis; NaN stays NaN.  iterate gives one rotation's bits.
     """
-    if getattr(quats, "shape", None) == (2, 4) and type(N) in (int, float):
-        rows = quats.tolist()
-        out = []
-        for (_, x, y, z), h, s in zip(rows, *half_angles(rows)):
-            half = N * h
-            # math's cos and sin raise on an infinite angle, where numpy gives NaN
-            c, sn = (math.cos(half), math.sin(half)) if math.isfinite(half) else (math.nan,) * 2
-            if not s >= _EPS_AXIS:
-                x, y, z, s = 0.0, 0.0, 1.0, 1.0
-            out.append((c, sn * (x / s), sn * (y / s), sn * (z / s)))
-        return np.array(out)
     q = np.asarray(quats, dtype=float)
     shape = np.broadcast_shapes(q.shape[2:], np.shape(N))
     # the branch axis stays in front of any axes N adds
@@ -249,17 +228,22 @@ def power(quats, N) -> np.ndarray:
 
 
 class ConditionalRotation:
-    """Per-branch rotations of one unit (or N): a read-only view of a (2, 4)
-    array of branch quaternions (w, x, y, z)."""
+    """Per-branch rotations of one unit (or N): two (w, x, y, z) tuples of floats it owns."""
 
-    __slots__ = ("quaternions",)
+    __slots__ = ("_rows", "_array", "_halves")
 
     def __init__(self, q) -> None:
-        view = np.asarray(q, dtype=float).view()
-        if view.shape != (2, 4):
-            raise ValueError(f"quaternions must have shape (2, 4), got {view.shape}")
-        view.setflags(write=False)
-        self.quaternions = view
+        arr = np.asarray(q, dtype=float)
+        if arr.shape != (2, 4):
+            raise ValueError(f"quaternions must have shape (2, 4), got {arr.shape}")
+        self._rows, self._array, self._halves = tuple(map(tuple, arr.tolist())), None, None
+
+    @classmethod
+    def _of(cls, rows) -> "ConditionalRotation":
+        """The rotation of two (w, x, y, z) tuples of floats, taken unchecked."""
+        rot = cls.__new__(cls)
+        rot._rows, rot._array, rot._halves = rows, None, None
+        return rot
 
     @classmethod
     def from_axis_angles(cls, n0, phi0: float, n1, phi1: float) -> "ConditionalRotation":
@@ -276,6 +260,22 @@ class ConditionalRotation:
         return cls(rows)
 
     @property
+    def quaternions(self) -> np.ndarray:
+        """The read-only (2, 4) array of the branch quaternions, built on first read."""
+        if self._array is None:
+            self._array = np.array(self._rows)
+            self._array.setflags(write=False)
+        return self._array
+
+    def half_angles(self) -> tuple:
+        """half_angles on Python floats, ((h0, h1), (|v0|, |v1|)), taken once."""
+        if self._halves is None:  # np.arctan2: math.atan2 differs in the last bit
+            (w0, x0, y0, z0), (w1, x1, y1, z1) = self._rows
+            s = (math.sqrt(x0 * x0 + y0 * y0 + z0 * z0), math.sqrt(x1 * x1 + y1 * y1 + z1 * z1))
+            self._halves = tuple(np.arctan2(s, (w0, w1)).tolist()), s
+        return self._halves
+
+    @property
     def r0(self) -> Rotation:
         return Rotation(self.quaternions[0, 0], self.quaternions[0, 1:])
 
@@ -286,7 +286,8 @@ class ConditionalRotation:
 
 def stack_quaternions(rots) -> np.ndarray:
     """Branch quaternions of ConditionalRotations as one (2, 4, n) array."""
-    return np.array([r.quaternions for r in rots]).reshape(-1, 2, 4).transpose(1, 2, 0)
+    rows = chain.from_iterable(chain.from_iterable(rot._rows for rot in rots))
+    return np.fromiter(rows, float).reshape(-1, 2, 4).transpose(1, 2, 0)
 
 
 def unit_quaternions(A, B, omega_L, electron: ElectronQubitSpec,
@@ -302,6 +303,17 @@ def unit_quaternions(A, B, omega_L, electron: ElectronQubitSpec,
     passes them) run the same formulas on Python floats: the batch numbers,
     bit for bit, at a fraction of the call cost.
     """
+    out, _ = _unit_rows(A, B, omega_L, electron, spacings, t)
+    # a component can fall short of the full shape after one segment
+    quats = np.empty((2, 4) + np.broadcast(A, B, omega_L, t).shape)
+    for branch, components in enumerate(out):
+        for i, value in enumerate(components):
+            quats[branch, i] = value
+    return quats
+
+
+def _unit_rows(A, B, omega_L, electron, spacings, t):
+    """unit_quaternions' two (w, x, y, z) tuples, and whether they hold floats."""
     # math's cos and sin give numpy's bits, and so does complex abs, which
     # calls C hypot as np.hypot does; math.hypot differs in the last bit
     scalar = (isinstance(A, float) and isinstance(B, float)
@@ -347,29 +359,29 @@ def unit_quaternions(A, B, omega_L, electron: ElectronQubitSpec,
                               c * y + sn * (nz * x - nx * z),
                               c * z + sn * (nz * w + nx * y))
         out.append((w, x, y, z))
-    if scalar:
-        return np.array(out)
-    # a component can fall short of the full shape after one segment
-    quats = np.empty((2, 4) + np.broadcast(A, B, omega_L, t).shape)
-    for branch, components in enumerate(out):
-        for i, value in enumerate(components):
-            quats[branch, i] = value
-    return quats
+    return tuple(out), scalar
 
 
 def unit_propagator(seq: PulseSequence, spin: NuclearSpinParams,
                     electron: ElectronQubitSpec) -> ConditionalRotation:
     """Exact conditional rotation of one sequence unit (see unit_quaternions)."""
-    return ConditionalRotation(unit_quaternions(
-        spin.A, spin.B, spin.omega_L, electron, seq.spacings, seq.unit_time))
+    rows, floats = _unit_rows(spin.A, spin.B, spin.omega_L, electron, seq.spacings, seq.unit_time)
+    return ConditionalRotation._of(rows) if floats else ConditionalRotation(rows)
 
 
 def iterate(rot: ConditionalRotation, N: int) -> ConditionalRotation:
-    """N repetitions of the unit, an integer N >= 1: power on one rotation."""
+    """N repetitions of the unit, an integer N >= 1: power on Python floats, bit for bit."""
     N = operator.index(N)  # a float N raises TypeError; power takes fractions
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    return ConditionalRotation(power(rot.quaternions, N))
+    rows = []
+    for (_, x, y, z), h, s in zip(rot._rows, *rot.half_angles()):
+        half = N * h
+        # math's cos and sin raise on an infinite angle, where numpy gives NaN
+        c, sn = (math.cos(half), math.sin(half)) if math.isfinite(half) else (math.nan,) * 2
+        x, y, z, s = (x, y, z, s) if s >= _EPS_AXIS else (0.0, 0.0, 1.0, 1.0)
+        rows.append((c, sn * (x / s), sn * (y / s), sn * (z / s)))
+    return ConditionalRotation._of(tuple(rows))
 
 
 # ---------------------------------------------------------------------------

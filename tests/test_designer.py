@@ -725,6 +725,22 @@ class TestTrivialCircle:
             spins_on_trivial_circle(ElectronQubitSpec(0.5, -0.5),
                                     2.0 * math.pi * 432e3, 1, 1, 3)
 
+    @pytest.mark.parametrize("kappa_time", [0, -1, 1.5])
+    def test_bad_kappa_time_named(self, kappa_time):
+        with pytest.raises(ValueError, match=r"^kappa_time must be an integer >= 1, got "):
+            spins_on_trivial_circle(ElectronQubitSpec(0.0, -1.0),
+                                    2.0 * math.pi * 432e3, kappa_time, 1, 3)
+
+    @pytest.mark.parametrize("kappa_time", [2, np.int64(2)], ids=["int", "numpy"])
+    def test_kappa_time_two_unchanged(self, kappa_time):
+        t, spins = spins_on_trivial_circle(ElectronQubitSpec(0.0, -1.0),
+                                           2.0 * math.pi * 432e3, kappa_time, 1, 3)
+        assert t == 1.8518518518518518e-05
+        assert [(s.A, s.B) for s in spins] == [
+            (1826046.3124752152, 1026083.0322919657),
+            (1573080.8127610707, 734466.8331907357),
+            (1412456.141932605, 383423.7208168825)]
+
     def test_cap_below_the_circle_rejected(self):
         with pytest.raises(ValueError, match="not host enough spins"):
             spins_on_trivial_circle(ElectronQubitSpec(0.0, -1.0),

@@ -20,13 +20,15 @@ from spintangle.spin_model import (
     iterate,
     power,
     resonance_time,
+    stack_quaternions,
     unit_propagator,
     unit_quaternions,
 )
 from spintangle.constants import KHZ
 from spintangle.datasets import load_register
 from spintangle.designer import generate_random_ensemble
-from spintangle.entanglement import branch_angles
+from spintangle.entanglement import (branch_angles, g1_over_iterations, makhlin_g1,
+                                     nuclear_one_tangle)
 from spintangle.designer import _spin_arrays
 from spintangle.oracle import (_folded_angle, closed_form_angles, conditional_unitary,
                                dense_propagator, segment_exponential_rotation,
@@ -72,6 +74,22 @@ class TestParams:
         with pytest.raises(ValueError, match=f"{field} must be finite, got {value}"):
             NuclearSpinParams(**{"label": "x", "A": 1.0, "B": 1.0, "omega_L": 1.0,
                                  field: value})
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"A": math.nan}, "A must be finite, got nan"),
+        ({"B": math.inf}, "B must be finite, got inf"),
+        ({"omega_L": math.nan}, "omega_L must be finite, got nan"),
+        ({"A": math.inf, "B": math.nan}, "A must be finite, got inf"),
+        ({"B": -1.0}, "B must be nonnegative"),
+        ({"omega_L": 0.0}, "omega_L must be positive"),
+        ({"omega_L": -1.0}, "omega_L must be positive"),
+    ], ids=["nan-A", "inf-B", "nan-omega_L", "first-named", "negative-B",
+            "zero-omega_L", "negative-omega_L"])
+    def test_each_message_pinned(self, fields, message):
+        with pytest.raises(ValueError) as info:
+            NuclearSpinParams(**{"label": "x", "A": 1.0, "B": 1.0, "omega_L": 1.0,
+                                 **fields})
+        assert str(info.value) == message
 
 
 class TestPulseSequence:
@@ -497,18 +515,45 @@ class TestPower:
                 assert np.max(np.abs(u - ref)) <= 1e-12
 
     def test_bundled_and_pooled_units_equal_iterate(self):
-        # the nv27 units and three seeded 800-spin pools, as bath-ensemble draws them
-        reg = load_register("nv27")
-        el, c4 = reg.electron(), reg.by_label("C4")
-        seq = build_sequence("cpmg", resonance_time(c4, el, 3))
-        for seed in (None, 1, 2, 3):
-            spins = reg.spins if seed is None else generate_random_ensemble(
-                800, A_range_khz=(-100.0, 200.0), B_range_khz=(5.0, 200.0),
-                distinctness_khz=2.0, seed=seed, larmor_khz=reg.larmor_khz)
+        for seq, el, spins in _bath_pools():
             units = [unit_propagator(seq, s, el) for s in spins]
             quats = np.stack([u.quaternions for u in units], axis=-1)
             ref = np.stack([iterate(u, 82).quaternions for u in units], axis=-1)
             assert np.array_equal(power(quats, 82), ref)
+
+
+def _bath_pools():
+    """(sequence, electron, spins) of the nv27 spins and three seeded 800-spin
+    pools, as bath-ensemble draws them, at nv27 C4's k=3 CPMG time."""
+    reg = load_register("nv27")
+    el, c4 = reg.electron(), reg.by_label("C4")
+    seq = build_sequence("cpmg", resonance_time(c4, el, 3))
+    for seed in (None, 1, 2, 3):
+        yield seq, el, reg.spins if seed is None else generate_random_ensemble(
+            800, A_range_khz=(-100.0, 200.0), B_range_khz=(5.0, 200.0),
+            distinctness_khz=2.0, seed=seed, larmor_khz=reg.larmor_khz)
+
+
+class TestOneSpinPath:
+    """The bath study's one-spin calls on floats give the array path's bits."""
+
+    def test_tangles_and_stack_equal_the_array_path(self):
+        for seq, el, spins in _bath_pools():
+            units = [unit_propagator(seq, s, el) for s in spins]
+            quats = stack_quaternions(units)
+            assert np.array_equal(quats, np.stack([u.quaternions for u in units], -1))
+            ref = 1.0 - g1_over_iterations(quats, [82])[:, 0]
+            assert [nuclear_one_tangle(u, 82, scaled=True) for u in units] == ref.tolist()
+
+    def test_tangle_before_or_after_iterate(self):
+        # a unit's half angles are taken by whichever call comes first
+        for seq, el, spins in _bath_pools():
+            for spin in spins:
+                first, second = (unit_propagator(seq, spin, el) for _ in range(2))
+                tangle = nuclear_one_tangle(first, 82, scaled=True)
+                rot = iterate(first, 82)
+                assert iterate(second, 82).quaternions.tolist() == rot.quaternions.tolist()
+                assert nuclear_one_tangle(second, 82, scaled=True) == tangle
 
 
 class TestConditionalRotationStorage:
@@ -518,10 +563,17 @@ class TestConditionalRotationStorage:
         rot = ConditionalRotation(q)
         assert rot.quaternions.shape == (2, 4)
         assert np.array_equal(rot.quaternions, q)
-        assert np.shares_memory(rot.quaternions, q)
         for row, r in zip(q, (rot.r0, rot.r1)):
             assert r.w == row[0]
             assert np.array_equal(r.v, row[1:])
+        # the rotation owns its values: a later write to q reaches neither
+        # its array nor its angles, read before the write or after it
+        unread = ConditionalRotation(q)
+        before, g1 = q.copy(), makhlin_g1(rot, 7)
+        q[1] = (1.0, 0.0, 0.0, 0.0)
+        for r in (rot, unread):
+            assert np.array_equal(r.quaternions, before)
+            assert makhlin_g1(r, 7) == g1
 
     def test_quaternions_are_read_only(self):
         rng = np.random.default_rng(14)
@@ -608,8 +660,9 @@ _COUNTS = st.one_of(st.integers(-1000, 10 ** 6), st.floats(-1e3, 1e3),
 @given(rows=st.lists(st.tuples(_QUATERNION_ROWS, _QUATERNION_ROWS), min_size=1, max_size=5),
        counts=st.lists(_COUNTS, min_size=1, max_size=5))
 def test_power_on_arrays_equals_the_float_path(rows, counts):
-    """power on Python floats, one rotation and one count at a time, against
-    one array call with the counts broadcast over the rotations."""
+    """power on one rotation and one count at a time, and iterate on Python
+    floats for the counts it takes, against one array call with the counts
+    broadcast over the rotations."""
     quats = np.array(rows).transpose(1, 2, 0)
     counts = (counts * len(rows))[:len(rows)]
     with np.errstate(invalid="ignore"):  # np.sin of an infinite angle
@@ -618,6 +671,9 @@ def test_power_on_arrays_equals_the_float_path(rows, counts):
             one = power(q, n)
             assert np.array_equal(one, batch[..., i], equal_nan=True)
             assert np.array_equal(one, power(q[..., None], n)[..., 0], equal_nan=True)
+            if type(n) is int and n >= 1:
+                assert np.array_equal(iterate(ConditionalRotation(q), n).quaternions,
+                                      batch[..., i], equal_nan=True)
 
 
 _ELECTRONS = (ElectronQubitSpec(0.5, -0.5), ElectronQubitSpec(0.0, -1.0),
