@@ -247,7 +247,7 @@ def cmd_sweep(args: argparse.Namespace, reg, electron):
         t = _resonance_time("--k", spin, electron, args.k)
     rot = unit_propagator(build_sequence(args.sequence, t), spin, electron)
     counts = np.arange(ns.start, ns.stop)
-    angles = branch_angles(rot.quaternions)
+    angles = branch_angles(rot)
     g1 = g1_from_angles(*angles, counts)
     series = {"g1": g1, "g2": 1.0 + 2.0 * g1, "ep": MAX_PAIR_TANGLE * (1.0 - g1),
               "m": np.clip(g1_amplitude(*angles, counts), -1.0, 1.0),

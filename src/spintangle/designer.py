@@ -13,11 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constants
-from .entanglement import (branch_angles, g1_from_angles, g1_from_phase_rates,
-                           g1_over_iterations, optimal_iterations, tangle_upper_bound)
+from .entanglement import (branch_angles, g1_from_phase_rates, g1_over_iterations,
+                           nuclear_one_tangle, optimal_iterations, tangle_upper_bound)
 from .fidelity import branch_overlaps, gate_error
 from .spin_model import (ConditionalRotation, ElectronQubitSpec,
-                         NuclearSpinParams, build_sequence, power,
+                         NuclearSpinParams, _integer, build_sequence, power,
                          resonance_time, stack_quaternions, unit_propagator,
                          unit_quaternions)
 
@@ -48,7 +48,7 @@ class DesignConstraints:
         if self.time_window > MAX_TIME_WINDOW:
             raise ValueError(f"time_window must be at most {MAX_TIME_WINDOW} s, "
                              f"got {self.time_window}")
-        if not 1 <= self.N_max <= MAX_N_MAX:
+        if not 1 <= _integer(self.N_max, "N_max") <= MAX_N_MAX:
             raise ValueError(f"N_max must be in [1, {MAX_N_MAX}], got {self.N_max}")
         if not (0 < self.target_tangle_min <= 1):
             raise ValueError("target_tangle_min must be in (0, 1]")
@@ -316,6 +316,8 @@ def optimize_register_gate(register: list[NuclearSpinParams],
     """
     if not register:
         raise ValueError("empty register")
+    if not 0 <= _integer(anchor_index, "anchor_index") < len(register):
+        raise ValueError(f"anchor_index must be in [0, {len(register)}), got {anchor_index}")
     anchor = register[anchor_index]
     seq0 = build_sequence(sequence_kind, resonance_time(anchor, electron, k))
     spacings = seq0.spacings
@@ -334,8 +336,8 @@ def optimize_register_gate(register: list[NuclearSpinParams],
     targets = [register[i] for i in target_idx]
 
     def objective(t: float) -> float:
-        return -float(np.mean([1.0 - g1_from_angles(*branch_angles(unit_quaternions(
-            s.A, s.B, s.omega_L, electron, spacings, t)), n_best) for s in targets]))
+        return -float(np.mean([nuclear_one_tangle(ConditionalRotation(unit_quaternions(
+            s.A, s.B, s.omega_L, electron, spacings, t)), n_best, scaled=True) for s in targets]))
 
     t_ref = _golden_section(objective, t_best - _TIME_STEP, t_best + _TIME_STEP,
                             xatol=1e-13)
@@ -377,8 +379,7 @@ def minimize_unwanted_tangle(target: NuclearSpinParams,
         good_n = optimal_iterations(rot_t, N_max=n_max)
         if not good_n:
             continue
-        tangles = 1.0 - g1_over_iterations(
-            unit_propagator(seq, unwanted, electron).quaternions, good_n)
+        tangles = 1.0 - g1_over_iterations(unit_propagator(seq, unwanted, electron), good_n)
         for n, tangle in zip(good_n, tangles.tolist()):
             if best is None or tangle < best[2]:
                 best = (k, n, tangle)
@@ -412,14 +413,14 @@ def generate_random_ensemble(count: int,
     finite.  Candidates violating this against any accepted spin are
     rejected; generation fails once a spin exhausts its attempt budget (the
     range cannot host the requested density).  count must be >= 0 and
-    max_attempts_per_spin >= 1.
+    max_attempts_per_spin >= 1, both integers.
     Candidates are drawn in blocks as lo + (hi - lo) u, Generator.uniform's
     arithmetic on the same stream of u: a seed gives the same pool, bit for
     bit, as one uniform draw per coordinate.
     """
-    if count < 0:
+    if _integer(count, "count") < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    if max_attempts_per_spin < 1:
+    if _integer(max_attempts_per_spin, "max_attempts_per_spin") < 1:
         raise ValueError(f"max_attempts_per_spin must be >= 1, got {max_attempts_per_spin}")
     d = distinctness_khz
     if not (math.isfinite(d) and d >= 0):
@@ -560,9 +561,9 @@ def gate_error_vs_bath(targets: list[ConditionalRotation],
     A bin (lo, hi) holds the tangles lo <= tangle < hi and needs lo < hi.
     Returns one record per (bin, bath size) with the ensemble-mean error.
     """
-    if n_ensembles < 1:
+    if _integer(n_ensembles, "n_ensembles") < 1:
         raise ValueError(f"n_ensembles must be >= 1, got {n_ensembles}")
-    if any(size < 1 for size in bath_sizes):
+    if any(_integer(size, "each of bath_sizes") < 1 for size in bath_sizes):
         raise ValueError(f"bath_sizes must all be >= 1, got {list(bath_sizes)}")
     if not targets:
         raise ValueError("need at least one target spin")

@@ -29,13 +29,10 @@ MAX_PAIR_TANGLE = 2.0 / 9.0
 def branch_angles(quats) -> tuple:
     """Unit half angles (h0, h1) and raw axis dot n01 of branch quaternions.
 
-    quats has shape (2, 4, ...): branch, then (w, x, y, z), as returned by
-    unit_quaternions or ConditionalRotation.quaternions.  n01 is 1 when
-    either branch is trivial.  A ConditionalRotation or a (2, 4) array is read
-    on Python floats (its half_angles()), anything else on arrays, bit for bit alike.
+    Reads a ConditionalRotation on Python floats (its half_angles()), or a
+    (2, 4, ...) array, (w, x, y, z) per branch as unit_quaternions returns, on
+    arrays, bit for bit alike.  n01 is 1 when either branch is trivial.
     """
-    if getattr(quats, "shape", None) == (2, 4):
-        quats = ConditionalRotation._of(quats.tolist())  # read once: list rows do
     if isinstance(quats, ConditionalRotation):
         (h0, h1), (s0, s1) = quats.half_angles()
         (_, x0, y0, z0), (_, x1, y1, z1) = quats._rows
@@ -112,8 +109,8 @@ def makhlin_g2(rot: ConditionalRotation, N: int) -> float:
 
 
 def entangling_power(rot: ConditionalRotation, N: int) -> float:
-    """Two-qubit entangling power (2/9)(1 - |G1|)."""
-    return MAX_PAIR_TANGLE * (1.0 - abs(makhlin_g1(rot, N)))
+    """Two-qubit entangling power (2/9)(1 - G1): the nuclear one-tangle."""
+    return nuclear_one_tangle(rot, N)
 
 
 def nuclear_one_tangle(rot: ConditionalRotation, N: int,
@@ -129,7 +126,7 @@ def electron_one_tangle(rots: list[ConditionalRotation], N: int,
     if not rots:
         raise ValueError("need at least one nuclear rotation")
     # each factor lies in [1/3, 1], so the product cannot overflow
-    val = 1.0 - math.prod((1.0 + 2.0 * makhlin_g1(r, N)) / 3.0 for r in rots)
+    val = 1.0 - math.prod(makhlin_g2(r, N) / 3.0 for r in rots)
     return val if scaled else val / 3.0
 
 
@@ -140,7 +137,8 @@ G1_MAXIMAL_THRESHOLD = 0.05
 
 
 def g1_over_iterations(quats, counts) -> np.ndarray:
-    """G1 of branch quaternions (2, 4, *S) at each count, shape S + (len(counts),)."""
+    """G1 of branch quaternions (2, 4, *S), or of one ConditionalRotation with
+    S = (), at each count: shape S + (len(counts),)."""
     h0, h1, n01 = (np.asarray(a)[..., None] for a in branch_angles(quats))
     return g1_from_angles(h0, h1, n01, counts)
 
@@ -153,6 +151,6 @@ def optimal_iterations(rot: ConditionalRotation, N_max: int = 300,
     which subsumes the closed-form minima estimates of the oracle's
     analytic_iteration_candidates and also covers unequal-angle sequences.
     """
-    g1 = g1_over_iterations(rot.quaternions, np.arange(1, N_max + 1))
+    g1 = g1_over_iterations(rot, np.arange(1, N_max + 1))
     hits = np.nonzero(g1 < threshold)[0] + 1
     return [int(v) for v in hits]

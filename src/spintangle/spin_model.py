@@ -95,6 +95,14 @@ def finite_1d(values, name: str) -> np.ndarray:
     return arr
 
 
+def _integer(value, name: str) -> int:
+    """value through operator.index, numpy integers included; a ValueError naming name if not."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class PulseSequence:
     """Normalized interpulse spacings q_1..q_{n+1} plus the unit duration."""
@@ -395,9 +403,10 @@ def resonance_time(spin: NuclearSpinParams, electron: ElectronQubitSpec,
     """k-th resonance unit time t_k = 4*pi*(2k-1)/(omega_0 + omega_1).
 
     variant is one of RESONANCE_VARIANTS; "udd4_extra" returns the
-    additional UDD4 family at twice the time.  A k whose time overflows
-    raises ValueError.
+    additional UDD4 family at twice the time.  A k that is not an integer
+    >= 1, or whose time overflows, raises ValueError.
     """
+    k = _integer(k, "k")  # a numpy integer could wrap in 2k - 1
     if k < 1:
         raise ValueError("k must be >= 1")
     if variant not in RESONANCE_VARIANTS:

@@ -140,6 +140,35 @@ class TestOptimizeRegisterGate:
             optimize_register_gate([], ElectronQubitSpec(0.5, -0.5),
                                    DesignConstraints(), 0, 1)
 
+    @pytest.mark.parametrize("anchor, message", [
+        (-1, "anchor_index must be in [0, 27), got -1"),
+        (27, "anchor_index must be in [0, 27), got 27"),
+        (2.0, "anchor_index must be an integer, got 2.0"),
+        ("C4", "anchor_index must be an integer, got 'C4'"),
+    ], ids=["negative", "past-the-end", "float", "label"])
+    def test_bad_anchor_index_named(self, anchor, message):
+        # -1 used to anchor on the last spin, C27
+        reg = load_register("nv27")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            optimize_register_gate(reg.spins, reg.electron(), DesignConstraints(),
+                                   anchor, 3)
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, math.nan])
+    def test_non_integer_k_named(self, k):
+        # 2.5 used to scan around a unit time that is no resonance
+        reg = load_register("nv27")
+        message = f"k must be an integer, got {k!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            resonance_time(reg.by_label("C4"), reg.electron(), k)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            optimize_register_gate(reg.spins, reg.electron(), DesignConstraints(), 3, k)
+
+    def test_numpy_anchor_index_and_k_pass(self):
+        reg = load_register("nv27")
+        args = reg.spins, reg.electron(), DesignConstraints()
+        assert (optimize_register_gate(*args, np.int64(22), np.int32(3))
+                == optimize_register_gate(*args, 22, 3))
+
     @pytest.mark.parametrize("anchor, k, targets, N, t", [
         ("C23", 3, ("C4", "C5", "C15"), 51, 11.4043455479e-6),
         ("C13", 4, ("C10", "C12"), 39, 16.5374981760e-6),
@@ -632,6 +661,26 @@ class TestRandomEnsemble:
                            match=f"max_attempts_per_spin must be >= 1, got {attempts}"):
             generate_random_ensemble(3, seed=1, max_attempts_per_spin=attempts)
 
+    @pytest.mark.parametrize("count", [2.5, math.nan, "3"])
+    def test_non_integer_count_rejected_before_any_draw(self, count, no_stream):
+        # 2.5 used to give 26 spins, NaN none
+        with pytest.raises(ValueError,
+                           match=re.escape(f"count must be an integer, got {count!r}")):
+            generate_random_ensemble(count, seed=1)
+
+    def test_non_integer_attempt_budget_rejected_before_any_draw(self, no_stream):
+        # misses == 2.5 never held: a range too dense for the count never
+        # stopped.  The range here is roomy, so the old code returned spins.
+        with pytest.raises(ValueError,
+                           match="max_attempts_per_spin must be an integer, got 2.5"):
+            generate_random_ensemble(3, seed=1, max_attempts_per_spin=2.5)
+
+    def test_numpy_integer_counts_pass(self):
+        settings = dict(distinctness_khz=25.0, seed=3)
+        assert (generate_random_ensemble(np.int64(20), max_attempts_per_spin=np.int32(50),
+                                         **settings)
+                == generate_random_ensemble(20, max_attempts_per_spin=50, **settings))
+
     def test_tiny_distinctness_within_range_keeps_the_stream(self):
         settings = dict(count=5, A_range_khz=(10.0, 200.0),
                         B_range_khz=(10.0, 200.0), distinctness_khz=1e-300,
@@ -849,6 +898,25 @@ class TestGateErrorVsBath:
             gate_error_vs_bath([random_rotation_pair(rng)], pool, [(0.0, 1.0)],
                                sizes, n_ensembles, seed=0)
 
+    @pytest.mark.parametrize("sizes, n_ensembles, message", [
+        ([2.5], 3, "each of bath_sizes must be an integer, got 2.5"),
+        ([2, 3.0], 3, "each of bath_sizes must be an integer, got 3.0"),
+        ([2], 2.5, "n_ensembles must be an integer, got 2.5"),
+    ], ids=["size", "float-size", "ensembles"])
+    def test_non_integer_counts_named(self, sizes, n_ensembles, message):
+        rng = np.random.default_rng(10)
+        pool = self._pool(rng, 3)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            gate_error_vs_bath([random_rotation_pair(rng)], pool, [(0.0, 1.0)],
+                               sizes, n_ensembles, seed=0)
+
+    def test_numpy_integer_counts_pass(self):
+        rng = np.random.default_rng(10)
+        pool = self._pool(rng, 6)
+        args = [random_rotation_pair(rng)], pool, [(0.0, 1.0)]
+        assert (gate_error_vs_bath(*args, [np.int64(2), np.int32(4)], np.int64(3), seed=0)
+                == gate_error_vs_bath(*args, [2, 4], 3, seed=0))
+
     def test_no_target_rejected(self):
         pool = self._pool(np.random.default_rng(10), 3)
         with pytest.raises(ValueError, match="need at least one target spin"):
@@ -891,3 +959,10 @@ class TestDesignConstraintsValidation:
     def test_out_of_range_bound_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             DesignConstraints(**{field: value})
+
+    @pytest.mark.parametrize("N_max", [300.5, 300.0, math.nan])
+    def test_non_integer_n_max_named(self, N_max):
+        # 300.5 used to be accepted, and the scan floored it
+        with pytest.raises(ValueError,
+                           match=re.escape(f"N_max must be an integer, got {N_max!r}")):
+            DesignConstraints(N_max=N_max)

@@ -7,6 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spintangle import cli
+from spintangle.datasets import load_register
+from spintangle.designer import minimize_unwanted_tangle
 from spintangle.entanglement import (
     MAX_PAIR_TANGLE,
     branch_angles,
@@ -431,17 +434,60 @@ class TestScalarG1:
         quats = self._edge_quaternions()
         batch = branch_angles(np.stack(quats, axis=-1))
         for col, q in enumerate(quats):
-            got = branch_angles(q)
-            # a (2, 4) array takes the float path
+            got = branch_angles(ConditionalRotation(q))
+            # a rotation takes the float path
             assert [type(v) for v in got] == [float] * 3
-            for value, ref in zip(got, batch):
-                assert value == ref[col] or (math.isnan(value) and math.isnan(ref[col]))
+            # and a lone (2, 4) array the array path, with the same values
+            for angles in (got, branch_angles(q)):
+                for value, ref in zip(angles, batch):
+                    assert value == ref[col] or (math.isnan(value) and math.isnan(ref[col]))
+
+    def test_derived_invariants_of_edge_rotations(self):
+        """entangling_power is the nuclear one-tangle, and the electron
+        one-tangle multiplies (1 + 2 G1)/3 over the rotations, NaN included."""
+        rots = [ConditionalRotation(q) for q in self._edge_quaternions()]
+
+        def same(a, b):
+            return a == b or (math.isnan(a) and math.isnan(b))
+
+        # each rotation alone, those without a NaN, then all of them
+        groups = [[rot] for rot in rots] + [rots[:-8], rots]
+        for n in self.COUNTS:
+            for rot in rots:
+                assert same(entangling_power(rot, n), nuclear_one_tangle(rot, n))
+            for group in groups:
+                ref = 1.0 - math.prod((1.0 + 2.0 * makhlin_g1(r, n)) / 3.0 for r in group)
+                assert same(electron_one_tangle(group, n, scaled=True), ref)
+                assert same(electron_one_tangle(group, n), ref / 3.0)
 
     def test_g1_over_iterations_of_one_rotation_equals_its_batch(self):
         for q in self._edge_quaternions():
             assert np.array_equal(g1_over_iterations(q, self.COUNTS),
                                   g1_over_iterations(q[..., None], self.COUNTS)[0],
                                   equal_nan=True)
+
+
+class TestRotationsPassedWhole:
+    """Callers holding one rotation hand branch_angles the rotation: its
+    stored angles, not a (2, 4) array built to be read back."""
+
+    def test_no_quaternion_array_is_read(self, monkeypatch, capsys):
+        reads = []
+        array = ConditionalRotation.quaternions.fget
+        monkeypatch.setattr(ConditionalRotation, "quaternions",
+                            property(lambda rot: reads.append(rot) or array(rot)))
+        reg = load_register("nv27")
+        electron = reg.electron()
+        c4, c5 = reg.by_label("C4"), reg.by_label("C5")
+        rot = unit_propagator(build_sequence("cpmg", resonance_time(c4, electron, 3)),
+                              c4, electron)
+        assert optimal_iterations(rot, 300)
+        minimize_unwanted_tangle(c4, c5, electron)
+        assert cli.main(["sweep", "--register", "nv27", "--spin", "C5", "--k", "2",
+                         "--n-min", "0", "--n-max", "300",
+                         "--metrics", "g1,g2,ep,m,tangle"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 301
+        assert reads == []
 
 
 # half angles and axis dots as one rotation gives them, then the edges: NaN,
