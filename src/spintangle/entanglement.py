@@ -76,7 +76,10 @@ def tangle_upper_bound(d, weight, N_max):
 
     From m >= cos(N d) - 2 weight and 1 - G1 <= 2(1-m); NaN stays NaN.
     """
-    return 4.0 * weight + (N_max * d) ** 2
+    # x * x, as numpy squares: a float ** goes through C pow, which can
+    # differ in the last bit and raises OverflowError where x * x gives inf
+    x = N_max * d
+    return 4.0 * weight + x * x
 
 
 def g1_from_phase_rates(d, sigma, weight, N, out=None):

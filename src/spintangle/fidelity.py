@@ -1,10 +1,10 @@
 """Analytic target-subspace gate fidelity over the unwanted-spin bath.
 
 Tracing out the L-K unwanted nuclei (environment initialized to |0...0>)
-yields Kraus operators indexed by the environment basis state i.  In terms
-of a branch quaternion q_j = (w_j, x_j, y_j, z_j), a nucleus keeps |0> with
-amplitude a_j = <0|R_j|0> = w_j - i z_j and flips with b_j = <1|R_j|0> =
-y_j - i x_j.  Each index contributes a complex pair per electron branch,
+yields Kraus operators indexed by the environment basis state i.  A nucleus
+keeps |0> with amplitude a_j = w_j - i z_j and flips with b_j = y_j - i x_j,
+the first column of spin_model.su2(q_j) for its branch quaternion q_j =
+(w_j, x_j, y_j, z_j).  Each index contributes a complex pair per branch,
 
     c_j^(i) = prod over |0>-positions of a_j,
     p_j^(i) = prod over |1>-positions of b_j,
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_model import stack_quaternions
+from .spin_model import stack_quaternions, su2
 
 
 class CapacityError(Exception):
@@ -56,17 +56,11 @@ class RegisterPartition:
         return len(self.targets)
 
 
-def _amplitudes(quats) -> tuple[np.ndarray, np.ndarray]:
-    """Amplitudes a_j and b_j (module doc) of quaternions (2, 4, ...), each (..., 2)."""
-    q = np.moveaxis(np.asarray(quats, dtype=float), 0, -1)
-    return q[0] - 1j * q[3], q[2] - 1j * q[1]
-
-
 def branch_overlaps(quats) -> np.ndarray:
     """Per-spin branch overlaps a0 conj(a1) + b0 conj(b1), shape (n_spins,),
     of branch quaternions (2, 4, n_spins) as unit_quaternions and power give."""
-    a, b = _amplitudes(quats)
-    return a[..., 0] * a[..., 1].conj() + b[..., 0] * b[..., 1].conj()
+    a, b = su2(np.swapaxes(quats, 0, 1))[:, 0]
+    return a[0] * a[1].conj() + b[0] * b[1].conj()
 
 
 def _subspace_fidelity(k: int, overlaps, f0=1.0, f1=1.0):
@@ -116,6 +110,7 @@ def kraus_sum_by_enumeration(partition: RegisterPartition) -> float:
         raise CapacityError("enumeration limited to 20 unwanted spins")
     # one row per environment basis state, one column per electron branch
     amps = np.ones((1, 2), dtype=complex)
-    for a, b in zip(*_amplitudes(stack_quaternions(partition.unwanted))):
-        amps = np.concatenate([amps * a, amps * b])
+    a, b = su2(stack_quaternions(partition.unwanted).swapaxes(0, 1))[:, 0]
+    for a_m, b_m in zip(a.T, b.T):
+        amps = np.concatenate([amps * a_m, amps * b_m])
     return float(np.sum(np.abs(amps.sum(axis=1)) ** 2))

@@ -2,10 +2,11 @@
 
 Everything here is deliberately independent of the fast paths under test:
 propagators are assembled from explicit matrix exponentials or Kronecker
-products, entangling power is estimated by Monte-Carlo averaging over Haar
-product states, Kraus operators are extracted numerically and their
-coefficients enumerated from rotation matrices, and Makhlin invariants come
-from the magic-basis construction.  The paper's analytic formulas
+products of rotations built from the Pauli matrices (pauli_rotation),
+entangling power is estimated by Monte-Carlo averaging over Haar product
+states, Kraus operators are extracted numerically and their coefficients
+enumerated from the same rotations, and Makhlin invariants come from the
+magic-basis construction.  The paper's analytic formulas
 (closed_form_angles, trivial_evolution_condition, residual_closed_form,
 analytic_iteration_candidates, udd4_jump_locations, one_tangle_bound) are
 written from spin parameters, quaternions and build_sequence's spacings with
@@ -28,6 +29,7 @@ MAX_QUBITS = 14
 MAX_KRAUS_ENV = 10
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 # Magic (Bell) basis columns used for local-invariant extraction.
@@ -68,9 +70,15 @@ def _block_diagonal(factor, items, power: int = 1) -> np.ndarray:
     return u
 
 
+def pauli_rotation(q) -> np.ndarray:
+    """The 2x2 matrix w I - i (x X + y Y + z Z) of one quaternion (w, x, y, z)."""
+    w, x, y, z = q
+    return w * np.eye(2) - 1j * (x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z)
+
+
 def conditional_unitary(rots: list[ConditionalRotation]) -> np.ndarray:
     """Dense gate sum_j |j><j| x (x_l R_j^(l)) over the register list."""
-    return _block_diagonal(lambda rot, j: (rot.r0, rot.r1)[j].matrix(), rots)
+    return _block_diagonal(lambda rot, j: pauli_rotation(rot.quaternions[j]), rots)
 
 
 def dense_propagator(register: list[NuclearSpinParams],
@@ -122,7 +130,7 @@ def kraus_coefficients(unwanted, i: int) -> tuple[tuple[complex, complex],
 
     c_j is the product of <0|R_j|0> over the spins whose bit is 0, p_j that
     of <1|R_j|0> over the spins whose bit is 1, each read from the first
-    column of Rotation.matrix().  The index is read as a big-endian bit
+    column of pauli_rotation(q_j).  The index is read as a big-endian bit
     string over the unwanted list: the first spin owns the most significant
     bit.  Empty products are 1.
     """
@@ -132,7 +140,7 @@ def kraus_coefficients(unwanted, i: int) -> tuple[tuple[complex, complex],
     out = np.ones((2, 2), dtype=complex)  # rows c and p, one column per branch
     for pos, rot in enumerate(unwanted):
         bit = (i >> (m - 1 - pos)) & 1
-        out[bit] *= [rot.r0.matrix()[bit, 0], rot.r1.matrix()[bit, 0]]
+        out[bit] *= [pauli_rotation(q)[bit, 0] for q in rot.quaternions]
     (c0, c1), (p0, p1) = out
     return (c0, p0), (c1, p1)
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_model import ConditionalRotation, finite_1d, power
+from .spin_model import ConditionalRotation, _integer, finite_1d, power, su2
 
 STAGES = ("initial", "encoded", "error", "decoded", "corrected")
 ERROR_KINDS = ("none", "electron", "nucleus1", "nucleus2")
@@ -79,9 +79,11 @@ class QecScenario:
     """One run of the bit-flip code.
 
     encode_gates/decode_gates hold the ConditionalRotation applied to each
-    of the two data nuclei (already iterated to the gate's N).  None means
-    the ideal conditional R_x(+/- pi/2).  The electron starts in
-    cos(gamma/2)|0> + e^{i delta} sin(gamma/2)|1>; both nuclei start in |1>.
+    of the two data nuclei (already iterated to the gate's N), or a
+    ValueError names them.  None means the ideal conditional R_x(+/- pi/2)
+    for encode_gates and the encode gates for decode_gates.  The electron
+    starts in cos(gamma/2)|0> + e^{i delta} sin(gamma/2)|1>; both nuclei
+    start in |1>.
     """
 
     scheme: str = "sequential"
@@ -99,13 +101,19 @@ class QecScenario:
         for name in ("gamma", "delta"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("encode_gates", "decode_gates"):
+            gates = getattr(self, name)
+            if gates is None:
+                continue
+            if len(gates) != 2:
+                raise ValueError("need one gate per data nucleus")
+            if not all(isinstance(gate, ConditionalRotation) for gate in gates):
+                raise ValueError(f"{name} must hold ConditionalRotations, got {gates!r}")
 
     def resolved_gates(self) -> tuple[tuple, tuple]:
-        enc = self.encode_gates or (ideal_crx(), ideal_crx())
-        dec = self.decode_gates or enc
-        if len(enc) != 2 or len(dec) != 2:
-            raise ValueError("need one gate per data nucleus")
-        return tuple(enc), tuple(dec)
+        enc, dec = self.encode_gates, self.decode_gates
+        enc = (ideal_crx(), ideal_crx()) if enc is None else tuple(enc)
+        return enc, enc if dec is None else tuple(dec)
 
 
 @dataclass(frozen=True)
@@ -129,7 +137,7 @@ def _conditional_gate(rots1: list, rots2: list) -> np.ndarray:
     for branch in (0, 1):
         block = np.eye(4)
         for rot1, rot2 in zip(rots1, rots2):
-            m1, m2 = ((rot.r0, rot.r1)[branch].matrix() for rot in (rot1, rot2))
+            m1, m2 = (su2(rot.quaternions[branch]) for rot in (rot1, rot2))
             block = np.kron(m1, m2) @ block
         u[4 * branch:4 * branch + 4, 4 * branch:4 * branch + 4] = block
     return u
@@ -202,9 +210,13 @@ def nuclear_trajectories(scenario: QecScenario, samples: int = 64) -> dict:
     """Bloch-vector paths of each nucleus up to the decode, per electron branch.
 
     Returns {"nucleus1"/"nucleus2": {"branch0"/"branch1": (M, 3) array}}.
-    Each gate segment is swept by fractional powers of its rotation; the
-    branch labels follow the electron state before the (possible) bit-flip.
+    Each gate segment is swept by fractional powers of its rotation at
+    samples >= 1 fractions; the branch labels follow the electron state
+    before the (possible) bit-flip.
     """
+    samples = _integer(samples, "samples")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     flip = scenario.error == "electron"
     fracs = np.linspace(0.0, 1.0, samples)
     out = {}
@@ -217,13 +229,11 @@ def nuclear_trajectories(scenario: QecScenario, samples: int = 64) -> dict:
             psi = np.array([0.0, 1.0], dtype=complex)
             path = []
             for rot, sweep, row in zip(gates, sweeps, rows):
-                # Rotation.matrix() @ psi at every fraction
-                w, x, y, z = sweep[row]
-                a = (w - 1j * z) * psi[0] + (-y - 1j * x) * psi[1]
-                b = (y - 1j * x) * psi[0] + (w + 1j * z) * psi[1]
+                m = su2(sweep[row])
+                a, b = m[:, 0] * psi[0] + m[:, 1] * psi[1]
                 ab = a.conj() * b
                 path.append(np.stack([2.0 * ab.real, 2.0 * ab.imag, abs(a) ** 2 - abs(b) ** 2], 1))
-                psi = (rot.r0, rot.r1)[row].matrix() @ psi
+                psi = su2(rot.quaternions[row]) @ psi
             branches[f"branch{branch}"] = np.concatenate(path)
         out[f"nucleus{nuc + 1}"] = branches
     return out

@@ -201,9 +201,13 @@ class Rotation:
         self.v = np.asarray(v, dtype=float)
 
     def matrix(self) -> np.ndarray:
-        w, (x, y, z) = self.w, self.v
-        return np.array([[w - 1j * z, -y - 1j * x],
-                         [y - 1j * x, w + 1j * z]])
+        return su2((self.w, *self.v))
+
+
+def su2(q) -> np.ndarray:
+    """SU(2) matrices w*I - i*(x X + y Y + z Z), shape (2, 2, ...), of quaternions (4, ...)."""
+    w, x, y, z = np.asarray(q, dtype=float)
+    return np.array([[w - 1j * z, -y - 1j * x], [y - 1j * x, w + 1j * z]])
 
 
 # ---------------------------------------------------------------------------

@@ -553,3 +553,28 @@ def test_tangle_upper_bound_of_rates_is_the_angle_form(h0, h1, n01, N):
         got = tangle_upper_bound(d, weight, N)[0]
         ref = (2.0 * (1.0 - n01) + (N * (h0 - h1)) ** 2)[0]
     assert got.tobytes() == ref.tobytes() or (math.isnan(got) and math.isnan(ref)), (got, ref)
+
+
+def _float_bound_is_the_array_bound(d, weight, N):
+    got = tangle_upper_bound(d, weight, N)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, inf - inf
+        ref = tangle_upper_bound(np.array([d]), np.array([weight]), N)[0]
+    assert type(got) is float
+    assert (np.float64(got).tobytes() == ref.tobytes()
+            or (math.isnan(got) and math.isnan(ref))), (got, ref)
+
+
+@settings(max_examples=500, deadline=None)
+@given(h0=_HALF_ANGLES, h1=_HALF_ANGLES, n01=_DOTS, N=st.integers(0, 80_000))
+def test_tangle_upper_bound_on_floats_is_the_array_call(h0, h1, n01, N):
+    """Python floats square as numpy does, x * x, with no OverflowError."""
+    d, _, weight = _rates_of(h0, h1, n01)
+    _float_bound_is_the_array_bound(d, weight, N)
+
+
+@pytest.mark.parametrize("d, weight, N", [
+    (1e200, 0.1, 10),  # (N d) ** 2 on floats raised OverflowError
+    (-82584.46389250358, 0.0, 1),  # and C pow read ...412228 here
+], ids=["overflow", "last-bit"])
+def test_tangle_upper_bound_float_edges(d, weight, N):
+    _float_bound_is_the_array_bound(d, weight, N)

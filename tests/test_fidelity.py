@@ -186,6 +186,21 @@ class TestGateError:
         assert errors.tolist() == [gate_error(2, overlaps[row]) for row in baths]
 
 
+class TestBranchOverlaps:
+    def test_edge_quaternions_give_the_written_out_product(self):
+        """Zeros, signed zeros, NaN and inf: the bits of a0 conj(a1) + b0 conj(b1)
+        with a = w - i z and b = y - i x, spelled out here."""
+        rng = np.random.default_rng(17)
+        edges = [0.0, -0.0, 1.0, -0.5, math.nan, math.inf, -math.inf]
+        quats = rng.choice(edges, size=(2, 4, 400))
+        w, x, y, z = quats.swapaxes(0, 1)
+        with np.errstate(invalid="ignore"):  # 0 * inf
+            a, b = w - 1j * z, y - 1j * x
+            ref = a[0] * a[1].conj() + b[0] * b[1].conj()
+            got = branch_overlaps(quats)
+        assert got.tobytes() == ref.tobytes()
+
+
 class TestLocalTargetFidelity:
     def test_equals_plain_fidelity_at_actual_rotations(self):
         rng = np.random.default_rng(10)

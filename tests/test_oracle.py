@@ -177,7 +177,7 @@ class TestIndependence:
                     mod.__name__: [] for mod in self.GONE}
         fast = [getattr(spin_model, name) for name in (
             "unit_quaternions", "unit_propagator", "iterate", "power",
-            "half_angles", "branch_frequency")]
+            "half_angles", "branch_frequency", "su2")]
         fast += [f for _, f in inspect.getmembers(entanglement, inspect.isfunction)]
         fast += [fidelity] + [f for _, f in inspect.getmembers(fidelity, inspect.isfunction)]
         held = vars(oracle).values()
@@ -192,6 +192,25 @@ class TestIndependence:
                     if isinstance(node, ast.ImportFrom) and node.level
                     for alias in node.names}
         assert imported <= {f.__name__ for f in self.ALLOWED}, imported
+
+    def test_dense_gate_and_kraus_build_their_own_matrices(self, monkeypatch):
+        """The references give the same values with the fast SU(2) map gone."""
+        rng = np.random.default_rng(23)
+        rots = [random_rotation_pair(rng) for _ in range(3)]
+
+        def references():
+            return (oracle.conditional_unitary(rots),
+                    [oracle.kraus_coefficients(rots, i) for i in range(8)])
+
+        want = references()
+
+        def fast(*args):
+            raise AssertionError("the oracle called a fast-path SU(2) matrix")
+
+        monkeypatch.setattr(spin_model, "su2", fast, raising=False)
+        monkeypatch.setattr(spin_model.Rotation, "matrix", fast)
+        got = references()
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
 
 
 def _quaternion(h, axis):

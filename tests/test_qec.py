@@ -170,6 +170,17 @@ class TestTrajectories:
         traj = nuclear_trajectories(QecScenario(scheme="multispin"), samples=10)
         assert traj["nucleus1"]["branch0"].shape == (30, 3)
 
+    @pytest.mark.parametrize("samples", [0, -1, 2.5, "8"])
+    def test_bad_samples_named(self, samples):
+        with pytest.raises(ValueError, match="^samples must"):
+            nuclear_trajectories(QecScenario(), samples=samples)
+
+    def test_numpy_integer_samples_pass(self):
+        got = nuclear_trajectories(QecScenario(error="electron"), samples=np.int64(8))
+        want = nuclear_trajectories(QecScenario(error="electron"), samples=8)
+        assert all(np.array_equal(got[nuc][branch], want[nuc][branch])
+                   for nuc in want for branch in want[nuc])
+
 
 class TestScenarioValidation:
     def test_unknown_scheme(self):
@@ -183,6 +194,24 @@ class TestScenarioValidation:
     def test_gate_tuple_length(self):
         with pytest.raises(ValueError):
             QecScenario(encode_gates=(ideal_crx(),)).resolved_gates()
+        # an empty tuple is not None: it does not stand for the default gates
+        for field in ("encode_gates", "decode_gates"):
+            for gates in ((), (ideal_crx(),), (ideal_crx(),) * 3):
+                with pytest.raises(ValueError, match="need one gate per data nucleus"):
+                    QecScenario(**{field: gates})
+
+    @pytest.mark.parametrize("field", ["encode_gates", "decode_gates"])
+    @pytest.mark.parametrize("gates", [(1, 2), (ideal_crx(), "gate")], ids=["ints", "str"])
+    def test_non_rotation_gates_named(self, field, gates):
+        with pytest.raises(ValueError, match=field):
+            QecScenario(**{field: gates})
+
+    def test_none_gates_are_ideal_then_the_encode_gates(self):
+        enc, dec = QecScenario().resolved_gates()
+        assert dec is enc
+        assert [g.quaternions.tolist() for g in enc] == [ideal_crx().quaternions.tolist()] * 2
+        gates = (_tilted_crx(0.02), _tilted_crx(0.03))
+        assert QecScenario(encode_gates=gates).resolved_gates() == (gates, gates)
 
 
 class TestDisentanglementResidual:

@@ -21,6 +21,7 @@ from spintangle.spin_model import (
     power,
     resonance_time,
     stack_quaternions,
+    su2,
     unit_propagator,
     unit_quaternions,
 )
@@ -31,8 +32,8 @@ from spintangle.entanglement import (branch_angles, g1_over_iterations, makhlin_
                                      nuclear_one_tangle)
 from spintangle.designer import _spin_arrays
 from spintangle.oracle import (_folded_angle, closed_form_angles, conditional_unitary,
-                               dense_propagator, segment_exponential_rotation,
-                               trivial_evolution_condition)
+                               dense_propagator, pauli_rotation,
+                               segment_exponential_rotation, trivial_evolution_condition)
 
 from .conftest import random_rotation_pair, random_spin, random_unit_vector
 
@@ -647,11 +648,36 @@ def test_from_axis_angles_round_trip(n0, phi0, n1, phi1):
 
 _NEAR_IDENTITY = st.lists(st.floats(-1e-12, 1e-12), min_size=3, max_size=3).map(
     lambda v: [1.0, *v])
+_UNIT_QUATERNIONS = st.lists(st.floats(-1, 1), min_size=4, max_size=4).map(np.array).filter(
+    lambda q: np.linalg.norm(q) >= 1e-3).map(lambda q: (q / np.linalg.norm(q)).tolist())
 _QUATERNION_ROWS = st.one_of(
-    st.lists(st.floats(-1, 1), min_size=4, max_size=4).map(np.array).filter(
-        lambda q: np.linalg.norm(q) >= 1e-3).map(lambda q: (q / np.linalg.norm(q)).tolist()),
-    _NEAR_IDENTITY,
+    _UNIT_QUATERNIONS, _NEAR_IDENTITY,
     st.lists(st.one_of(st.floats(-1, 1), st.just(math.nan)), min_size=4, max_size=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(quats=st.lists(st.one_of(_UNIT_QUATERNIONS, _NEAR_IDENTITY), min_size=1, max_size=5))
+def test_su2_is_the_pauli_rotation(quats):
+    """su2 against the oracle's w I - i (x X + y Y + z Z): equal, special
+    unitary, and the same one quaternion at a time as in a (4, n) batch."""
+    batch = su2(np.array(quats).T)
+    assert batch.shape == (2, 2, len(quats))
+    for i, q in enumerate(quats):
+        m = su2(q)
+        assert np.array_equal(m, pauli_rotation(q))
+        assert np.allclose(m.conj().T @ m, np.eye(2), rtol=0.0, atol=1e-12)
+        assert abs(np.linalg.det(m) - 1.0) <= 1e-12
+        assert np.array_equal(batch[..., i], m)
+
+
+def test_rotation_matrix_is_su2_of_its_row():
+    rng = np.random.default_rng(29)
+    for _ in range(50):
+        rot = random_rotation_pair(rng)
+        for row, r in zip(rot.quaternions, (rot.r0, rot.r1)):
+            assert r.matrix().tobytes() == su2(row).tobytes()
+
+
 _COUNTS = st.one_of(st.integers(-1000, 10 ** 6), st.floats(-1e3, 1e3),
                     st.sampled_from((math.nan, math.inf, -math.inf, 0.5, 2.5)))
 
