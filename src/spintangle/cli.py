@@ -35,8 +35,8 @@ from .designer import (MAX_N_MAX, MAX_TIME_WINDOW, DesignConstraints,
                        optimize_register_gate)
 from .entanglement import MAX_PAIR_TANGLE, g1_from_phase_rates, phase_amplitude, phase_rates
 from .qec import ERROR_KINDS, SCHEMES, QecScenario, error_surface, run_bitflip_code
-from .spin_model import (MAX_UDD_ORDER, RESONANCE_VARIANTS, build_sequence, iterate,
-                         resonance_time, unit_propagator)
+from .spin_model import (MAX_UDD_ORDER, RESONANCE_VARIANTS, _integer, build_sequence,
+                         iterate, resonance_time, unit_propagator)
 
 MACHINE_FMT = "%.15g"
 HUMAN_FMT = "%.5g"
@@ -128,9 +128,8 @@ def _resonance_time(flag: str, spin, electron, k: int,
 def _counts(args: argparse.Namespace, name: str, least: int, cap: int,
             unit: str) -> range:
     """--NAME-min to --NAME-max: from at least `least`, not empty, at most cap."""
-    lo, hi = getattr(args, f"{name}_min"), getattr(args, f"{name}_max")
-    if lo < least:
-        raise ValueError(f"--{name}-min must be >= {least}, got {lo}")
+    lo = _integer(getattr(args, f"{name}_min"), f"--{name}-min", least)
+    hi = getattr(args, f"{name}_max")
     if hi < lo:
         raise ValueError(f"--{name}-max ({hi}) must be >= --{name}-min ({lo})")
     if hi - lo + 1 > cap:
@@ -340,8 +339,7 @@ def main(argv=None) -> int:
     try:
         constants.apply_env_overrides()
         # design, qec and sweep check --k even where the value goes unused
-        if getattr(args, "k", 1) < 1:
-            raise ValueError(f"--k must be >= 1, got {args.k}")
+        _integer(getattr(args, "k", 1), "--k", 1)
         if hasattr(args, "sequence"):
             try:
                 # "custom" needs spacings, which the CLI cannot pass

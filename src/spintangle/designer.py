@@ -48,8 +48,7 @@ class DesignConstraints:
         if self.time_window > MAX_TIME_WINDOW:
             raise ValueError(f"time_window must be at most {MAX_TIME_WINDOW} s, "
                              f"got {self.time_window}")
-        if not 1 <= _integer(self.N_max, "N_max") <= MAX_N_MAX:
-            raise ValueError(f"N_max must be in [1, {MAX_N_MAX}], got {self.N_max}")
+        _integer(self.N_max, "N_max", 1, MAX_N_MAX + 1)
         if not (0 < self.target_tangle_min <= 1):
             raise ValueError("target_tangle_min must be in (0, 1]")
         for name in ("unwanted_tangle_max", "unwanted_tangle_mean_max"):
@@ -90,10 +89,9 @@ def evaluate_design(register: list[NuclearSpinParams],
                     electron: ElectronQubitSpec, t: float, N: int, k: int,
                     anchor_label: str, target_indices: list[int],
                     sequence_kind: str = "cpmg") -> GateDesign:
-    """Recompute all GateDesign figures of merit from (t, N) alone.  N and
-    the target indices are integers, numpy ones included, as iterate reads N."""
-    if not hasattr(N, "__index__") or N < 1:
-        raise ValueError(f"N must be an integer >= 1, got {N!r}")
+    """Recompute all GateDesign figures of merit from (t, N) alone, for an
+    integer N >= 1 and a list of distinct integer target indices."""
+    N = _integer(N, "N", 1)
     n = len(register)
     try:
         idx = sorted(map(operator.index, target_indices))
@@ -314,9 +312,7 @@ def optimize_register_gate(register: list[NuclearSpinParams],
     """
     if not register:
         raise ValueError("empty register")
-    if not 0 <= _integer(anchor_index, "anchor_index") < len(register):
-        raise ValueError(f"anchor_index must be in [0, {len(register)}), got {anchor_index}")
-    anchor = register[anchor_index]
+    anchor = register[_integer(anchor_index, "anchor_index", 0, len(register))]
     seq0 = build_sequence(sequence_kind, resonance_time(anchor, electron, k))
     spacings = seq0.spacings
     t0 = seq0.unit_time
@@ -366,8 +362,7 @@ def minimize_unwanted_tangle(target: NuclearSpinParams,
     Scans the target's first resonances (k_range) and all iteration counts
     in the target's nearly-maximal set, limited by the pulse budget.
     Returns (k, N, scaled bystander tangle); the target's G1 stays below the
-    maximal-tangle threshold at the returned point.  pulse_budget must be an
-    integer (numpy integers pass).
+    maximal-tangle threshold at the returned point.
     """
     pulse_budget = _integer(pulse_budget, "pulse_budget")
     best = None
@@ -412,16 +407,13 @@ def generate_random_ensemble(count: int,
     and a positive one must leave every range bound / distinctness_khz
     finite.  Candidates violating this against any accepted spin are
     rejected; generation fails once a spin exhausts its attempt budget (the
-    range cannot host the requested density).  count must be >= 0 and
-    max_attempts_per_spin >= 1, both integers.
+    range cannot host the requested density).
     Candidates are drawn in blocks as lo + (hi - lo) u, Generator.uniform's
     arithmetic on the same stream of u: a seed gives the same pool, bit for
     bit, as one uniform draw per coordinate.
     """
-    if _integer(count, "count") < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    if _integer(max_attempts_per_spin, "max_attempts_per_spin") < 1:
-        raise ValueError(f"max_attempts_per_spin must be >= 1, got {max_attempts_per_spin}")
+    count = _integer(count, "count", 0)
+    max_attempts_per_spin = _integer(max_attempts_per_spin, "max_attempts_per_spin", 1)
     d = distinctness_khz
     if not (math.isfinite(d) and d >= 0):
         raise ValueError(f"distinctness_khz must be finite and nonnegative, got {d}")
@@ -433,7 +425,7 @@ def generate_random_ensemble(count: int,
     if d > 0 and not all(math.isfinite(x / d) for x in lo.tolist() + hi.tolist()):
         raise ValueError(f"distinctness_khz {d} is too small for A_range_khz "
                          f"{A_range_khz} and B_range_khz {B_range_khz}")
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = np.random.Generator(np.random.Philox(_integer(seed, "seed", 0)))
     # spatial hash on a d-sized grid: conflicts only involve neighbor cells,
     # and two spins in one cell would conflict, so a cell holds one spin
     cells: dict[tuple[int, int], tuple[float, float]] = {}
@@ -523,9 +515,7 @@ def spins_on_trivial_circle(electron: ElectronQubitSpec, omega_L: float,
         s = electron.s0
     else:
         raise ValueError("need one electron branch with projection 0")
-    if not hasattr(kappa_time, "__index__") or operator.index(kappa_time) < 1:
-        raise ValueError(f"kappa_time must be an integer >= 1, got {kappa_time!r}")
-    t = 8.0 * kappa_time * math.pi / omega_L
+    t = 8.0 * _integer(kappa_time, "kappa_time", 1) * math.pi / omega_L
     radius = abs(8.0 * kappa_circle * math.pi / (s * t))
     center = -omega_L / s
     spins = []
@@ -561,18 +551,15 @@ def gate_error_vs_bath(targets: list[ConditionalRotation],
     A bin (lo, hi) holds the tangles lo <= tangle < hi and needs lo < hi.
     Returns one record per (bin, bath size) with the ensemble-mean error.
     """
-    if _integer(n_ensembles, "n_ensembles") < 1:
-        raise ValueError(f"n_ensembles must be >= 1, got {n_ensembles}")
-    bath_sizes = list(bath_sizes)  # read once: an iterator passes the check too
-    if any(_integer(size, "each of bath_sizes") < 1 for size in bath_sizes):
-        raise ValueError(f"bath_sizes must all be >= 1, got {bath_sizes}")
+    n_ensembles = _integer(n_ensembles, "n_ensembles", 1)
+    bath_sizes = [_integer(size, "each of bath_sizes", 1) for size in bath_sizes]
     if not targets:
         raise ValueError("need at least one target spin")
     for lo, hi in tangle_bins:
         if not lo < hi:  # also a NaN bound
             raise ValueError(f"tangle bin {(lo, hi)} must have lo < hi")
     k = len(targets)
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = np.random.Generator(np.random.Philox(_integer(seed, "seed", 0)))
     tangles = np.array([tangle for tangle, _ in unwanted_pool], dtype=float)
     overlaps = branch_overlaps(stack_quaternions([rot for _, rot in unwanted_pool]))
     records = []

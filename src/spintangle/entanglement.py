@@ -93,8 +93,7 @@ def g1_from_phase_rates(d, sigma, weight, N, out=None):
 
 def makhlin_g1(rot: ConditionalRotation, N: int) -> float:
     """First Makhlin invariant of the iterated conditional gate, in [0, 1]."""
-    if N < 0:
-        raise ValueError("N must be >= 0")
+    N = _integer(N, "N", 0)
     return float(g1_from_phase_rates(*phase_rates(rot), N))
 
 
@@ -145,7 +144,7 @@ def optimal_iterations(rot: ConditionalRotation, N_max: int = 300,
     Membership is decided by direct evaluation of G1 at every integer N <= N_max,
     which subsumes the closed-form minima estimates of the oracle's
     analytic_iteration_candidates and also covers unequal-angle sequences.
-    N_max must be an integer (numpy integers pass); N_max < 1 gives [].
+    N_max < 1 gives [].
     """
     g1 = g1_over_iterations(rot, np.arange(1, _integer(N_max, "N_max") + 1))
     hits = np.nonzero(g1 < threshold)[0] + 1

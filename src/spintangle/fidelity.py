@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_model import stack_quaternions, su2
+from .spin_model import _rotations, stack_quaternions, su2
 
 
 class CapacityError(Exception):
@@ -46,8 +46,8 @@ class RegisterPartition:
     unwanted: tuple
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "targets", tuple(self.targets))
-        object.__setattr__(self, "unwanted", tuple(self.unwanted))
+        for name in ("targets", "unwanted"):
+            object.__setattr__(self, name, _rotations(getattr(self, name), name))
         if len(self.targets) < 1:
             raise ValueError("need at least one target spin")
 

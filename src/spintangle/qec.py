@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_model import ConditionalRotation, _integer, finite_1d, power, su2
+from .spin_model import ConditionalRotation, _integer, _rotations, finite_1d, power, su2
 
 STAGES = ("initial", "encoded", "error", "decoded", "corrected")
 ERROR_KINDS = ("none", "electron", "nucleus1", "nucleus2")
@@ -79,11 +79,11 @@ class QecScenario:
     """One run of the bit-flip code.
 
     encode_gates/decode_gates hold the ConditionalRotation applied to each
-    of the two data nuclei (already iterated to the gate's N), or a
-    ValueError names them.  None means the ideal conditional R_x(+/- pi/2)
-    for encode_gates and the encode gates for decode_gates.  The electron
-    starts in cos(gamma/2)|0> + e^{i delta} sin(gamma/2)|1>; both nuclei
-    start in |1>.
+    of the two data nuclei (already iterated to the gate's N), read once
+    into a tuple, or a ValueError names them.  None means the ideal
+    conditional R_x(+/- pi/2) for encode_gates and the encode gates for
+    decode_gates.  The electron starts in cos(gamma/2)|0> + e^{i delta}
+    sin(gamma/2)|1>; both nuclei start in |1>.
     """
 
     scheme: str = "sequential"
@@ -102,18 +102,15 @@ class QecScenario:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("encode_gates", "decode_gates"):
-            gates = getattr(self, name)
-            if gates is None:
-                continue
-            if len(gates) != 2:
-                raise ValueError("need one gate per data nucleus")
-            if not all(isinstance(gate, ConditionalRotation) for gate in gates):
-                raise ValueError(f"{name} must hold ConditionalRotations, got {gates!r}")
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _rotations(getattr(self, name), name))
+                if len(getattr(self, name)) != 2:
+                    raise ValueError("need one gate per data nucleus")
 
     def resolved_gates(self) -> tuple[tuple, tuple]:
         enc, dec = self.encode_gates, self.decode_gates
-        enc = (ideal_crx(), ideal_crx()) if enc is None else tuple(enc)
-        return enc, enc if dec is None else tuple(dec)
+        enc = (ideal_crx(), ideal_crx()) if enc is None else enc
+        return enc, enc if dec is None else dec
 
 
 @dataclass(frozen=True)
@@ -214,9 +211,7 @@ def nuclear_trajectories(scenario: QecScenario, samples: int = 64) -> dict:
     samples >= 1 fractions; the branch labels follow the electron state
     before the (possible) bit-flip.
     """
-    samples = _integer(samples, "samples")
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    samples = _integer(samples, "samples", 1)
     flip = scenario.error == "electron"
     fracs = np.linspace(0.0, 1.0, samples)
     out = {}

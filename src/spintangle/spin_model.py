@@ -95,12 +95,18 @@ def finite_1d(values, name: str) -> np.ndarray:
     return arr
 
 
-def _integer(value, name: str) -> int:
-    """value through operator.index, numpy integers included; a ValueError naming name if not."""
+def _integer(value, name: str, least: int | None = None, below: int | None = None) -> int:
+    """value through operator.index, numpy integers included, as a Python int
+    in [least, below); else a ValueError whose message starts with name."""
     try:
-        return operator.index(value)
+        v = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if below is not None and not least <= v < below:
+        raise ValueError(f"{name} must be in [{least}, {below}), got {v}")
+    if least is not None and v < least:
+        raise ValueError(f"{name} must be >= {least}, got {v}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -296,6 +302,18 @@ class ConditionalRotation:
         return Rotation(self.quaternions[1, 0], self.quaternions[1, 1:])
 
 
+def _rotations(values, name: str) -> tuple:
+    """values read once into a tuple; a ValueError naming name unless it holds
+    ConditionalRotations only."""
+    try:
+        rots = tuple(values)
+    except TypeError:  # not iterable
+        rots = None
+    if rots is None or not all(isinstance(rot, ConditionalRotation) for rot in rots):
+        raise ValueError(f"{name} must hold ConditionalRotations, got {values!r}")
+    return rots
+
+
 def stack_quaternions(rots) -> np.ndarray:
     """Branch quaternions of ConditionalRotations as one (2, 4, n) array."""
     rows = chain.from_iterable(chain.from_iterable(rot._rows for rot in rots))
@@ -383,9 +401,7 @@ def unit_propagator(seq: PulseSequence, spin: NuclearSpinParams,
 
 def iterate(rot: ConditionalRotation, N: int) -> ConditionalRotation:
     """N repetitions of the unit, an integer N >= 1: power on Python floats, bit for bit."""
-    N = operator.index(N)  # a float N raises TypeError; power takes fractions
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
+    N = _integer(N, "N", 1)  # power takes fractions
     rows = []
     for (_, x, y, z), h, s in zip(rot._rows, *rot.half_angles()):
         half = N * h
@@ -410,9 +426,7 @@ def resonance_time(spin: NuclearSpinParams, electron: ElectronQubitSpec,
     additional UDD4 family at twice the time.  A k that is not an integer
     >= 1, or whose time overflows, raises ValueError.
     """
-    k = _integer(k, "k")  # a numpy integer could wrap in 2k - 1
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = _integer(k, "k", 1)  # a numpy integer could wrap in 2k - 1
     if variant not in RESONANCE_VARIANTS:
         raise ValueError(f"unknown variant: {variant!r}")
     wsum = (branch_frequency(spin, electron.s0)

@@ -80,7 +80,7 @@ class TestOptimizeRegisterGate:
     def test_bad_iteration_count_named(self, N):
         reg = load_register("nv27")
         t = resonance_time(reg.by_label("C4"), reg.electron(), 3)
-        with pytest.raises(ValueError, match="N must be an integer >= 1"):
+        with pytest.raises(ValueError, match=r"^N must be (an integer|>= 1), got "):
             evaluate_design(reg.spins, reg.electron(), t, N, 3, "C4", [3, 4])
 
     def test_numpy_integers_pass(self):
@@ -791,7 +791,7 @@ class TestTrivialCircle:
 
     @pytest.mark.parametrize("kappa_time", [0, -1, 1.5])
     def test_bad_kappa_time_named(self, kappa_time):
-        with pytest.raises(ValueError, match=r"^kappa_time must be an integer >= 1, got "):
+        with pytest.raises(ValueError, match=r"^kappa_time must be (an integer|>= 1), got "):
             spins_on_trivial_circle(ElectronQubitSpec(0.0, -1.0),
                                     2.0 * math.pi * 432e3, kappa_time, 1, 3)
 
@@ -942,7 +942,7 @@ class TestGateErrorVsBath:
 
     @pytest.mark.parametrize("sizes, message", [
         ([2, 2.5], "each of bath_sizes must be an integer, got 2.5"),
-        ([4, 0], "bath_sizes must all be >= 1, got [4, 0]"),
+        ([4, 0], "each of bath_sizes must be >= 1, got 0"),
     ], ids=["float-size", "zero-size"])
     def test_bad_generator_size_named_before_any_draw(self, sizes, message,
                                                       monkeypatch):

@@ -243,3 +243,21 @@ class TestLocalTargetFidelity:
 def test_partition_requires_target():
     with pytest.raises(ValueError):
         RegisterPartition([], [])
+
+
+@pytest.mark.parametrize("field, values", [("targets", ("x",)), ("unwanted", [1, 2]),
+                                           ("unwanted", 5)], ids=["str", "ints", "int"])
+def test_partition_names_non_rotations(field, values):
+    # ("x",) used to give fidelity 1.0, and [1, 2] an AttributeError on _rows
+    fields = {"targets": [random_rotation_pair(np.random.default_rng(3))], "unwanted": []}
+    with pytest.raises(ValueError, match=f"^{field} must hold ConditionalRotations, got "):
+        RegisterPartition(**{**fields, field: values})
+
+
+def test_partition_reads_generators_once():
+    rng = np.random.default_rng(4)
+    targets, unwanted = [random_rotation_pair(rng)], [random_rotation_pair(rng) for _ in range(3)]
+    part = RegisterPartition(iter(targets), (rot for rot in unwanted))
+    assert part == RegisterPartition(targets, unwanted)
+    assert target_subspace_fidelity(part) == target_subspace_fidelity(
+        RegisterPartition(targets, unwanted))

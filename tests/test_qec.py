@@ -206,6 +206,22 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match=field):
             QecScenario(**{field: gates})
 
+    @pytest.mark.parametrize("field", ["encode_gates", "decode_gates"])
+    def test_non_iterable_gates_named(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must hold ConditionalRotations, got 5$"):
+            QecScenario(**{field: 5})
+
+    @pytest.mark.parametrize("field", ["encode_gates", "decode_gates"])
+    def test_generator_gates_give_the_tuple_outcome(self, field):
+        # a generator used to raise an unnamed TypeError from len()
+        gates = (_tilted_crx(0.02), _tilted_crx(0.03))
+        scenario = QecScenario(error="electron", **{field: (g for g in gates)})
+        assert scenario == QecScenario(error="electron", **{field: gates})
+        got, want = (run_bitflip_code(s) for s in (scenario, replace(scenario, **{field: gates})))
+        assert (got.recovery_probability, got.electron_purity) == (
+            want.recovery_probability, want.electron_purity)
+        assert got.final_state.tobytes() == want.final_state.tobytes()
+
     def test_none_gates_are_ideal_then_the_encode_gates(self):
         enc, dec = QecScenario().resolved_gates()
         assert dec is enc

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -278,7 +279,7 @@ class TestIterate:
     def test_count_must_be_an_integer(self, N):
         # fractional powers go through power
         rng = np.random.default_rng(8)
-        with pytest.raises(TypeError, match="integer"):
+        with pytest.raises(ValueError, match=re.escape(f"N must be an integer, got {N!r}")):
             iterate(random_rotation_pair(rng), N)
 
     def test_numpy_integer_count(self):
