@@ -13,8 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constants
-from .entanglement import (g1_from_phase_rates, g1_over_iterations, nuclear_one_tangle,
-                           optimal_iterations, phase_rates, tangle_upper_bound)
+from .entanglement import (MAX_N_MAX, g1_from_phase_rates, g1_over_iterations,
+                           nuclear_one_tangle, optimal_iterations, phase_rates,
+                           tangle_upper_bound)
 from .fidelity import branch_overlaps, gate_error
 from .spin_model import (ConditionalRotation, ElectronQubitSpec,
                          NuclearSpinParams, _integer, build_sequence, power,
@@ -26,9 +27,9 @@ from .spin_model import (ConditionalRotation, ElectronQubitSpec,
 # constrained register optimization
 
 # caps on the inputs that size a search: the window sets the grid of unit
-# times (2,000,001 at 1e-3 s), and one scoring row holds N_max x n_spins values
+# times (2,000,001 at 1e-3 s), and one scoring row holds N_max x n_spins
+# values, under entanglement's MAX_N_MAX
 MAX_TIME_WINDOW = 1e-3
-MAX_N_MAX = 10 ** 4
 
 
 @dataclass(frozen=True)
@@ -143,7 +144,11 @@ _MIN_TARGETS = 2
 
 
 def _feasibility(tangles: np.ndarray, constraints: DesignConstraints):
-    """Feasibility and scores of each column of an (n_spins, n_points) block."""
+    """Feasibility, target mean, bystander mean (0 with none) and target mask
+    of each column of an (n_spins, n_points) block.  Feasible: at least
+    _MIN_TARGETS targets (tangle above target_tangle_min), every bystander
+    below unwanted_tangle_max and their mean below unwanted_tangle_mean_max;
+    the scan's grid holds the gate time N t within max_gate_time."""
     is_target = tangles > constraints.target_tangle_min
     n_targets = is_target.sum(axis=0)
     unw_max = np.where(is_target, -np.inf, tangles).max(axis=0)
@@ -159,11 +164,11 @@ def _feasibility(tangles: np.ndarray, constraints: DesignConstraints):
 
 
 def _winning_point(t, N, tgt_mean, unw_mean, is_target) -> int:
-    """Index of the winner among feasible points in (t, N) order.
-
-    is_target holds their target sets, (n_spins, n_points).  Ranked as in
-    optimize_register_gate; ties go to the first-seen set, then point.
-    """
+    """Index of the winner of a feasible set, as _scan_unit_times returns it:
+    the target set feasible at the most unit times (the most robust to timing
+    errors), and in it the highest target mean, then the shortest gate time
+    N t, then the lowest bystander mean; ties go to the first-seen set, then
+    to the first point in (t, N) order."""
     # lexsort is stable: each target set's group keeps (t, N) order
     sets = np.packbits(is_target, axis=0)
     by_set = np.lexsort(sets)
@@ -178,7 +183,8 @@ def _winning_point(t, N, tgt_mean, unw_mean, is_target) -> int:
 
 def _scan_unit_times(spins: np.ndarray, electron: ElectronQubitSpec, spacings,
                      times: np.ndarray, constraints: DesignConstraints):
-    """Winning grid point (t, N, target indices) of the scan, or None.
+    """Feasible set of the grid, _feasibility's points in (t, N) order: (t, N,
+    target mean, bystander mean, target masks (n_spins, n_points)), empty if none.
 
     spins holds the A, B and omega_L rows of _spin_arrays.  The points are
     every (t, N) with 1 <= N <= min(N_max, max_gate_time / t), a block of
@@ -193,10 +199,11 @@ def _scan_unit_times(spins: np.ndarray, electron: ElectronQubitSpec, spacings,
     of the two floors; elsewhere it is neither in the band nor a target.  A
     unit time at which fewer than _MIN_TARGETS spins may be targets is not
     scored at all.  Both rules drop only points that _feasibility rejects,
-    and the survivors are scored in full, so neither changes the
-    _winning_point.  The phase rates and weights of phase_amplitude are
-    computed once per kernel block, and scoring a spin gathers them at the
-    points it may reach.
+    and the survivors are scored in full, so neither changes the set; the
+    spins go by descending mean weight, and as neither rule ever raises a
+    point's count, the order changes no survivor either.  The phase rates
+    and weights of phase_amplitude are computed once per kernel block, and
+    scoring a spin gathers them at the points it may reach.
     """
     n_cap = np.zeros(len(times), dtype=int)
     pos = times > 0
@@ -267,11 +274,7 @@ def _scan_unit_times(spins: np.ndarray, electron: ElectronQubitSpec, spacings,
             feasible.append((tb[ti[ok]], N[ok], tgt_mean[ok], unw_mean[ok],
                              targets[:, ok]))
 
-    t, N, tgt_mean, unw_mean, is_target = map(np.hstack, zip(*feasible))
-    if not t.size:
-        return None
-    j = _winning_point(t, N, tgt_mean, unw_mean, is_target)
-    return float(t[j]), int(N[j]), np.flatnonzero(is_target[:, j]).tolist()
+    return tuple(map(np.hstack, zip(*feasible)))
 
 
 def _golden_section(f, lo: float, hi: float, xatol: float) -> float:
@@ -298,17 +301,11 @@ def optimize_register_gate(register: list[NuclearSpinParams],
                            sequence_kind: str = "cpmg") -> GateDesign | None:
     """Search (t, N) near the anchor's k-th resonance for a feasible gate.
 
-    The unit time is scanned on a fixed grid across the constraint window,
-    then refined around the best grid point.  Feasibility: at least two
-    targets above target_tangle_min, every bystander below
-    unwanted_tangle_max, bystander mean below unwanted_tangle_mean_max, and
-    gate time within max_gate_time.  Among the feasible (t, N) points, the
-    target set feasible at the largest number of unit times wins (it is the
-    most robust to timing errors); within that set, the point with the
-    highest mean target tangle is kept, with shorter gate time and lower
-    bystander mean as tie-breakers.  The refined unit time is kept only if
-    it is feasible with the same targets and its mean target tangle is no
-    lower than at the grid point.
+    The unit time is scanned on a fixed grid across the constraint window
+    for the feasible set (_feasibility), whose _winning_point is then
+    refined in unit time at fixed N.  The refined time is kept only if it
+    is feasible with the same targets and its mean target tangle is no
+    lower than at the grid point.  None when no grid point is feasible.
     """
     if not register:
         raise ValueError("empty register")
@@ -320,10 +317,13 @@ def optimize_register_gate(register: list[NuclearSpinParams],
 
     steps = int(round(constraints.time_window / _TIME_STEP))
     times = t0 + np.arange(-steps, steps + 1) * _TIME_STEP
-    best = _scan_unit_times(spins, electron, spacings, times, constraints)
-    if best is None:
+    t, N, _, _, is_target = feasible = _scan_unit_times(spins, electron, spacings,
+                                                        times, constraints)
+    if not t.size:
         return None
-    t_best, n_best, target_idx = best
+    j = _winning_point(*feasible)
+    t_best, n_best, mask = float(t[j]), int(N[j]), is_target[:, j]
+    target_idx = np.flatnonzero(mask).tolist()
 
     # local refinement of the unit time at fixed N and fixed target set, on
     # Python floats per target; no PulseSequence, as the bracket may reach t <= 0
@@ -338,7 +338,7 @@ def optimize_register_gate(register: list[NuclearSpinParams],
     quats = unit_quaternions(*spins, electron, spacings, t_ref)
     tangles = 1.0 - g1_over_iterations(quats, [n_best])[:, 0]
     ok, _, _, is_target = _feasibility(tangles[:, None], constraints)
-    if not (ok[0] and list(np.nonzero(is_target[:, 0])[0]) == target_idx
+    if not (ok[0] and np.array_equal(is_target[:, 0], mask)
             and n_best * t_ref <= constraints.max_gate_time
             and objective(t_ref) <= objective(t_best)):
         t_ref = t_best
@@ -360,16 +360,19 @@ def minimize_unwanted_tangle(target: NuclearSpinParams,
     """Minimize the bystander's scaled one-tangle over the target's resonances.
 
     Scans the target's first resonances (k_range) and all iteration counts
-    in the target's nearly-maximal set, limited by the pulse budget.
+    in the target's nearly-maximal set, limited by the pulse budget; a
+    budget whose N cap passes MAX_N_MAX raises ValueError.
     Returns (k, N, scaled bystander tangle); the target's G1 stays below the
     maximal-tangle threshold at the returned point.
     """
-    pulse_budget = _integer(pulse_budget, "pulse_budget")
+    # the pulse count of a sequence kind is the same at every unit time
+    pulses = build_sequence(sequence_kind, 1.0).pulse_count
+    n_max = max(1, _integer(pulse_budget, "pulse_budget",
+                            below=(MAX_N_MAX + 1) * pulses) // pulses)
     best = None
     for k in k_range:
         t = resonance_time(target, electron, k)
         seq = build_sequence(sequence_kind, t)
-        n_max = max(1, pulse_budget // seq.pulse_count)
         rot_t = unit_propagator(seq, target, electron)
         good_n = optimal_iterations(rot_t, N_max=n_max)
         if not good_n:

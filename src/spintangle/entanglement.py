@@ -128,6 +128,8 @@ def electron_one_tangle(rots: list[ConditionalRotation], N: int,
 # iteration-count search
 
 G1_MAXIMAL_THRESHOLD = 0.05
+# cap on an iteration-count search: a row of G1 holds N_max values per spin
+MAX_N_MAX = 10 ** 4
 
 
 def g1_over_iterations(quats, counts) -> np.ndarray:
@@ -144,8 +146,9 @@ def optimal_iterations(rot: ConditionalRotation, N_max: int = 300,
     Membership is decided by direct evaluation of G1 at every integer N <= N_max,
     which subsumes the closed-form minima estimates of the oracle's
     analytic_iteration_candidates and also covers unequal-angle sequences.
-    N_max < 1 gives [].
+    N_max < 1 gives [], and N_max above MAX_N_MAX raises ValueError.
     """
-    g1 = g1_over_iterations(rot, np.arange(1, _integer(N_max, "N_max") + 1))
+    N_max = _integer(N_max, "N_max", below=MAX_N_MAX + 1)
+    g1 = g1_over_iterations(rot, np.arange(1, N_max + 1))
     hits = np.nonzero(g1 < threshold)[0] + 1
     return [int(v) for v in hits]

@@ -97,15 +97,18 @@ def finite_1d(values, name: str) -> np.ndarray:
 
 def _integer(value, name: str, least: int | None = None, below: int | None = None) -> int:
     """value through operator.index, numpy integers included, as a Python int
-    in [least, below); else a ValueError whose message starts with name."""
+    in [least, below) and in the int64 range, so that numpy takes it as an
+    integer and a float of it is finite; else a ValueError whose message
+    starts with name."""
     try:
         v = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if below is not None and not least <= v < below:
-        raise ValueError(f"{name} must be in [{least}, {below}), got {v}")
-    if least is not None and v < least:
+    if below is None and least is not None and v < least:
         raise ValueError(f"{name} must be >= {least}, got {v}")
+    lo, hi = -2 ** 63 if least is None else least, 2 ** 63 if below is None else below
+    if not lo <= v < hi:
+        raise ValueError(f"{name} must be in [{lo}, {hi}), got {v}")
     return v
 
 
@@ -434,10 +437,7 @@ def resonance_time(spin: NuclearSpinParams, electron: ElectronQubitSpec,
     if not math.isfinite(wsum):
         raise ValueError(f"{spin.label}: branch frequencies sum to {wsum}, "
                          f"so no resonance time")
-    try:
-        t = 4.0 * math.pi * (2 * k - 1) / wsum
-    except OverflowError:  # 2k - 1 is past the float range
-        t = math.inf
+    t = 4.0 * math.pi * (2 * k - 1) / wsum
     if variant == "udd4_extra":
         t *= 2.0
     if t == math.inf:

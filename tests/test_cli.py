@@ -43,8 +43,9 @@ REACHES_WORK = {
     "qec": ["qec", "--register", "nv27"],
     "sweep": ["sweep", "--register", "nv27", "--spin", "C5"],
 }
-# 401 digits: past the float range, so 2k - 1 cannot become a float
+# 401 digits: past the float range, and the int64 range every integer is read in
 HUGE_K = int("9" * 401)
+INT64 = 2 ** 63
 SPECIAL = ["nan", "inf", "-inf", "0", "-0.0", "5e-324", "-5e-324", "2.2e-308",
            "1e308", "-1e308"]
 FLOATS = st.one_of(st.sampled_from(SPECIAL), st.floats().map(repr))
@@ -521,10 +522,14 @@ class TestInputErrors:
            ["--sequence", "UDD order 101 is above the cap 100", "uddN"])
           for command in ("design", "sweep")],
         *[(REACHES_WORK[command] + [f"--k={HUGE_K}"],
-           ["--k: k=", "is too large: the resonance time of"])
+           [f"error: --k must be in [1, {INT64}), got {HUGE_K}"])
           for command in ("design", "qec", "sweep")],
         (["resonances", "--register", "nv27", f"--k-min={HUGE_K}", f"--k-max={HUGE_K}"],
-         ["--k-max: k=", "is too large: the resonance time of"]),
+         [f"error: --k-min must be in [1, {INT64}), got {HUGE_K}"]),
+        # phase_amplitude would get an N past the float range, or an object
+        # array of Python ints past the uint64 range
+        *[(REACHES_WORK["sweep"] + [f"--n-min={n}", f"--n-max={n}"],
+           [f"error: --n-min must be in [0, {INT64}), got {n}"]) for n in (HUGE_K, 2 ** 64)],
         (["design", "--register", "nope", "--anchor", "C1", "--k", "1"],
          ["error: --register: 'nope' is neither a file nor one of nv27"]),
         (["resonances", "--register", "{bad_larmor}"],
@@ -541,7 +546,8 @@ class TestInputErrors:
             *[f"{command}-s1-overflow" for command in REACHES_WORK],
             "design-udd-over-cap", "sweep-udd-over-cap",
             "design-k-overflow", "qec-k-overflow", "sweep-k-overflow",
-            "resonances-k-overflow", "register-flag-named", "register-metadata-named",
+            "resonances-k-overflow", "sweep-n-past-float", "sweep-n-past-uint64",
+            "register-flag-named", "register-metadata-named",
             "larmor-flag-named", "s0-flag-named", "s1-flag-named"])
     def test_bad_input_named_with_nothing_on_stdout(self, argv, names, tmp_path,
                                                      capsys):

@@ -216,14 +216,41 @@ class TestOptimizeRegisterGate:
         assert peak < 32 * 2 ** 20
 
     @staticmethod
-    def _grid_point(reg, anchor, k, cons, kind="cpmg"):
-        """The scan's winning grid point (t, N, target indices)."""
+    def _feasible_set(reg, anchor, k, cons, kind="cpmg"):
+        """The scan's feasible set over 501 unit times about the resonance."""
         electron = reg.electron()
         seq = build_sequence(kind, resonance_time(reg.by_label(anchor),
                                                   electron, k))
         times = seq.unit_time + np.arange(-250, 251) * 1e-9
         return _scan_unit_times(designer._spin_arrays(reg.spins), electron,
                                 seq.spacings, times, cons)
+
+    @staticmethod
+    def _winner(feasible):
+        """The _winning_point of a feasible set as (t, N, target indices), or None."""
+        t, N, _, _, is_target = feasible
+        if not t.size:
+            return None
+        j = _winning_point(*feasible)
+        return float(t[j]), int(N[j]), np.flatnonzero(is_target[:, j]).tolist()
+
+    @classmethod
+    def _grid_point(cls, reg, anchor, k, cons, kind="cpmg"):
+        """The scan's winning grid point (t, N, target indices), or None."""
+        return cls._winner(cls._feasible_set(reg, anchor, k, cons, kind))
+
+    # a reference sums a point's tangles in another order than the scan's
+    # blocks; measured, its means differ by at most 2.22e-16
+    MEAN_ATOL = 4.5e-16
+
+    @classmethod
+    def _assert_same_set(cls, got, ref, where=None):
+        """got and ref hold the same points: t, N and masks ==, means to MEAN_ATOL."""
+        (t, N, tgt, unw, is_target), (t_ref, N_ref, tgt_ref, unw_ref, is_target_ref) = got, ref
+        assert np.array_equal(t, t_ref) and np.array_equal(N, N_ref), where
+        assert np.array_equal(is_target, is_target_ref), where
+        assert np.abs(tgt - tgt_ref).max(initial=0.0) <= cls.MEAN_ATOL, where
+        assert np.abs(unw - unw_ref).max(initial=0.0) <= cls.MEAN_ATOL, where
 
     @pytest.mark.parametrize("name, kind, anchor, k, cons", [
         ("nv27", "cpmg", "C23", 3, DesignConstraints()),
@@ -236,6 +263,9 @@ class TestOptimizeRegisterGate:
         ("rand-udd3-k3", "udd3", "S3", 3, DesignConstraints()),
         # N = 288, with the gate-time cap above N_max
         ("nv27", "cpmg", "C26", 1, DesignConstraints()),
+        # no feasible point: the empty set
+        ("nv27", "cpmg", "C9", 1, DesignConstraints()),
+        ("nv27", "cpmg", "C18", 5, DesignConstraints()),
     ])
     def test_scan_matches_per_time_loop(self, name, kind, anchor, k, cons):
         reg = load_register(name)
@@ -246,7 +276,7 @@ class TestOptimizeRegisterGate:
                                                   electron, k))
         times = seq.unit_time + np.arange(-250, 251) * 1e-9
         # reference: one tangle block per unit time, points in (t, N) order
-        set_times, set_best = {}, {}
+        rows, set_times, set_best = [], {}, {}
         for t in times:
             N_values = np.arange(1, min(cons.N_max,
                                         int(cons.max_gate_time / t)) + 1)
@@ -254,21 +284,27 @@ class TestOptimizeRegisterGate:
                                      seq.spacings, t)
             ok, tgt_mean, unw_mean, is_target = designer._feasibility(
                 1.0 - g1_over_iterations(quats, N_values), cons)
+            rows.append((np.full(ok.sum(), t), N_values[ok], tgt_mean[ok],
+                         unw_mean[ok], is_target[:, ok]))
             for j in np.nonzero(ok)[0]:
                 tset = tuple(np.nonzero(is_target[:, j])[0])
                 key = (-tgt_mean[j], N_values[j] * t, unw_mean[j])
                 set_times.setdefault(tset, set()).add(t)
                 if tset not in set_best or key < set_best[tset][0]:
                     set_best[tset] = (key, t, int(N_values[j]))
-        assert set_best
+        feasible = self._feasible_set(reg, anchor, k, cons, kind)
+        self._assert_same_set(feasible, [np.hstack(c) for c in zip(*rows)])
+        if not set_best:
+            assert self._winner(feasible) is None
+            return
         winner = max(set_best,
                      key=lambda s: (len(set_times[s]), -set_best[s][0][0]))
-        assert self._grid_point(reg, anchor, k, cons, kind) == (
+        assert self._winner(feasible) == (
             set_best[winner][1], set_best[winner][2], list(winner))
 
     @staticmethod
     def _full_scan(spins, electron, spacings, times, cons):
-        """The scan's grid point with every (t, N) point scored, or None."""
+        """The feasible set with every (t, N) point scored."""
         cap = np.minimum(cons.N_max, cons.max_gate_time / times).astype(int)
         N_values = np.arange(1, cap.max() + 1)
         quats = unit_quaternions(*designer._spin_arrays(spins)[:, :, None],
@@ -277,13 +313,17 @@ class TestOptimizeRegisterGate:
         # (spin, point) with the points in (t, N) order
         ok, tgt_mean, unw_mean, is_target = designer._feasibility(
             1.0 - g1_over_iterations(quats, N_values)[:, valid], cons)
-        t = np.broadcast_to(times[:, None], valid.shape)[valid][ok]
-        N = np.broadcast_to(N_values, valid.shape)[valid][ok]
-        tgt_mean, unw_mean = tgt_mean[ok], unw_mean[ok]
+        return (np.broadcast_to(times[:, None], valid.shape)[valid][ok],
+                np.broadcast_to(N_values, valid.shape)[valid][ok],
+                tgt_mean[ok], unw_mean[ok], is_target[:, ok])
+
+    @staticmethod
+    def _reference_winner(t, N, tgt_mean, unw_mean, is_target):
+        """The winner of a feasible set, ranked set by set, or None."""
         if not t.size:
             return None
         # one integer per target set; the registers here have < 63 spins
-        sets = (1 << np.arange(len(spins))) @ is_target[:, ok]
+        sets = (1 << np.arange(is_target.shape[0])) @ is_target
         _, first, inverse = np.unique(sets, return_index=True,
                                       return_inverse=True)
         best = {}
@@ -294,7 +334,7 @@ class TestOptimizeRegisterGate:
             # most unit times, then highest mean, then the first-seen set
             best[len(set(t[j])), tgt_mean[p], -first[u]] = p
         p = best[max(best)]
-        return float(t[p]), int(N[p]), np.flatnonzero(is_target[:, ok][:, p]).tolist()
+        return float(t[p]), int(N[p]), np.flatnonzero(is_target[:, p]).tolist()
 
     @pytest.mark.parametrize("name, kind", [
         ("nv27", "cpmg"), ("rand-cpmg-k1", "cpmg"), ("rand-udd3-k3", "udd3"),
@@ -303,7 +343,9 @@ class TestOptimizeRegisterGate:
         ("pool-1", "cpmg"), ("pool-2", "cpmg"),
         # the kernel's general path: one Larmor frequency per spin, and no
         # zero projection; every third spin anchors
-        ("nv27-mixed-larmor", "cpmg"), ("nv27-spin-one", "cpmg")])
+        ("nv27-mixed-larmor", "cpmg"), ("nv27-spin-one", "cpmg"),
+        # at the default constraints, two searches with no feasible point
+        ("nv27-no-design", "cpmg")])
     def test_scan_matches_full_scoring_below_the_bystander_bound(self, name, kind):
         # with the target floor below the bystander bound, a spin is scored
         # where it may be a target although it cannot be in the band
@@ -320,6 +362,8 @@ class TestOptimizeRegisterGate:
                                 for i, s in enumerate(reg.spins)], s0=reg.s0, s1=reg.s1)
         elif name == "nv27-spin-one":
             reg = RegisterFile(load_register("nv27").spins, s0=-1.0, s1=1.0)
+        elif name == "nv27-no-design":
+            reg = load_register("nv27")
         else:
             reg = load_register(name)
         constraint_sets = [
@@ -327,21 +371,23 @@ class TestOptimizeRegisterGate:
                               unwanted_tangle_mean_max=0.5, N_max=60),
             DesignConstraints(target_tangle_min=0.3, unwanted_tangle_max=0.6,
                               unwanted_tangle_mean_max=0.3, N_max=30)]
+        searches = [(spin, k, cons) for spin in reg.spins[anchors]
+                    for k in (1, 2, 3) for cons in constraint_sets]
+        if name == "nv27-no-design":
+            searches = [(reg.by_label("C9"), 1, DesignConstraints()),
+                        (reg.by_label("C18"), 5, DesignConstraints())]
         electron = reg.electron()
         spins = designer._spin_arrays(reg.spins)
         found = 0
-        for spin in reg.spins[anchors]:
-            for k in (1, 2, 3):
-                seq = build_sequence(kind, resonance_time(spin, electron, k))
-                times = seq.unit_time + np.arange(-100, 101) * 1e-9
-                for cons in constraint_sets:
-                    got = _scan_unit_times(spins, electron, seq.spacings,
-                                           times, cons)
-                    assert got == self._full_scan(
-                        reg.spins, electron, seq.spacings, times, cons), (
-                        spin.label, k, cons)
-                    found += got is not None
-        assert found
+        for spin, k, cons in searches:
+            seq = build_sequence(kind, resonance_time(spin, electron, k))
+            times = seq.unit_time + np.arange(-100, 101) * 1e-9
+            got = _scan_unit_times(spins, electron, seq.spacings, times, cons)
+            ref = self._full_scan(reg.spins, electron, seq.spacings, times, cons)
+            self._assert_same_set(got, ref, (spin.label, k, cons))
+            assert self._winner(got) == self._reference_winner(*ref), (spin.label, k, cons)
+            found += got[0].size > 0
+        assert bool(found) != (name == "nv27-no-design")
 
     @staticmethod
     def _scored(monkeypatch) -> list:
@@ -366,11 +412,11 @@ class TestOptimizeRegisterGate:
         reg = load_register("nv27")
         cons = DesignConstraints()
         evaluated = self._scored(monkeypatch)
-        skipping = self._grid_point(reg, "C23", 3, cons)
+        skipping = self._feasible_set(reg, "C23", 3, cons)
         n_skipping = sum(evaluated)
         evaluated.clear()
         self._without_bound(monkeypatch)
-        assert self._grid_point(reg, "C23", 3, cons) == skipping
+        self._assert_same_set(self._feasible_set(reg, "C23", 3, cons), skipping)
         assert n_skipping < 0.7 * sum(evaluated)
 
     @pytest.mark.parametrize("anchor", ["C18", "C6"])

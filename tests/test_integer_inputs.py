@@ -1,6 +1,6 @@
 """Every integer input is read by spin_model._integer: one message grammar,
 the parameter named first, checked before any random draw or kernel call,
-and a numpy integer giving the result of the Python int."""
+in the int64 range, and a numpy integer giving the result of the Python int."""
 from __future__ import annotations
 
 import math
@@ -16,6 +16,9 @@ from spintangle.spin_model import ConditionalRotation
 from .conftest import random_rotation_pair
 
 NOT_INTEGERS = [math.nan, math.inf, 2.5, 3.0, "3", None]
+# past the float range, and far past the int64 range every integer is read in
+HUGE = 10 ** 400
+INT64 = 2 ** 63
 
 
 def _rot():
@@ -109,13 +112,15 @@ ENTRIES = {
     "nuclear_one_tangle": ("N", 0, None, 82, _invariant(entanglement.nuclear_one_tangle)),
     "entangling_power": ("N", 0, None, 82, _invariant(entanglement.entangling_power)),
     "electron_one_tangle": ("N", 0, None, 82, _electron_one_tangle),
-    "optimal_iterations": ("N_max", None, None, 300,
+    "optimal_iterations": ("N_max", None, designer.MAX_N_MAX + 1, 300,
                            _invariant(entanglement.optimal_iterations)),
     "DesignConstraints": ("N_max", 1, designer.MAX_N_MAX + 1, 300,
                           lambda: lambda v: designer.DesignConstraints(N_max=v)),
     "evaluate_design": ("N", 1, None, 82, _evaluate_design),
     "optimize_register_gate": ("anchor_index", 0, 27, 22, _optimize_register_gate),
-    "minimize_unwanted_tangle": ("pulse_budget", None, None, 300, _minimize_unwanted_tangle),
+    # CPMG has 2 pulses: a budget of 2 (MAX_N_MAX + 1) would cap N above MAX_N_MAX
+    "minimize_unwanted_tangle": ("pulse_budget", None, 2 * (designer.MAX_N_MAX + 1), 300,
+                                 _minimize_unwanted_tangle),
     "generate_random_ensemble-count": ("count", 0, None, 5, _ensemble("count")),
     "generate_random_ensemble-attempts": ("max_attempts_per_spin", 1, None, 50,
                                           _ensemble("max_attempts_per_spin")),
@@ -132,14 +137,16 @@ ENTRIES = {
 def _bad_values(least, below):
     """(value, expected message after the name) of every value the entry rejects."""
     out = [(v, f"must be an integer, got {v!r}") for v in NOT_INTEGERS]
-    if below is not None:
-        out += [(v, f"must be in [{least}, {below}), got {v}") for v in (least - 1, below)]
-    elif least is not None:
-        out.append((least - 1, f"must be >= {least}, got {least - 1}"))
-    return out
+    lo, hi = -INT64 if least is None else least, INT64 if below is None else below
+    if least is not None:
+        out.append((least - 1, f"must be >= {least}, got {least - 1}" if below is None
+                    else f"must be in [{lo}, {hi}), got {least - 1}"))
+    return out + [(v, f"must be in [{lo}, {hi}), got {v}")
+                  for v in ([] if below is None else [below]) + [HUGE]]
 
 
-CASES = [pytest.param(entry, value, message, id=f"{entry}-{value!r}")
+CASES = [pytest.param(entry, value, message,
+                      id=f"{entry}-{'10**400' if value == HUGE else repr(value)}")
          for entry, (_, least, below, _, _) in ENTRIES.items()
          for value, message in _bad_values(least, below)]
 
@@ -185,3 +192,20 @@ def test_cli_floors_use_the_grammar(argv, message, capsys):
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("entry", ["optimal_iterations", "minimize_unwanted_tangle"])
+def test_iteration_cap_named_before_any_allocation(entry, monkeypatch):
+    # 10**10 counts would be an 80 GB np.arange of int64
+    name, _, _, _, make = ENTRIES[entry]
+    call = make()
+    asked = []
+
+    def spy(*args, **kwargs):
+        asked.append(args)
+        raise AssertionError(f"np.arange{args} was asked")
+
+    monkeypatch.setattr(entanglement.np, "arange", spy)
+    with pytest.raises(ValueError, match=f"^{name} must be in \\[-{INT64}, "):
+        call(10 ** 10)
+    assert asked == []
