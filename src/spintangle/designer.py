@@ -18,8 +18,8 @@ from .entanglement import (MAX_N_MAX, g1_from_phase_rates, g1_over_iterations,
                            tangle_upper_bound)
 from .fidelity import branch_overlaps, gate_error
 from .spin_model import (ConditionalRotation, ElectronQubitSpec,
-                         NuclearSpinParams, _integer, build_sequence, power,
-                         resonance_time, stack_quaternions, unit_propagator,
+                         NuclearSpinParams, _integer, _unit_rows, build_sequence,
+                         power, resonance_time, stack_quaternions, unit_propagator,
                          unit_quaternions)
 
 
@@ -181,6 +181,15 @@ def _winning_point(t, N, tgt_mean, unw_mean, is_target) -> int:
     return int(best[np.lexsort((by_set[starts], -tgt_mean[best], -n_times))[0]])
 
 
+def _screen_error(d, sigma, n_cap):
+    """Bound on the error of 1 - G1 computed in float32 from float64 rates,
+    at any N <= n_cap: the float32 phase N d is off by <= 2^-23 |N d|, numpy's
+    float32 cos by a few ulp, and the roundings of m, 1 - m^2 and a float32
+    band edge add a few 2^-24, so the tangle is off by <= 2^-21 |N d|
+    + 2^-22 |N sigma| + 2.4e-6 to first order."""
+    return 2.0 ** -20 * n_cap * (abs(d) + abs(sigma)) + 1e-5
+
+
 def _scan_unit_times(spins: np.ndarray, electron: ElectronQubitSpec, spacings,
                      times: np.ndarray, constraints: DesignConstraints):
     """Feasible set of the grid, _feasibility's points in (t, N) order: (t, N,
@@ -189,19 +198,20 @@ def _scan_unit_times(spins: np.ndarray, electron: ElectronQubitSpec, spacings,
     spins holds the A, B and omega_L rows of _spin_arrays.  The points are
     every (t, N) with 1 <= N <= min(N_max, max_gate_time / t), a block of
     unit times per kernel call and a chunk of them at a time.  The spins are
-    scored one after another on the points still in play, and two rules
-    drop a point on the way:
+    screened one after another on the points still in play, in float32 with
+    a stated bound on its error, and two rules drop a point on the way:
     - band: a spin whose tangle is in the band between unwanted_tangle_max
-      and target_tangle_min rules the point out;
-    - targets: the targets found, plus the spins not yet scored that may
-      still be one, are fewer than _MIN_TARGETS.
+      and target_tangle_min, each edge moved inward by the bound, rules the
+      point out;
+    - targets: the targets found (within the bound), plus the spins not yet
+      scored that may still be one, are fewer than _MIN_TARGETS.
     A spin is scored only where tangle_upper_bound lets it reach the lower
     of the two floors; elsewhere it is neither in the band nor a target.  A
     unit time at which fewer than _MIN_TARGETS spins may be targets is not
     scored at all.  Both rules drop only points that _feasibility rejects,
-    and the survivors are scored in full, so neither changes the set; the
-    spins go by descending mean weight, and as neither rule ever raises a
-    point's count, the order changes no survivor either.  The phase rates
+    and the survivors are scored in full, in float64, so neither changes the
+    set; the spins go by descending mean weight, and as neither rule ever
+    raises a point's count, the order changes no survivor either.  The phase rates
     and weights of phase_amplitude are computed once per kernel block, and
     scoring a spin gathers them at the points it may reach.
     """
@@ -226,7 +236,11 @@ def _scan_unit_times(spins: np.ndarray, electron: ElectronQubitSpec, spacings,
         tb = times[first:first + block]
         d, sigma, weight = phase_rates(
             unit_quaternions(A, B, omega_L, electron, spacings, tb))
-        rates = np.stack([d, sigma, weight], axis=1)  # (spin, rate, unit time)
+        # the spin loop screens in float32, with band edges (the rows top and
+        # bottom) widened by the error bound: it drops only what _feasibility does
+        err = _screen_error(d, sigma, n_cap[first:first + block])
+        screen = np.stack([d, sigma, weight, hi - err, lo + err], axis=1,
+                          dtype=np.float32)  # (spin, row, unit time)
         # (spin, unit time) masks, NaN bounds included: where the spin may be
         # a target, and where it is scored, as it may be a target or in the
         # band; elsewhere it is a bystander below both floors
@@ -256,20 +270,21 @@ def _scan_unit_times(spins: np.ndarray, electron: ElectronQubitSpec, spacings,
                 # and a spin that may reach every point in play needs none
                 at = slice(None) if hit.all() else np.flatnonzero(hit)
                 t_at = ti[at]
-                r = rates[s].take(t_at, axis=1)
-                tangle = np.subtract(1.0, g1_from_phase_rates(*r, N[at], out=r[0]),
-                                     out=r[0])
-                is_target = tangle > hi
+                r = screen[s].take(t_at, axis=1)  # d, sigma, weight, top, bottom
+                tangle = np.subtract(1.0, g1_from_phase_rates(
+                    *r[:3], N[at].astype(np.float32), out=r[0]), out=r[0])
+                is_target = tangle > r[3]
                 spare[at] += is_target - may_target_int[s].take(t_at)
                 # the points out of reach stay
                 keep = ~hit
-                keep[at] = (is_target | (tangle < lo)) & (spare[at] >= 0)
+                keep[at] = (is_target | (tangle < r[4])) & (spare[at] >= 0)
                 points = points.compress(keep, axis=1)
             ti, N, _ = points
             # take() and the ufuncs keep each (spin, point) block C-ordered,
             # as a single-time block is, so _feasibility sums over spins in
             # the same order
-            tangles = 1.0 - g1_from_phase_rates(*rates.take(ti, axis=2).swapaxes(0, 1), N)
+            tangles = 1.0 - g1_from_phase_rates(
+                *(rate.take(ti, axis=1) for rate in (d, sigma, weight)), N)
             ok, tgt_mean, unw_mean, targets = _feasibility(tangles, constraints)
             feasible.append((tb[ti[ok]], N[ok], tgt_mean[ok], unw_mean[ok],
                              targets[:, ok]))
@@ -330,8 +345,9 @@ def optimize_register_gate(register: list[NuclearSpinParams],
     targets = [register[i] for i in target_idx]
 
     def objective(t: float) -> float:
-        return -float(np.mean([nuclear_one_tangle(ConditionalRotation(unit_quaternions(
-            s.A, s.B, s.omega_L, electron, spacings, t)), n_best, scaled=True) for s in targets]))
+        return -float(np.mean([nuclear_one_tangle(ConditionalRotation._of(_unit_rows(
+            s.A, s.B, s.omega_L, electron, spacings, t)[0]), n_best, scaled=True)
+            for s in targets]))
 
     t_ref = _golden_section(objective, t_best - _TIME_STEP, t_best + _TIME_STEP,
                             xatol=1e-13)
@@ -361,14 +377,15 @@ def minimize_unwanted_tangle(target: NuclearSpinParams,
 
     Scans the target's first resonances (k_range) and all iteration counts
     in the target's nearly-maximal set, limited by the pulse budget; a
-    budget whose N cap passes MAX_N_MAX raises ValueError.
+    budget below one unit's pulses, or whose N cap passes MAX_N_MAX, raises
+    ValueError.
     Returns (k, N, scaled bystander tangle); the target's G1 stays below the
     maximal-tangle threshold at the returned point.
     """
     # the pulse count of a sequence kind is the same at every unit time
     pulses = build_sequence(sequence_kind, 1.0).pulse_count
-    n_max = max(1, _integer(pulse_budget, "pulse_budget",
-                            below=(MAX_N_MAX + 1) * pulses) // pulses)
+    n_max = _integer(pulse_budget, "pulse_budget", pulses,
+                     (MAX_N_MAX + 1) * pulses) // pulses
     best = None
     for k in k_range:
         t = resonance_time(target, electron, k)

@@ -6,8 +6,10 @@ import re
 import tracemalloc
 from pathlib import Path
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from spintangle import constants, designer
 from spintangle.datasets import RegisterFile, load_register
@@ -217,11 +219,13 @@ class TestOptimizeRegisterGate:
 
     @staticmethod
     def _feasible_set(reg, anchor, k, cons, kind="cpmg"):
-        """The scan's feasible set over 501 unit times about the resonance."""
+        """The scan's feasible set over the search's grid about the resonance:
+        501 unit times at the default time_window."""
         electron = reg.electron()
         seq = build_sequence(kind, resonance_time(reg.by_label(anchor),
                                                   electron, k))
-        times = seq.unit_time + np.arange(-250, 251) * 1e-9
+        steps = round(cons.time_window / 1e-9)
+        times = seq.unit_time + np.arange(-steps, steps + 1) * 1e-9
         return _scan_unit_times(designer._spin_arrays(reg.spins), electron,
                                 seq.spacings, times, cons)
 
@@ -266,6 +270,10 @@ class TestOptimizeRegisterGate:
         # no feasible point: the empty set
         ("nv27", "cpmg", "C9", 1, DesignConstraints()),
         ("nv27", "cpmg", "C18", 5, DesignConstraints()),
+        # the float32 screen's widest margins: N up to 10**4 (the winner has
+        # N = 7563), on 41 unit times
+        ("nv27", "cpmg", "C2", 1, DesignConstraints(
+            N_max=10 ** 4, max_gate_time=0.025, time_window=2e-8)),
     ])
     def test_scan_matches_per_time_loop(self, name, kind, anchor, k, cons):
         reg = load_register(name)
@@ -274,7 +282,8 @@ class TestOptimizeRegisterGate:
         B = np.array([s.B for s in reg.spins])
         seq = build_sequence(kind, resonance_time(reg.by_label(anchor),
                                                   electron, k))
-        times = seq.unit_time + np.arange(-250, 251) * 1e-9
+        steps = round(cons.time_window / 1e-9)
+        times = seq.unit_time + np.arange(-steps, steps + 1) * 1e-9
         # reference: one tangle block per unit time, points in (t, N) order
         rows, set_times, set_best = [], {}, {}
         for t in times:
@@ -438,6 +447,50 @@ class TestOptimizeRegisterGate:
         # the bystander band as the only rule scores 191,962 elements
         assert sum(evaluated) < 0.8 * 191962
 
+    def test_scan_screens_in_float32_and_scores_in_float64(self, monkeypatch):
+        # a float64 screen would give the same set, only slower: pin the types
+        log = []
+
+        def spy(d, sigma, weight, N, out=None):
+            dtypes = {np.asarray(a).dtype for a in (d, sigma, weight, N)}
+            log.append("32" if dtypes == {np.dtype(np.float32)} else
+                       "64" if np.asarray(d).dtype == np.float64 else repr(dtypes))
+            return g1_from_phase_rates(d, sigma, weight, N, out)
+
+        feasibility = designer._feasibility
+        monkeypatch.setattr(designer, "g1_from_phase_rates", spy)
+        monkeypatch.setattr(designer, "_feasibility",
+                            lambda *args: log.append("F") or feasibility(*args))
+        assert self._grid_point(load_register("nv27"), "C23", 3, DesignConstraints())
+        # per chunk: the per-spin screen, then one float64 scoring of the survivors
+        assert re.fullmatch(r"((32)*64F)+", "".join(log)), log
+        assert "32" in log
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.floats(-2 * math.pi, 2 * math.pi), st.floats(-2 * math.pi, 2 * math.pi),
+                      st.floats(0.0, 1.0), st.integers(0, designer.MAX_N_MAX))
+    @hypothesis.example(2 * math.pi, 2 * math.pi, 0.5, designer.MAX_N_MAX)
+    @hypothesis.example(0.1, -2 * math.pi, 1.0, designer.MAX_N_MAX)
+    @hypothesis.example(-2 * math.pi, 2 * math.pi - 1e-9, 0.999, designer.MAX_N_MAX - 1)
+    def test_float32_tangle_within_the_screen_bound(self, d, sigma, weight, N):
+        rates = np.array([[d], [sigma], [weight]])
+        exact = 1.0 - g1_from_phase_rates(*rates, np.array([N]))
+        screened = 1.0 - g1_from_phase_rates(*rates.astype(np.float32),
+                                             np.array([N], dtype=np.float32))
+        assert screened.dtype == np.float32
+        assert abs(float(screened[0]) - float(exact[0])) <= designer._screen_error(d, sigma, N)
+
+    def test_float32_tangle_within_the_screen_bound_on_a_batch(self):
+        rng = np.random.default_rng(2024)
+        d, sigma = rng.uniform(-2 * math.pi, 2 * math.pi, (2, 200_000))
+        weight = rng.uniform(0.0, 1.0, d.size)
+        N = rng.integers(0, designer.MAX_N_MAX + 1, d.size)
+        exact = 1.0 - g1_from_phase_rates(d, sigma, weight, N)
+        screened = 1.0 - g1_from_phase_rates(d.astype(np.float32), sigma.astype(np.float32),
+                                             weight.astype(np.float32), N.astype(np.float32))
+        assert screened.dtype == np.float32
+        assert np.all(np.abs(screened - exact) <= designer._screen_error(d, sigma, N))
+
     @staticmethod
     def _mask(n_spins, sets):
         mask = np.zeros((n_spins, len(sets)), dtype=bool)
@@ -592,6 +645,26 @@ class TestMinimizeUnwantedTangle:
         k, n, tangle = minimize_unwanted_tangle(*args, pulse_budget=300)
         assert (k, n) == (5, 142) and tangle == pytest.approx(0.00197049, abs=1e-8)
         assert minimize_unwanted_tangle(*args, pulse_budget=np.int64(300)) == (k, n, tangle)
+
+    @pytest.mark.parametrize("kind, budget", [("cpmg", -5), ("cpmg", 0), ("cpmg", 1),
+                                              ("udd4", 3)])
+    def test_budget_below_one_unit_named(self, kind, budget, monkeypatch):
+        reg = load_register("nv27")
+        pulses = build_sequence(kind, 1.0).pulse_count
+        monkeypatch.setattr(designer, "resonance_time", None)  # no search is run
+        with pytest.raises(ValueError, match=re.escape(
+                f"pulse_budget must be in [{pulses}, {pulses * (designer.MAX_N_MAX + 1)}), "
+                f"got {budget}")):
+            minimize_unwanted_tangle(reg.by_label("C4"), reg.by_label("C5"), reg.electron(),
+                                     pulse_budget=budget, sequence_kind=kind)
+
+    @pytest.mark.parametrize("budget", [2, 3])
+    def test_budget_of_one_unit_searches_one_iteration(self, budget):
+        # the N cap is 1, where C4 has no nearly maximal one-tangle
+        reg = load_register("nv27")
+        with pytest.raises(ValueError, match="target has no entangling"):
+            minimize_unwanted_tangle(reg.by_label("C4"), reg.by_label("C5"), reg.electron(),
+                                     pulse_budget=budget)
 
     @pytest.mark.parametrize("budget", [math.nan, 300.0, "300", None])
     def test_non_integer_budget_named(self, spin_60_30, half_electron, budget):

@@ -118,8 +118,9 @@ ENTRIES = {
                           lambda: lambda v: designer.DesignConstraints(N_max=v)),
     "evaluate_design": ("N", 1, None, 82, _evaluate_design),
     "optimize_register_gate": ("anchor_index", 0, 27, 22, _optimize_register_gate),
-    # CPMG has 2 pulses: a budget of 2 (MAX_N_MAX + 1) would cap N above MAX_N_MAX
-    "minimize_unwanted_tangle": ("pulse_budget", None, 2 * (designer.MAX_N_MAX + 1), 300,
+    # CPMG has 2 pulses: a budget below 2 holds no unit, and one of
+    # 2 (MAX_N_MAX + 1) would cap N above MAX_N_MAX
+    "minimize_unwanted_tangle": ("pulse_budget", 2, 2 * (designer.MAX_N_MAX + 1), 300,
                                  _minimize_unwanted_tangle),
     "generate_random_ensemble-count": ("count", 0, None, 5, _ensemble("count")),
     "generate_random_ensemble-attempts": ("max_attempts_per_spin", 1, None, 50,
@@ -158,6 +159,7 @@ def _cut_off_work(monkeypatch):
 
     for owner, name in [(np.random, "Philox"), (spin_model, "_unit_rows"),
                         (spin_model, "branch_frequency"), (ConditionalRotation, "half_angles"),
+                        (designer, "_unit_rows"),
                         (entanglement, "phase_rates"), (entanglement, "g1_over_iterations"),
                         (designer, "unit_quaternions"), (designer, "resonance_time"),
                         (designer, "branch_overlaps"), (designer, "NuclearSpinParams"),
@@ -197,7 +199,7 @@ def test_cli_floors_use_the_grammar(argv, message, capsys):
 @pytest.mark.parametrize("entry", ["optimal_iterations", "minimize_unwanted_tangle"])
 def test_iteration_cap_named_before_any_allocation(entry, monkeypatch):
     # 10**10 counts would be an 80 GB np.arange of int64
-    name, _, _, _, make = ENTRIES[entry]
+    name, least, _, _, make = ENTRIES[entry]
     call = make()
     asked = []
 
@@ -206,6 +208,7 @@ def test_iteration_cap_named_before_any_allocation(entry, monkeypatch):
         raise AssertionError(f"np.arange{args} was asked")
 
     monkeypatch.setattr(entanglement.np, "arange", spy)
-    with pytest.raises(ValueError, match=f"^{name} must be in \\[-{INT64}, "):
+    lo = -INT64 if least is None else least
+    with pytest.raises(ValueError, match=f"^{name} must be in \\[{lo}, "):
         call(10 ** 10)
     assert asked == []
