@@ -35,7 +35,7 @@ from .designer import (MAX_N_MAX, MAX_TIME_WINDOW, DesignConstraints,
                        optimize_register_gate)
 from .entanglement import MAX_PAIR_TANGLE, g1_from_phase_rates, phase_amplitude, phase_rates
 from .qec import ERROR_KINDS, SCHEMES, QecScenario, error_surface, run_bitflip_code
-from .spin_model import (MAX_UDD_ORDER, RESONANCE_VARIANTS, _integer, build_sequence,
+from .spin_model import (MAX_UDD_ORDER, RESONANCE_VARIANTS, _integer, _real, build_sequence,
                          iterate, resonance_time, unit_propagator)
 
 MACHINE_FMT = "%.15g"
@@ -237,13 +237,8 @@ def cmd_sweep(args: argparse.Namespace, reg, electron):
             raise ValueError(f"unknown metric {m!r}; choose from {', '.join(METRICS)}")
     ns = _counts(args, "n", 0, MAX_SWEEP_COUNTS, "counts")
     spin = reg.spins[_label_index(reg, args.spin, "--spin")]
-    if args.t_us is not None:
-        if not (math.isfinite(args.t_us) and args.t_us > 0):
-            raise ValueError(f"--t-us: unit_time must be positive and finite, "
-                             f"got {args.t_us}")
-        t = args.t_us * 1e-6
-    else:
-        t = _resonance_time("--k", spin, electron, args.k)
+    t = (_resonance_time("--k", spin, electron, args.k) if args.t_us is None
+         else _real(args.t_us, "--t-us", 0) * 1e-6)
     rot = unit_propagator(build_sequence(args.sequence, t), spin, electron)
     counts = np.arange(ns.start, ns.stop)
     rates = phase_rates(rot)

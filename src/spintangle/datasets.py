@@ -14,7 +14,7 @@ from importlib import resources
 from pathlib import Path
 
 from .constants import KHZ
-from .spin_model import ElectronQubitSpec, NuclearSpinParams, branch_frequency
+from .spin_model import ElectronQubitSpec, NuclearSpinParams, _real, branch_frequency
 
 BUNDLED = (
     "nv27",
@@ -51,8 +51,8 @@ class RegisterFile:
         try:
             electron = ElectronQubitSpec(self.s0, self.s1)
         except ValueError as exc:
-            # name the non-finite value, or both when they are equal
-            bad = [n for n in ("s0", "s1") if not math.isfinite(getattr(self, n))]
+            # name the value the message starts with, or both when they are equal
+            bad = [n for n in ("s0", "s1") if str(exc).startswith(f"{n} must")]
             where = "; ".join(self.origins.get(n, self.source) for n in bad or ("s0", "s1"))
             raise RegisterFormatError(f"{where}: {exc}") from None
         # a finite projection can still overflow hypot(omega_L + s A, s B)
@@ -118,12 +118,12 @@ def parse_register(text: str, source: str = "<memory>",
     larmor_khz, s0, s1 = (meta.get(k) if v is None else v for k, v in given.items())
     if larmor_khz is None:
         raise RegisterFormatError(f"{source}: Larmor frequency not resolvable")
-    # in rad/s, as the spins hold it: 1e308 kHz is finite only in kHz
-    if not (math.isfinite(larmor_khz * KHZ) and larmor_khz > 0):
-        got = (f"{larmor_khz} kHz, which overflows in rad/s"
-               if math.isfinite(larmor_khz) and larmor_khz > 0 else larmor_khz)
-        raise RegisterFormatError(f"{origins['larmor_kHz']}: omega_L must be "
-                                  f"positive and finite, got {got}")
+    try:  # in rad/s, as the spins hold it: 1e308 kHz is finite only in kHz
+        if not math.isfinite(_real(larmor_khz, "larmor_kHz", 0) * KHZ):
+            raise ValueError(f"larmor_kHz must be finite, got {larmor_khz} kHz, "
+                             "which overflows in rad/s")
+    except ValueError as exc:
+        raise RegisterFormatError(f"{origins['larmor_kHz']}: {exc}") from None
 
     spins = []
     seen = set()

@@ -18,7 +18,7 @@ from .entanglement import (MAX_N_MAX, g1_from_phase_rates, g1_over_iterations,
                            tangle_upper_bound)
 from .fidelity import branch_overlaps, gate_error
 from .spin_model import (ConditionalRotation, ElectronQubitSpec,
-                         NuclearSpinParams, _integer, _unit_rows, build_sequence,
+                         NuclearSpinParams, _integer, _real, _unit_rows, build_sequence,
                          power, resonance_time, stack_quaternions, unit_propagator,
                          unit_quaternions)
 
@@ -42,19 +42,12 @@ class DesignConstraints:
     N_max: int = 300
 
     def __post_init__(self) -> None:
-        for name in ("max_gate_time", "time_window"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-        if self.time_window > MAX_TIME_WINDOW:
-            raise ValueError(f"time_window must be at most {MAX_TIME_WINDOW} s, "
-                             f"got {self.time_window}")
+        _real(self.max_gate_time, "max_gate_time", 0)
+        _real(self.time_window, "time_window", 0, MAX_TIME_WINDOW, "(]")
         _integer(self.N_max, "N_max", 1, MAX_N_MAX + 1)
-        if not (0 < self.target_tangle_min <= 1):
-            raise ValueError("target_tangle_min must be in (0, 1]")
+        _real(self.target_tangle_min, "target_tangle_min", 0, 1, "(]")
         for name in ("unwanted_tangle_max", "unwanted_tangle_mean_max"):
-            if not (0 <= getattr(self, name) < 1):
-                raise ValueError(f"{name} must be in [0, 1)")
+            _real(getattr(self, name), name, 0, 1, "[)")
 
 
 @dataclass(frozen=True)
@@ -91,8 +84,8 @@ def evaluate_design(register: list[NuclearSpinParams],
                     anchor_label: str, target_indices: list[int],
                     sequence_kind: str = "cpmg") -> GateDesign:
     """Recompute all GateDesign figures of merit from (t, N) alone, for an
-    integer N >= 1 and a list of distinct integer target indices."""
-    N = _integer(N, "N", 1)
+    t > 0, integers N and k >= 1 and a list of distinct integer target indices."""
+    t, N, k = _real(t, "t", 0), _integer(N, "N", 1), _integer(k, "k", 1)
     n = len(register)
     try:
         idx = sorted(map(operator.index, target_indices))
@@ -152,10 +145,11 @@ def _feasibility(tangles: np.ndarray, constraints: DesignConstraints):
     is_target = tangles > constraints.target_tangle_min
     n_targets = is_target.sum(axis=0)
     unw_max = np.where(is_target, -np.inf, tangles).max(axis=0)
-    unw_sum = np.where(is_target, 0.0, tangles).sum(axis=0)
+    # cumsum adds the spins in order at any width; sum() adds a lone column pairwise
+    unw_sum = np.cumsum(np.where(is_target, 0.0, tangles), axis=0)[-1]
     n_unw = tangles.shape[0] - n_targets
     unw_mean = np.where(n_unw > 0, unw_sum / np.maximum(n_unw, 1), 0.0)
-    tgt_sum = np.where(is_target, tangles, 0.0).sum(axis=0)
+    tgt_sum = np.cumsum(np.where(is_target, tangles, 0.0), axis=0)[-1]
     tgt_mean = np.where(n_targets > 0, tgt_sum / np.maximum(n_targets, 1), 0.0)
     ok = ((n_targets >= _MIN_TARGETS)
           & (unw_max < constraints.unwanted_tangle_max)
@@ -280,9 +274,6 @@ def _scan_unit_times(spins: np.ndarray, electron: ElectronQubitSpec, spacings,
                 keep[at] = (is_target | (tangle < r[4])) & (spare[at] >= 0)
                 points = points.compress(keep, axis=1)
             ti, N, _ = points
-            # take() and the ufuncs keep each (spin, point) block C-ordered,
-            # as a single-time block is, so _feasibility sums over spins in
-            # the same order
             tangles = 1.0 - g1_from_phase_rates(
                 *(rate.take(ti, axis=1) for rate in (d, sigma, weight)), N)
             ok, tgt_mean, unw_mean, targets = _feasibility(tangles, constraints)
@@ -434,9 +425,8 @@ def generate_random_ensemble(count: int,
     """
     count = _integer(count, "count", 0)
     max_attempts_per_spin = _integer(max_attempts_per_spin, "max_attempts_per_spin", 1)
-    d = distinctness_khz
-    if not (math.isfinite(d) and d >= 0):
-        raise ValueError(f"distinctness_khz must be finite and nonnegative, got {d}")
+    d = _real(distinctness_khz, "distinctness_khz", 0, closed="[)")
+    larmor_khz = _real(larmor_khz, "larmor_khz", 0)
     lo, hi = np.array([A_range_khz, B_range_khz], dtype=float).T
     if not np.all(np.isfinite(hi - lo)):
         raise ValueError(f"A_range_khz {A_range_khz} and B_range_khz {B_range_khz} "
@@ -490,8 +480,10 @@ def estimate_position(A: float, B: float) -> tuple[float, float]:
     Eliminating A0 gives sin(2 theta - atan2(B, A)) = B / (3 |(A, B)|), solved
     in closed form; finite A and B, B >= 0 and (A, B) != (0, 0) required.
     """
-    if (not (math.isfinite(A) and math.isfinite(B)) or B < 0
-            or (A == 0 and B == 0)):
+    # one test for the floats a register holds; _real decides the rest
+    if not (type(A) is type(B) is float and math.isfinite(A) and 0.0 <= B < math.inf):
+        A, B = _real(A, "A"), _real(B, "B", 0, closed="[)")
+    if A == 0 and B == 0:
         raise ValueError("no dipolar solution for these couplings")
     prefactor = (constants.MU0 * constants.GAMMA_E * constants.GAMMA_C13
                  * constants.HBAR / (4.0 * math.pi))
@@ -505,9 +497,9 @@ def estimate_position(A: float, B: float) -> tuple[float, float]:
 
 
 def position_to_hyperfine(r_angstrom: float, theta_deg: float) -> tuple[float, float]:
-    """Forward point-dipole model: (R, theta) -> (A, B) in angular rad/s."""
-    theta = math.radians(theta_deg)
-    r = r_angstrom * constants.ANGSTROM
+    """Forward point-dipole model: (R > 0, finite theta) -> (A, B) in angular rad/s."""
+    theta = math.radians(_real(theta_deg, "theta_deg"))
+    r = _real(r_angstrom, "r_angstrom", 0) * constants.ANGSTROM
     a0 = (constants.MU0 * constants.GAMMA_E * constants.GAMMA_C13
           * constants.HBAR / (4.0 * math.pi * r ** 3))
     return (a0 * (3.0 * math.cos(theta) ** 2 - 1.0),
@@ -529,12 +521,11 @@ def spins_on_trivial_circle(electron: ElectronQubitSpec, omega_L: float,
     branch's decoupling circle, restricted to hyperfine values below hf_cap.
     Returns (t, spins).
     """
-    if electron.s0 == 0:
-        s = electron.s1
-    elif electron.s1 == 0:
-        s = electron.s0
-    else:
+    omega_L, hf_cap = _real(omega_L, "omega_L", 0), _real(hf_cap, "hf_cap", 0)
+    kappa_circle, count = _integer(kappa_circle, "kappa_circle", 1), _integer(count, "count", 0)
+    if 0 not in (electron.s0, electron.s1):
         raise ValueError("need one electron branch with projection 0")
+    s = electron.s1 if electron.s0 == 0 else electron.s0
     t = 8.0 * _integer(kappa_time, "kappa_time", 1) * math.pi / omega_L
     radius = abs(8.0 * kappa_circle * math.pi / (s * t))
     center = -omega_L / s
@@ -568,7 +559,7 @@ def gate_error_vs_bath(targets: list[ConditionalRotation],
     each bin, bath size and ensemble, a fresh random permutation of the
     bin's spins is drawn and its first bath-size spins form the bath; bins
     holding fewer spins than requested report the largest available bath.
-    A bin (lo, hi) holds the tangles lo <= tangle < hi and needs lo < hi.
+    A bin (lo, hi) holds the tangles lo <= tangle < hi and needs finite lo < hi.
     Returns one record per (bin, bath size) with the ensemble-mean error.
     """
     n_ensembles = _integer(n_ensembles, "n_ensembles", 1)
@@ -576,7 +567,7 @@ def gate_error_vs_bath(targets: list[ConditionalRotation],
     if not targets:
         raise ValueError("need at least one target spin")
     for lo, hi in tangle_bins:
-        if not lo < hi:  # also a NaN bound
+        if not _real(lo, "tangle_bins") < _real(hi, "tangle_bins"):
             raise ValueError(f"tangle bin {(lo, hi)} must have lo < hi")
     k = len(targets)
     rng = np.random.Generator(np.random.Philox(_integer(seed, "seed", 0)))

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .spin_model import _EPS_AXIS, ConditionalRotation, _integer, half_angles
+from .spin_model import _EPS_AXIS, ConditionalRotation, _integer, _real, half_angles
 
 MAX_PAIR_TANGLE = 2.0 / 9.0
 
@@ -146,9 +146,9 @@ def optimal_iterations(rot: ConditionalRotation, N_max: int = 300,
     Membership is decided by direct evaluation of G1 at every integer N <= N_max,
     which subsumes the closed-form minima estimates of the oracle's
     analytic_iteration_candidates and also covers unequal-angle sequences.
-    N_max < 1 gives [], and N_max above MAX_N_MAX raises ValueError.
+    N_max < 1 gives []; N_max above MAX_N_MAX or threshold outside (0, 1] raise ValueError.
     """
     N_max = _integer(N_max, "N_max", below=MAX_N_MAX + 1)
+    threshold = _real(threshold, "threshold", 0, 1, "(]")
     g1 = g1_over_iterations(rot, np.arange(1, N_max + 1))
-    hits = np.nonzero(g1 < threshold)[0] + 1
-    return [int(v) for v in hits]
+    return (np.flatnonzero(g1 < threshold) + 1).tolist()

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_model import ConditionalRotation, _integer, _rotations, finite_1d, power, su2
+from .spin_model import ConditionalRotation, _integer, _real, _rotations, finite_1d, power, su2
 
 STAGES = ("initial", "encoded", "error", "decoded", "corrected")
 ERROR_KINDS = ("none", "electron", "nucleus1", "nucleus2")
@@ -98,9 +98,7 @@ class QecScenario:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.error not in ERROR_KINDS:
             raise ValueError(f"unknown error kind {self.error!r}")
-        for name in ("gamma", "delta"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        _real(self.gamma, "gamma"), _real(self.delta, "delta")
         for name in ("encode_gates", "decode_gates"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, _rotations(getattr(self, name), name))

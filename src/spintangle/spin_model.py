@@ -20,6 +20,7 @@ by 2*pi*1e3 internally.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from itertools import chain
@@ -46,13 +47,12 @@ class NuclearSpinParams:
     omega_L: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.A) and math.isfinite(self.B) and math.isfinite(self.omega_L)):
-            name = next(n for n in ("A", "B", "omega_L") if not math.isfinite(getattr(self, n)))
-            raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.B < 0:
-            raise ValueError("B must be nonnegative")
-        if self.omega_L <= 0:
-            raise ValueError("omega_L must be positive")
+        # one test for the floats a register holds; _real decides the rest
+        if not (type(self.A) is type(self.B) is type(self.omega_L) is float
+                and math.isfinite(self.A) and 0.0 <= self.B < math.inf
+                and 0.0 < self.omega_L < math.inf):
+            for name, low, closed in (("A", None, "()"), ("B", 0, "[)"), ("omega_L", 0, "()")):
+                _real(getattr(self, name), name, low, closed=closed)
 
     @classmethod
     def from_khz(cls, label: str, a_khz: float, b_khz: float,
@@ -68,10 +68,7 @@ class ElectronQubitSpec:
     s1: float
 
     def __post_init__(self) -> None:
-        for name in ("s0", "s1"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.s0 == self.s1:
+        if _real(self.s0, "s0") == _real(self.s1, "s1"):
             raise ValueError(f"s0 and s1 must differ, got {self.s0} for both")
 
 
@@ -112,6 +109,26 @@ def _integer(value, name: str, least: int | None = None, below: int | None = Non
     return v
 
 
+def _real(value, name: str, low=None, high=None, closed: str = "()") -> float:
+    """value, any numbers.Real (numpy reals and bools included), as a Python float:
+    finite and, where low or high is given, in the interval whose ends closed
+    gives, as "(]"; else a ValueError whose message starts with name."""
+    if not (type(value) is float or isinstance(value, numbers.Real)):  # a slow ABC check
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        v = float(value)
+    except OverflowError:  # an integer past the float range
+        v = math.inf if value > 0 else -math.inf
+    if not math.isfinite(v):
+        raise ValueError(f"{name} must be finite, got {v}")
+    if ((low is not None and (v < low or v == low and closed[0] == "("))
+            or (high is not None and (v > high or v == high and closed[1] == ")"))):
+        ends = (f"in {closed[0]}{low}, {high}{closed[1]}" if high is not None
+                else f"{'>=' if closed[0] == '[' else '>'} {low}")
+        raise ValueError(f"{name} must be {ends}, got {v}")
+    return v
+
+
 @dataclass(frozen=True)
 class PulseSequence:
     """Normalized interpulse spacings q_1..q_{n+1} plus the unit duration."""
@@ -120,8 +137,7 @@ class PulseSequence:
     unit_time: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.unit_time) and self.unit_time > 0):
-            raise ValueError(f"unit_time must be positive and finite, got {self.unit_time}")
+        _real(self.unit_time, "unit_time", 0)
         q = finite_1d(self.spacings, "spacings")
         if np.any(q < 0):
             raise ValueError("spacings must be nonnegative")
@@ -275,8 +291,7 @@ class ConditionalRotation:
             norm = np.linalg.norm(n)
             if n.shape != (3,) or abs(norm - 1.0) > 1e-9:
                 raise ValueError(f"n{i} must be a unit vector (x, y, z), got {axis!r}")
-            if not math.isfinite(phi):
-                raise ValueError(f"phi{i} must be finite, got {phi!r}")
+            phi = _real(phi, f"phi{i}")
             rows.append([math.cos(phi / 2.0), *(math.sin(phi / 2.0) * (n / norm)).tolist()])
         return cls(rows)
 

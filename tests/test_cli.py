@@ -480,11 +480,11 @@ class TestInputErrors:
         (["design", "--register", "nv27", "--anchor", "C5", "--k", "3",
           "--time-window", "nan"], "time_window"),
         (["sweep", "--register", "nv27", "--spin", "C5", "--t-us", "nan"],
-         "unit_time"),
+         "--t-us must be finite, got nan"),
         (["qec", "--register", "nv27", "--ideal", "--delta", "inf"], "delta"),
         (["qec", "--register", "nv27", "--ideal", "--gamma", "nan"], "gamma"),
         (["qec", "--register", "nv27", "--ideal", "--larmor-khz", "nan"],
-         "omega_L"),
+         "larmor_kHz must be finite, got nan"),
         (["resonances", "--register", "nv27", "--s0", "nan"], "s0"),
         (["qec", "--register", "nv27", "--ideal", "--s1", "inf"], "s1"),
     ], ids=["max-gate-time-nan", "time-window-inf", "time-window-nan",
@@ -496,7 +496,7 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("argv, names", [
         (["resonances", "--register", "{bad_larmor}"],
-         ["bad.csv:2:", "larmor_kHz metadata line", "omega_L"]),
+         ["bad.csv:2:", "larmor_kHz metadata line", "larmor_kHz must be > 0, got -5.0"]),
         (["resonances", "--register", "nv27", "--larmor-khz", "nan"],
          ["nv27:", "larmor_kHz from the caller", "got nan"]),
         (["sweep", "--register", "nv27", "--spin", "C5", "--t-us", "-1"],
@@ -568,7 +568,7 @@ class TestInputErrors:
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "nv27: larmor_kHz from the caller: omega_L" in captured.err
+        assert "nv27: larmor_kHz from the caller: larmor_kHz must be finite" in captured.err
 
     @pytest.mark.parametrize("bad", ["missing/out", "folder", "file/out"])
     @pytest.mark.parametrize("flag, other", [("--csv", "--json"), ("--json", "--csv")])

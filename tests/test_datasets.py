@@ -87,18 +87,14 @@ class TestParseRegister:
 
     @pytest.mark.parametrize("text, larmor, message", [
         ("# larmor_kHz=-5\nlabel,A_kHz,B_kHz\nC1,1,2\n", None,
-         "reg.csv:1: larmor_kHz metadata line: omega_L must be positive and "
-         "finite, got -5.0"),
+         "reg.csv:1: larmor_kHz metadata line: larmor_kHz must be > 0, got -5.0"),
         # rejected even when no spin row would have caught it
         ("# s0=0\n# larmor_kHz=0\nlabel,A_kHz,B_kHz\n", None,
-         "reg.csv:2: larmor_kHz metadata line: omega_L must be positive and "
-         "finite, got 0.0"),
+         "reg.csv:2: larmor_kHz metadata line: larmor_kHz must be > 0, got 0.0"),
         ("# larmor_kHz=432\nlabel,A_kHz,B_kHz\nC1,1,2\n", math.nan,
-         "reg.csv: larmor_kHz from the caller: omega_L must be positive and "
-         "finite, got nan"),
+         "reg.csv: larmor_kHz from the caller: larmor_kHz must be finite, got nan"),
         ("label,A_kHz,B_kHz\n", -math.inf,
-         "reg.csv: larmor_kHz from the caller: omega_L must be positive and "
-         "finite, got -inf"),
+         "reg.csv: larmor_kHz from the caller: larmor_kHz must be finite, got -inf"),
     ], ids=["metadata-negative", "metadata-zero-no-rows", "caller-nan",
             "caller-inf-no-rows"])
     def test_bad_larmor_names_its_origin(self, text, larmor, message):
@@ -117,9 +113,8 @@ class TestParseRegister:
         # finite in kHz, infinite once scaled to rad/s
         with pytest.raises(RegisterFormatError) as info:
             parse_register(text, source="reg.csv", larmor_khz=larmor)
-        assert str(info.value) == (origin + "omega_L must be positive and "
-                                   "finite, got 1e+308 kHz, which overflows "
-                                   "in rad/s")
+        assert str(info.value) == (origin + "larmor_kHz must be finite, got 1e+308 "
+                                   "kHz, which overflows in rad/s")
 
     def test_coupling_overflowing_rad_per_s_names_its_row(self):
         text = "# larmor_kHz=432\nlabel,A_kHz,B_kHz\nC1,1,2\nC2,1e308,2\n"
@@ -157,8 +152,10 @@ class TestParseRegister:
          1e308, None,
          "reg.csv: s0 from the caller: s0=1e+308 overflows the branch frequency "
          "of C1"),
+        ("# larmor_kHz=432\n# s0=0\nlabel,A_kHz,B_kHz\n", None, "-1",
+         "reg.csv: s1 from the caller: s1 must be a real number, got '-1'"),
     ], ids=["metadata-nan", "caller-inf", "caller-equal", "metadata-equal",
-            "metadata-overflow", "caller-overflow"])
+            "metadata-overflow", "caller-overflow", "caller-string"])
     def test_bad_projection_names_its_origin(self, text, s0, s1, message):
         reg = parse_register(text, source="reg.csv", s0=s0, s1=s1)
         with pytest.raises(RegisterFormatError) as info:

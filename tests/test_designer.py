@@ -447,6 +447,19 @@ class TestOptimizeRegisterGate:
         # the bystander band as the only rule scores 191,962 elements
         assert sum(evaluated) < 0.8 * 191962
 
+    def test_a_point_scored_alone_gets_its_block_means(self):
+        # numpy's sum() adds a lone (n_spins, 1) column pairwise and a wider
+        # block row by row: a scan chunk with one survivor must not differ
+        rng = np.random.default_rng(31)
+        cons = DesignConstraints(target_tangle_min=0.5, unwanted_tangle_max=0.9,
+                                 unwanted_tangle_mean_max=0.9)
+        for _ in range(100):
+            tangles = rng.uniform(0.0, 1.0, (27, 7))
+            block = designer._feasibility(tangles, cons)
+            for j in range(tangles.shape[1]):
+                alone = designer._feasibility(tangles[:, j:j + 1], cons)
+                assert [a[..., 0].tolist() for a in alone] == [b[..., j].tolist() for b in block]
+
     def test_scan_screens_in_float32_and_scores_in_float64(self, monkeypatch):
         # a float64 screen would give the same set, only slower: pin the types
         log = []
@@ -876,12 +889,15 @@ class TestPositionEstimate:
         with pytest.raises(ValueError):
             estimate_position(100.0, -1.0)
 
-    @pytest.mark.parametrize("A, B", [
-        (math.nan, 1.0), (1.0, math.nan), (1.0, math.inf), (math.inf, 1.0),
-        (-math.inf, 0.0),
-    ])
-    def test_non_finite_couplings_have_no_solution(self, A, B):
-        with pytest.raises(ValueError, match="no dipolar solution"):
+    @pytest.mark.parametrize("A, B, message", [
+        (math.nan, 1.0, "A must be finite, got nan"),
+        (1.0, math.nan, "B must be finite, got nan"),
+        (1.0, math.inf, "B must be finite, got inf"),
+        (math.inf, 1.0, "A must be finite, got inf"),
+        (-math.inf, 0.0, "A must be finite, got -inf"),
+    ], ids=["nan-1.0", "1.0-nan", "1.0-inf", "inf-1.0", "-inf-0.0"])
+    def test_non_finite_couplings_have_no_solution(self, A, B, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             estimate_position(A, B)
 
 
@@ -1081,10 +1097,13 @@ class TestGateErrorVsBath:
         with pytest.raises(ValueError, match="need at least one target spin"):
             gate_error_vs_bath([], pool, [(0.0, 1.0)], [2], 3, seed=0)
 
-    @pytest.mark.parametrize("bad", [(1.0, 0.0), (0.5, 0.5), (math.nan, 1.0),
-                                     (0.0, math.nan)],
-                             ids=["reversed", "empty", "nan-lo", "nan-hi"])
-    def test_empty_or_nan_bin_rejected_before_any_draw(self, bad, monkeypatch):
+    @pytest.mark.parametrize("bad, message", [
+        ((1.0, 0.0), "tangle bin (1.0, 0.0) must have lo < hi"),
+        ((0.5, 0.5), "tangle bin (0.5, 0.5) must have lo < hi"),
+        ((math.nan, 1.0), "tangle_bins must be finite, got nan"),
+        ((0.0, math.nan), "tangle_bins must be finite, got nan"),
+    ], ids=["reversed", "empty", "nan-lo", "nan-hi"])
+    def test_empty_or_nan_bin_rejected_before_any_draw(self, bad, message, monkeypatch):
         rng = np.random.default_rng(10)
         pool = self._pool(rng, 3)
         targets = [random_rotation_pair(rng)]
@@ -1093,7 +1112,7 @@ class TestGateErrorVsBath:
             raise AssertionError("built a random stream")
 
         monkeypatch.setattr(np.random, "Philox", no_stream)
-        with pytest.raises(ValueError, match=re.escape(f"tangle bin {bad}")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             gate_error_vs_bath(targets, pool, [(0.0, 1.01), bad], [2], 3, seed=0)
 
 

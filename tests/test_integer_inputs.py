@@ -52,10 +52,14 @@ def _electron_one_tangle():
     return lambda N: entanglement.electron_one_tangle(rots, N)
 
 
-def _evaluate_design():
-    reg, el = _nv27()
-    t = spin_model.resonance_time(reg.by_label("C4"), el, 3)
-    return lambda N: designer.evaluate_design(reg.spins, el, t, N, 3, "C4", [3, 4])
+def _evaluate_design(name):
+    def make():
+        reg, el = _nv27()
+        t = spin_model.resonance_time(reg.by_label("C4"), el, 3)
+        return lambda v: designer.evaluate_design(
+            reg.spins, el, t, **{"N": 82, "k": 3, name: v}, anchor_label="C4",
+            target_indices=[3, 4])
+    return make
 
 
 def _optimize_register_gate():
@@ -77,10 +81,13 @@ def _ensemble(name):
     return make
 
 
-def _trivial_circle():
-    el = spin_model.ElectronQubitSpec(0.0, -1.0)
-    return lambda kappa: designer.spins_on_trivial_circle(el, 2.0 * math.pi * 432e3,
-                                                          kappa, 1, 3)
+def _trivial_circle(name):
+    def make():
+        el = spin_model.ElectronQubitSpec(0.0, -1.0)
+        return lambda v: designer.spins_on_trivial_circle(
+            el, 2.0 * math.pi * 432e3, **{"kappa_time": 1, "kappa_circle": 1, "count": 3,
+                                          name: v})
+    return make
 
 
 def _bath(key, wrap=lambda v: v):
@@ -116,7 +123,8 @@ ENTRIES = {
                            _invariant(entanglement.optimal_iterations)),
     "DesignConstraints": ("N_max", 1, designer.MAX_N_MAX + 1, 300,
                           lambda: lambda v: designer.DesignConstraints(N_max=v)),
-    "evaluate_design": ("N", 1, None, 82, _evaluate_design),
+    "evaluate_design": ("N", 1, None, 82, _evaluate_design("N")),
+    "evaluate_design-k": ("k", 1, None, 3, _evaluate_design("k")),
     "optimize_register_gate": ("anchor_index", 0, 27, 22, _optimize_register_gate),
     # CPMG has 2 pulses: a budget below 2 holds no unit, and one of
     # 2 (MAX_N_MAX + 1) would cap N above MAX_N_MAX
@@ -126,7 +134,10 @@ ENTRIES = {
     "generate_random_ensemble-attempts": ("max_attempts_per_spin", 1, None, 50,
                                           _ensemble("max_attempts_per_spin")),
     "generate_random_ensemble-seed": ("seed", 0, None, 3, _ensemble("seed")),
-    "spins_on_trivial_circle": ("kappa_time", 1, None, 2, _trivial_circle),
+    "spins_on_trivial_circle": ("kappa_time", 1, None, 2, _trivial_circle("kappa_time")),
+    "spins_on_trivial_circle-kappa_circle": ("kappa_circle", 1, None, 1,
+                                             _trivial_circle("kappa_circle")),
+    "spins_on_trivial_circle-count": ("count", 0, None, 3, _trivial_circle("count")),
     "gate_error_vs_bath-ensembles": ("n_ensembles", 1, None, 3, _bath("n_ensembles")),
     "gate_error_vs_bath-size": ("each of bath_sizes", 1, None, 4,
                                 _bath("bath_sizes", lambda v: [2, v])),

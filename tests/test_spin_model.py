@@ -82,9 +82,9 @@ class TestParams:
         ({"B": math.inf}, "B must be finite, got inf"),
         ({"omega_L": math.nan}, "omega_L must be finite, got nan"),
         ({"A": math.inf, "B": math.nan}, "A must be finite, got inf"),
-        ({"B": -1.0}, "B must be nonnegative"),
-        ({"omega_L": 0.0}, "omega_L must be positive"),
-        ({"omega_L": -1.0}, "omega_L must be positive"),
+        ({"B": -1.0}, "B must be >= 0, got -1.0"),
+        ({"omega_L": 0.0}, "omega_L must be > 0, got 0.0"),
+        ({"omega_L": -1.0}, "omega_L must be > 0, got -1.0"),
     ], ids=["nan-A", "inf-B", "nan-omega_L", "first-named", "negative-B",
             "zero-omega_L", "negative-omega_L"])
     def test_each_message_pinned(self, fields, message):
