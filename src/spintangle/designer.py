@@ -85,7 +85,9 @@ def evaluate_design(register: list[NuclearSpinParams],
                     sequence_kind: str = "cpmg") -> GateDesign:
     """Recompute all GateDesign figures of merit from (t, N) alone, for an
     t > 0, integers N and k >= 1 and a list of distinct integer target indices."""
-    t, N, k = _real(t, "t", 0), _integer(N, "N", 1), _integer(k, "k", 1)
+    t = _real(t, "t", 0)
+    N = _integer(N, "N", 1)
+    k = _integer(k, "k", 1)
     n = len(register)
     try:
         idx = sorted(map(operator.index, target_indices))
@@ -480,9 +482,7 @@ def estimate_position(A: float, B: float) -> tuple[float, float]:
     Eliminating A0 gives sin(2 theta - atan2(B, A)) = B / (3 |(A, B)|), solved
     in closed form; finite A and B, B >= 0 and (A, B) != (0, 0) required.
     """
-    # one test for the floats a register holds; _real decides the rest
-    if not (type(A) is type(B) is float and math.isfinite(A) and 0.0 <= B < math.inf):
-        A, B = _real(A, "A"), _real(B, "B", 0, closed="[)")
+    A, B = _real(A, "A"), _real(B, "B", 0, closed="[)")
     if A == 0 and B == 0:
         raise ValueError("no dipolar solution for these couplings")
     prefactor = (constants.MU0 * constants.GAMMA_E * constants.GAMMA_C13
@@ -521,11 +521,16 @@ def spins_on_trivial_circle(electron: ElectronQubitSpec, omega_L: float,
     branch's decoupling circle, restricted to hyperfine values below hf_cap.
     Returns (t, spins).
     """
-    omega_L, hf_cap = _real(omega_L, "omega_L", 0), _real(hf_cap, "hf_cap", 0)
-    kappa_circle, count = _integer(kappa_circle, "kappa_circle", 1), _integer(count, "count", 0)
-    if 0 not in (electron.s0, electron.s1):
+    omega_L = _real(omega_L, "omega_L", 0)
+    hf_cap = _real(hf_cap, "hf_cap", 0)
+    kappa_circle = _integer(kappa_circle, "kappa_circle", 1)
+    count = _integer(count, "count", 0)
+    if electron.s0 == 0:
+        s = electron.s1
+    elif electron.s1 == 0:
+        s = electron.s0
+    else:
         raise ValueError("need one electron branch with projection 0")
-    s = electron.s1 if electron.s0 == 0 else electron.s0
     t = 8.0 * _integer(kappa_time, "kappa_time", 1) * math.pi / omega_L
     radius = abs(8.0 * kappa_circle * math.pi / (s * t))
     center = -omega_L / s

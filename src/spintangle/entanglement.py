@@ -151,4 +151,5 @@ def optimal_iterations(rot: ConditionalRotation, N_max: int = 300,
     N_max = _integer(N_max, "N_max", below=MAX_N_MAX + 1)
     threshold = _real(threshold, "threshold", 0, 1, "(]")
     g1 = g1_over_iterations(rot, np.arange(1, N_max + 1))
-    return (np.flatnonzero(g1 < threshold) + 1).tolist()
+    hits = np.nonzero(g1 < threshold)[0] + 1
+    return [int(v) for v in hits]

@@ -98,7 +98,8 @@ class QecScenario:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.error not in ERROR_KINDS:
             raise ValueError(f"unknown error kind {self.error!r}")
-        _real(self.gamma, "gamma"), _real(self.delta, "delta")
+        for name in ("gamma", "delta"):
+            _real(getattr(self, name), name)
         for name in ("encode_gates", "decode_gates"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, _rotations(getattr(self, name), name))
