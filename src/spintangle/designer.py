@@ -497,11 +497,21 @@ def estimate_position(A: float, B: float) -> tuple[float, float]:
 
 
 def position_to_hyperfine(r_angstrom: float, theta_deg: float) -> tuple[float, float]:
-    """Forward point-dipole model: (R > 0, finite theta) -> (A, B) in angular rad/s."""
+    """Forward point-dipole model: (R > 0, finite theta) -> (A, B) in angular rad/s.
+
+    R's cube in m^3 must stay within the float range (no underflow to 0, no
+    overflow), or a ValueError names r_angstrom."""
     theta = math.radians(_real(theta_deg, "theta_deg"))
-    r = _real(r_angstrom, "r_angstrom", 0) * constants.ANGSTROM
+    r_angstrom = _real(r_angstrom, "r_angstrom", 0)
+    try:
+        r3 = (r_angstrom * constants.ANGSTROM) ** 3
+    except OverflowError:
+        r3 = math.inf
+    if not 0.0 < r3 < math.inf:
+        raise ValueError(f"r_angstrom must have a cube in m^3 within the float range, "
+                         f"got {r_angstrom}")
     a0 = (constants.MU0 * constants.GAMMA_E * constants.GAMMA_C13
-          * constants.HBAR / (4.0 * math.pi * r ** 3))
+          * constants.HBAR / (4.0 * math.pi * r3))
     return (a0 * (3.0 * math.cos(theta) ** 2 - 1.0),
             3.0 * a0 * math.cos(theta) * math.sin(theta))
 
@@ -532,6 +542,9 @@ def spins_on_trivial_circle(electron: ElectronQubitSpec, omega_L: float,
     else:
         raise ValueError("need one electron branch with projection 0")
     t = 8.0 * _integer(kappa_time, "kappa_time", 1) * math.pi / omega_L
+    if t == math.inf:
+        raise ValueError(f"omega_L must keep the unit time 8 kappa_time pi / omega_L "
+                         f"finite, got {omega_L}")
     radius = abs(8.0 * kappa_circle * math.pi / (s * t))
     center = -omega_L / s
     spins = []

@@ -57,7 +57,17 @@ class NuclearSpinParams:
     @classmethod
     def from_khz(cls, label: str, a_khz: float, b_khz: float,
                  larmor_khz: float) -> "NuclearSpinParams":
-        return cls(label, a_khz * KHZ, b_khz * KHZ, larmor_khz * KHZ)
+        """The spin of couplings and Larmor frequency given in kHz; a bad kHz
+        value raises a ValueError naming a_khz, b_khz or larmor_khz."""
+        try:
+            return cls(label, a_khz * KHZ, b_khz * KHZ, larmor_khz * KHZ)
+        except (ArithmeticError, TypeError, ValueError):
+            # name the kHz value at fault; past them, the rad/s error stands
+            for value, name, low, closed in ((a_khz, "a_khz", None, "()"),
+                                             (b_khz, "b_khz", 0, "[)"),
+                                             (larmor_khz, "larmor_khz", 0, "()")):
+                _real(value, name, low, closed=closed)
+            raise
 
 
 @dataclass(frozen=True)

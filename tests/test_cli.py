@@ -391,7 +391,8 @@ class TestInputErrors:
                      "unit_propagator"):
             monkeypatch.setattr(cli, name, fail)
 
-    @pytest.mark.parametrize("row, field", [("C1,nan,20", "A"), ("C1,10,nan", "B")])
+    @pytest.mark.parametrize("row, field", [("C1,nan,20", "a_khz"), ("C1,10,nan", "b_khz")],
+                             ids=["C1,nan,20-A", "C1,10,nan-B"])
     def test_non_finite_coupling_row_named(self, row, field, tmp_path, capsys):
         path = _write(tmp_path, "reg.csv", SMALL.replace("C12,20.569,41.51", row))
         assert main(["resonances", "--register", path]) == 1

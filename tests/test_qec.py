@@ -11,9 +11,12 @@ from spintangle.designer import DesignConstraints, optimize_register_gate
 from spintangle.entanglement import branch_angles
 from spintangle.oracle import conditional_unitary, residual_closed_form
 from spintangle.qec import (
+    ERROR_KINDS,
+    SCHEMES,
     QecScenario,
     _circuit,
     _input,
+    _recovery,
     disentanglement_residual,
     error_surface,
     ideal_crx,
@@ -30,6 +33,8 @@ from spintangle.spin_model import (
     resonance_time,
     unit_propagator,
 )
+
+from .conftest import random_rotation_pair
 
 ERRORS = ("none", "electron", "nucleus1", "nucleus2")
 
@@ -365,6 +370,79 @@ class TestSurfacePointPath:
             for i, g in enumerate(gammas):
                 for j, d in enumerate(deltas):
                     assert error_surface(base, [g], [d])[0, 0] == surf[i, j]
+
+
+def _permutation_matrix(image) -> np.ndarray:
+    """The dense 8x8 matrix that sends basis state |image(i)> to |i>."""
+    p = np.zeros((8, 8), dtype=complex)
+    for i in range(8):
+        p[i, image(i)] = 1.0
+    return p
+
+
+def _matrix_recovery(psi_el: np.ndarray, psi: np.ndarray) -> float:
+    """The recovery as two matrix products, clipped at 1 with NaN kept."""
+    proj = psi_el.conj() @ psi.reshape(2, 4)
+    return float(np.minimum(1.0, np.real(proj @ proj.conj())))
+
+
+class TestStageIndexMaps:
+    """The permutation stages are index maps, equal to their dense products."""
+
+    @staticmethod
+    def _random_states(rng, count: int) -> np.ndarray:
+        return rng.normal(size=(count, 8)) + 1j * rng.normal(size=(count, 8))
+
+    @pytest.mark.parametrize("error, bit", zip(ERROR_KINDS, (0, 4, 2, 1)))
+    def test_error_map_is_the_bit_flip_product(self, error, bit):
+        _, error_map, _, _ = _circuit(QecScenario(error=error))
+        dense = _permutation_matrix(lambda i: i ^ bit)
+        for psi in self._random_states(np.random.default_rng(40 + bit), 200):
+            assert np.array_equal(psi[error_map], dense @ psi)
+
+    def test_toffoli_map_is_the_toffoli_product(self):
+        _, _, _, toffoli = _circuit(QecScenario())
+        # the electron bit (4) flips when both nuclear bits (2 and 1) are set
+        dense = _permutation_matrix(lambda i: i ^ 4 if i & 3 == 3 else i)
+        for psi in self._random_states(np.random.default_rng(47), 200):
+            assert np.array_equal(psi[toffoli], dense @ psi)
+
+    def test_recovery_equals_the_matrix_formula(self):
+        rng = np.random.default_rng(48)
+        for _ in range(100):
+            scenario = QecScenario(
+                scheme=SCHEMES[rng.integers(2)], error=ERROR_KINDS[rng.integers(4)],
+                encode_gates=[random_rotation_pair(rng) for _ in range(2)],
+                decode_gates=[random_rotation_pair(rng) for _ in range(2)])
+            encode, error, decode, toffoli = _circuit(scenario)
+            for gamma, delta in rng.uniform(-7.0, 7.0, (100, 2)):
+                psi_el, psi = _input(float(gamma), float(delta))
+                psi = (decode @ (encode @ psi)[error])[toffoli]
+                assert _recovery(psi_el, psi) == _matrix_recovery(psi_el, psi)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_surface_equals_the_dense_matrix_path(self, scheme):
+        gates = _designed_gates("C23", 3)
+        toffoli = _permutation_matrix(lambda i: i ^ 4 if i & 3 == 3 else i)
+        gammas = np.linspace(0.0, math.pi, 7)
+        deltas = np.linspace(0.0, 2.0 * math.pi, 9)
+        for error, bit in zip(ERROR_KINDS, (0, 4, 2, 1)):
+            scenario = QecScenario(scheme=scheme, encode_gates=gates, error=error)
+            encode, _, decode, _ = _circuit(scenario)
+            dense = (encode, _permutation_matrix(lambda i: i ^ bit), decode, toffoli)
+            surf = error_surface(scenario, gammas, deltas)
+            for i, g in enumerate(gammas.tolist()):
+                for j, d in enumerate(deltas.tolist()):
+                    psi_el, psi = _input(g, d)
+                    for op in dense:
+                        psi = op @ psi
+                    assert surf[i, j] == 1.0 - _matrix_recovery(psi_el, psi)
+
+    def test_recovery_clips_at_one_and_keeps_nan(self):
+        psi_el, psi = _input(1.1, 0.7)
+        assert type(_recovery(psi_el, psi)) is float
+        assert _recovery(psi_el, 2.0 * psi) == 1.0
+        assert math.isnan(_recovery(psi_el, math.nan * psi))
 
 
 class TestNonFiniteInputs:

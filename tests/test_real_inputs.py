@@ -39,6 +39,11 @@ def _spin(name):
                                                      "omega_L": 3.0, name: v})
 
 
+def _from_khz(name):
+    return lambda v: spin_model.NuclearSpinParams.from_khz(
+        **{"label": "x", "a_khz": 2.0, "b_khz": 1.0, "larmor_khz": 3.0, name: v})
+
+
 def _axis_angles(name):
     x, z = (1.0, 0.0, 0.0), (0.0, 0.0, 1.0)
     return lambda v: spin_model.ConditionalRotation.from_axis_angles(
@@ -115,6 +120,9 @@ ENTRIES = {
     "NuclearSpinParams-A": ("A", None, None, "()", -2.5, -2, _spin),
     "NuclearSpinParams-B": ("B", 0, None, "[)", 1.5, 0, _spin),
     "NuclearSpinParams-omega_L": ("omega_L", 0, None, "()", 3.5, 3, _spin),
+    "from_khz-a_khz": ("a_khz", None, None, "()", -2.5, -2, _from_khz),
+    "from_khz-b_khz": ("b_khz", 0, None, "[)", 1.5, 0, _from_khz),
+    "from_khz-larmor_khz": ("larmor_khz", 0, None, "()", 432.5, 314, _from_khz),
     "ElectronQubitSpec-s0": ("s0", None, None, "()", 0.5, 0,
                              lambda n: lambda v: spin_model.ElectronQubitSpec(v, -1.0)),
     "ElectronQubitSpec-s1": ("s1", None, None, "()", -0.5, -1,
@@ -177,9 +185,19 @@ def _bad_values(low, high, closed):
 # None asks for the default: the k-th resonance, the register's metadata line
 NONE_IS_DEFAULT = {"cmd_sweep-t_us", "parse_register-larmor_khz"}
 
+# values inside the interval whose result leaves the float range
+PAST_THE_FLOAT_RANGE = {
+    "position_to_hyperfine-r_angstrom": [
+        (v, f"must have a cube in m^3 within the float range, got {v}")
+        for v in (1e-200, 1e200)],
+    "spins_on_trivial_circle-omega_L": [
+        (1e-320, "must keep the unit time 8 kappa_time pi / omega_L finite, got 1e-320")],
+}
+
 CASES = [pytest.param(entry, value, message, id=f"{entry}-{value!r}")
          for entry, (_, low, high, closed, _, _, _) in ENTRIES.items()
-         for value, message in _bad_values(low, high, closed)
+         for value, message in (_bad_values(low, high, closed)
+                                + PAST_THE_FLOAT_RANGE.get(entry, []))
          if not (value is None and entry in NONE_IS_DEFAULT)]
 
 
@@ -230,7 +248,6 @@ EXEMPT = {
     "GateDesign": "an output record, built from checked inputs",
     "QecOutcome": "an output record, built from checked inputs",
     "Rotation": "a view that ConditionalRotation.r0 and r1 build from their own floats",
-    "from_khz": "passes its values to NuclearSpinParams, which reads them",
     "build_sequence.unit_time": "passed to PulseSequence, which reads it",
     "optimize_register_gate.k": "read by resonance_time",
     "branch_frequency.s": "a projection of an ElectronQubitSpec, read there",
