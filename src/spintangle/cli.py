@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -30,7 +31,7 @@ import time
 import numpy as np
 
 from . import __version__, constants
-from .datasets import load_register
+from .datasets import load_register, register_file
 from .designer import (MAX_N_MAX, MAX_TIME_WINDOW, DesignConstraints,
                        optimize_register_gate)
 from .entanglement import MAX_PAIR_TANGLE, g1_from_phase_rates, phase_amplitude, phase_rates
@@ -114,6 +115,29 @@ def _check_writable(flag: str, path: str) -> None:
         raise ValueError(f"{flag}: {path!r} is a directory")
     if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
         raise ValueError(f"{flag}: {folder!r} is not a writable directory")
+
+
+def _same_file(a, b) -> bool:
+    """a and b name one file: the same real path, or os.path.samefile where both exist."""
+    try:
+        return os.path.realpath(a) == os.path.realpath(b) or os.path.samefile(a, b)
+    except (OSError, ValueError):  # a file not there yet, or a NUL in a path
+        return False
+
+
+def _check_outputs(args: argparse.Namespace) -> None:
+    """Each output path names a writable file that is none of the register's
+    file, the constants file and the other output."""
+    files = [("--register", str(register_file(args.register))),
+             (constants.CONSTANTS_ENV_VAR, os.environ.get(constants.CONSTANTS_ENV_VAR))]
+    for flag, path in (("--csv", args.csv), ("--json", args.json)):
+        if path:
+            _check_writable(flag, path)
+            for other, other_path in files:
+                if other_path and _same_file(path, other_path):
+                    raise ValueError(f"{flag}: {path!r} is the file of {other}; "
+                                     "nothing was written")
+            files.append((flag, path))
 
 
 def _resonance_time(flag: str, spin, electron, k: int,
@@ -269,7 +293,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="accepted for compatibility; has no effect")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call; later calls return it."""
     parser = argparse.ArgumentParser(
         prog="spintangle",
         description="Pulse-sequence design and entanglement analysis for "
@@ -343,9 +369,7 @@ def main(argv=None) -> int:
                 build_sequence(args.sequence, 1.0)
             except ValueError as exc:
                 raise ValueError(f"--sequence: {exc}; use {SEQUENCE_HELP}") from None
-        for flag, path in (("--csv", args.csv), ("--json", args.json)):
-            if path:
-                _check_writable(flag, path)
+        _check_outputs(args)
         start = time.perf_counter()
         try:
             reg = load_register(args.register, larmor_khz=args.larmor_khz,

@@ -147,17 +147,21 @@ def parse_register(text: str, source: str = "<memory>",
     return RegisterFile(spins, larmor_khz, s0, s1, source, origins=origins)
 
 
+def register_file(path_or_name: str):
+    """The file load_register reads for a path or a bundled dataset name."""
+    if path_or_name in BUNDLED:
+        return resources.files("spintangle.data") / f"{path_or_name}.csv"
+    return Path(path_or_name)
+
+
 def load_register(path_or_name: str, **overrides) -> RegisterFile:
     """Load a register from a file path or a bundled dataset name."""
-    if path_or_name in BUNDLED:
-        ref = resources.files("spintangle.data") / f"{path_or_name}.csv"
-        source = path_or_name
-    else:
-        ref = Path(path_or_name)
-        if not ref.exists():
-            raise RegisterFormatError(
-                f"{path_or_name!r} is neither a file nor one of {', '.join(BUNDLED)}")
-        source = str(ref)
+    ref = register_file(path_or_name)
+    bundled = path_or_name in BUNDLED
+    if not (bundled or ref.exists()):
+        raise RegisterFormatError(
+            f"{path_or_name!r} is neither a file nor one of {', '.join(BUNDLED)}")
+    source = path_or_name if bundled else str(ref)
     data = ref.read_bytes()
     reg = parse_register(data.decode(), source=source, **overrides)
     reg.sha256 = hashlib.sha256(data).hexdigest()

@@ -14,13 +14,12 @@ import numpy as np
 
 from . import constants
 from .entanglement import (MAX_N_MAX, g1_from_phase_rates, g1_over_iterations,
-                           nuclear_one_tangle, optimal_iterations, phase_rates,
-                           tangle_upper_bound)
+                           optimal_iterations, phase_rates, tangle_upper_bound)
 from .fidelity import branch_overlaps, gate_error
 from .spin_model import (ConditionalRotation, ElectronQubitSpec,
-                         NuclearSpinParams, _integer, _real, _unit_rows, build_sequence,
-                         power, resonance_time, stack_quaternions, unit_propagator,
-                         unit_quaternions)
+                         NuclearSpinParams, _integer, _real, _unit_axes, _unit_rows,
+                         build_sequence, power, resonance_time, stack_quaternions,
+                         unit_propagator, unit_quaternions)
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +301,21 @@ def _golden_section(f, lo: float, hi: float, xatol: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _refinement_objective(targets: list[NuclearSpinParams], electron: ElectronQubitSpec,
+                          spacings: tuple, N: int):
+    """The refinement's objective of the unit time t: minus the targets' mean
+    scaled one-tangle at N, on Python floats per target from axes taken once.
+    No PulseSequence, as the bracket may reach t <= 0."""
+    axes = [_unit_axes(s.A, s.B, s.omega_L, electron) for s in targets]
+
+    def objective(t: float) -> float:
+        # np.mean, not sum: from 8 targets numpy sums pairwise, in another rounding
+        return -float(np.mean([1.0 - g1_from_phase_rates(*phase_rates(
+            ConditionalRotation._of(_unit_rows(a, spacings, t)[0])), N) for a in axes]))
+
+    return objective
+
+
 def optimize_register_gate(register: list[NuclearSpinParams],
                            electron: ElectronQubitSpec,
                            constraints: DesignConstraints,
@@ -333,15 +347,9 @@ def optimize_register_gate(register: list[NuclearSpinParams],
     t_best, n_best, mask = float(t[j]), int(N[j]), is_target[:, j]
     target_idx = np.flatnonzero(mask).tolist()
 
-    # local refinement of the unit time at fixed N and fixed target set, on
-    # Python floats per target; no PulseSequence, as the bracket may reach t <= 0
-    targets = [register[i] for i in target_idx]
-
-    def objective(t: float) -> float:
-        return -float(np.mean([nuclear_one_tangle(ConditionalRotation._of(_unit_rows(
-            s.A, s.B, s.omega_L, electron, spacings, t)[0]), n_best, scaled=True)
-            for s in targets]))
-
+    # local refinement of the unit time at fixed N and fixed target set
+    objective = _refinement_objective([register[i] for i in target_idx], electron,
+                                      spacings, n_best)
     t_ref = _golden_section(objective, t_best - _TIME_STEP, t_best + _TIME_STEP,
                             xatol=1e-13)
     quats = unit_quaternions(*spins, electron, spacings, t_ref)

@@ -361,7 +361,7 @@ def unit_quaternions(A, B, omega_L, electron: ElectronQubitSpec,
     passes them) run the same formulas on Python floats: the batch numbers,
     bit for bit, at a fraction of the call cost.
     """
-    out, _ = _unit_rows(A, B, omega_L, electron, spacings, t)
+    out, _ = _unit_rows(_unit_axes(A, B, omega_L, electron), spacings, t)
     # a component can fall short of the full shape after one segment
     quats = np.empty((2, 4) + np.broadcast(A, B, omega_L, t).shape)
     for branch, components in enumerate(out):
@@ -370,43 +370,60 @@ def unit_quaternions(A, B, omega_L, electron: ElectronQubitSpec,
     return quats
 
 
-def _unit_rows(A, B, omega_L, electron, spacings, t):
-    """unit_quaternions' two (w, x, y, z) tuples, and whether they hold floats."""
-    # math's cos and sin give numpy's bits, and so does complex abs, which
-    # calls C hypot as np.hypot does; math.hypot differs in the last bit
-    scalar = (isinstance(A, float) and isinstance(B, float)
-              and isinstance(omega_L, float) and isinstance(t, float))
-    cos, sin = (math.cos, math.sin) if scalar else (np.cos, np.sin)
+def _unit_axes(A, B, omega_L, electron):
+    """The t-independent part of a unit, for _unit_rows: per projection s0, s1
+    in order, the segment axis (nx, nz) and rate factor 0.5 * w, or
+    (None, None, 0.5 * omega_L) for an s = 0 branch on the z axis; and whether
+    A, B and omega_L are floats."""
+    # complex abs gives numpy's bits: it calls C hypot as np.hypot does;
+    # math.hypot differs in the last bit
+    floats = isinstance(A, float) and isinstance(B, float) and isinstance(omega_L, float)
     axes = {}
     for s in (electron.s0, electron.s1):
         wz = omega_L + s * A
         wx = s * B
         try:
-            w = abs(complex(wz, wx)) if scalar else np.hypot(wz, wx)
+            w = abs(complex(wz, wx)) if floats else np.hypot(wz, wx)
         except OverflowError:  # finite wz and wx: np.hypot gives inf
             w = math.inf
         # s = 0 gives w = omega_L, bit for bit, for the positive omega_L and
         # finite A and B that NuclearSpinParams holds: the branch has the z
         # axis, and its rate, and so its cos and sin blocks, span only the
         # distinct (omega_L, t)
-        if s == 0 and (w == omega_L > 0.0 if scalar
+        if s == 0 and (w == omega_L > 0.0 if floats
                        else bool(np.all((w == omega_L) & (w > 0.0)))):
-            axes[s] = (None, None, 0.5 * omega_L * t)
+            axes[s] = (None, None, 0.5 * omega_L)
             continue
         # a branch with zero frequency does not rotate; give it the z axis
         still = w == 0.0
-        axes[s] = (wx / (w + still), (wz + still) / (w + still), 0.5 * w * t)
+        axes[s] = (wx / (w + still), (wz + still) / (w + still), 0.5 * w)
+    return axes, floats
+
+
+def _unit_rows(unit_axes, spacings, t):
+    """unit_quaternions' two (w, x, y, z) tuples at t, from _unit_axes, and
+    whether they hold floats."""
+    axes, floats = unit_axes
+    s0, s1 = axes
+    # 0.5 * w * t evaluates as (0.5 * w) * t, so taking 0.5 * w apart keeps
+    # every angle's bits; math's cos and sin give numpy's bits
+    scalar = floats and isinstance(t, float)
     # both orders meet each spacing under each projection: arrays share one
     # cos and sin pair each; for floats the lookup costs more than the call
-    trig = None if scalar else {(s, q): (cos(rate * q), sin(rate * q))
-                                for s, (_, _, rate) in axes.items()
-                                for q in set(spacings)}
+    if not scalar:
+        rates = {s: half * t for s, (_, _, half) in axes.items()}
+        trig = {(s, q): (np.cos(rate * q), np.sin(rate * q))
+                for s, rate in rates.items() for q in set(spacings)}
     out = []
-    for order in ((electron.s0, electron.s1), (electron.s1, electron.s0)):
+    for order in ((s0, s1), (s1, s0)):
         for i, q in enumerate(spacings):
             s = order[i % 2]
-            nx, nz, rate = axes[s]
-            c, sn = (cos(rate * q), sin(rate * q)) if scalar else trig[s, q]
+            nx, nz, half = axes[s]
+            if scalar:
+                angle = half * t * q
+                c, sn = math.cos(angle), math.sin(angle)
+            else:
+                c, sn = trig[s, q]
             if i == 0:  # the first segment's quaternion starts the product
                 w, x, y, z = (c, 0.0, 0.0, sn) if nx is None else (c, sn * nx, 0.0, sn * nz)
             elif nx is None:  # left-multiply by (c, 0, 0, sn)
@@ -423,7 +440,8 @@ def _unit_rows(A, B, omega_L, electron, spacings, t):
 def unit_propagator(seq: PulseSequence, spin: NuclearSpinParams,
                     electron: ElectronQubitSpec) -> ConditionalRotation:
     """Exact conditional rotation of one sequence unit (see unit_quaternions)."""
-    rows, floats = _unit_rows(spin.A, spin.B, spin.omega_L, electron, seq.spacings, seq.unit_time)
+    rows, floats = _unit_rows(_unit_axes(spin.A, spin.B, spin.omega_L, electron),
+                              seq.spacings, seq.unit_time)
     return ConditionalRotation._of(rows) if floats else ConditionalRotation(rows)
 
 

@@ -19,11 +19,12 @@ from hypothesis import strategies as st
 import spintangle
 from spintangle import __version__, cli, qec
 from spintangle.cli import build_parser, main
-from spintangle.datasets import load_register
+from spintangle.datasets import load_register, register_file
 from spintangle.designer import DesignConstraints
 from spintangle.entanglement import entangling_power, makhlin_g1, makhlin_g2
 from spintangle.spin_model import build_sequence, unit_propagator
 
+NV27 = register_file("nv27").read_bytes()
 EMPTY = "label,A_kHz,B_kHz\n"
 BAD_ROW = "label,A_kHz,B_kHz\nC1,1,2\nC2,x,4\n"
 SMALL = """\
@@ -210,6 +211,41 @@ class TestOutputs:
         done = _run_cli(None, {}, code)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+
+class TestParserReuse:
+    """main reuses one parser: a failed call leaves nothing for the next."""
+
+    @pytest.mark.parametrize("command", ALL)
+    def test_good_call_unchanged_after_failed_calls(self, command, tmp_path, capsys):
+        out, js = str(tmp_path / "p.csv"), str(tmp_path / "p.json")
+        argv = REACHES_WORK[command] + ["--csv", out, "--json", js]
+
+        def run():
+            assert main(argv) == 0
+            lines = open(out).read().splitlines()
+            payload = json.loads(open(js).read())
+            for key in ("wall_register_s", "wall_command_s"):
+                del payload["provenance"][key]
+            return (capsys.readouterr().out,
+                    [l for l in lines if not l.startswith("# wall_")], payload)
+
+        first = run()
+        with pytest.raises(SystemExit) as exc:  # argparse rejects it
+            main(REACHES_WORK[command] + ["--no-such-flag"])
+        assert exc.value.code == 2
+        assert main(REACHES_WORK[command] + ["--register", "nope"]) == 1
+        capsys.readouterr()
+        assert run() == first
+
+    def test_subparsers_survive_main(self, capsys):
+        assert main(REACHES_WORK["resonances"]) == 0
+        with pytest.raises(SystemExit):
+            main(["design", "--register", "nv27"])
+        capsys.readouterr()
+        assert build_parser() is build_parser()
+        for command in ALL:
+            assert _subparser(command).prog.endswith(command)
 
 
 class TestDesign:
@@ -585,6 +621,49 @@ class TestInputErrors:
         assert captured.out == ""
         assert flag in captured.err and other not in captured.err, captured.err
         assert not good.exists()
+
+    @pytest.mark.parametrize("outputs, flags", [
+        (["--csv", "{reg}"], ("--csv", "--register")),
+        (["--json", "{reg}"], ("--json", "--register")),
+        (["--csv", "{tmp}/sub/../reg.csv"], ("--csv", "--register")),
+        (["--json", "{tmp}/link.csv"], ("--json", "--register")),
+        (["--csv", "{tmp}/hard.csv"], ("--csv", "--register")),
+        (["--csv", "{tmp}/out", "--json", "{tmp}/out"], ("--json", "--csv")),
+        (["--csv", "{tmp}/out", "--json", "{tmp}/sub/../out"], ("--json", "--csv")),
+        (["--json", "{tmp}/constants.json"], ("--json", "SPINTANGLE_CONSTANTS")),
+    ], ids=["csv-register", "json-register", "csv-register-dotdot", "json-symlink",
+            "csv-hardlink", "csv-json", "csv-json-dotdot", "json-constants"])
+    @pytest.mark.parametrize("command", list(REACHES_WORK))
+    def test_output_over_an_input_or_output_fails_first(self, command, outputs, flags,
+                                                        tmp_path, capsys, monkeypatch,
+                                                        no_work):
+        reg = tmp_path / "reg.csv"
+        reg.write_bytes(NV27)
+        # the default hbar: a constants file that changes no constant
+        table = tmp_path / "constants.json"
+        table.write_text('{"hbar": 1.0545718e-34}\n')
+        monkeypatch.setenv("SPINTANGLE_CONSTANTS", str(table))
+        (tmp_path / "sub").mkdir()
+        os.symlink(reg, tmp_path / "link.csv")
+        os.link(reg, tmp_path / "hard.csv")
+        before = sorted(p.name for p in tmp_path.iterdir())
+        argv = [str(reg) if a == "nv27" else a for a in REACHES_WORK[command]]
+        argv += [a.format(reg=reg, tmp=tmp_path) for a in outputs]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert all(flag in captured.err for flag in flags), captured.err
+        assert reg.read_bytes() == NV27
+        assert table.read_text() == '{"hbar": 1.0545718e-34}\n'
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+    def test_output_over_a_bundled_register_fails_first(self, capsys, no_work):
+        bundled = str(register_file("nv27"))
+        assert main(REACHES_WORK["sweep"] + ["--csv", bundled]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--csv" in captured.err and "--register" in captured.err, captured.err
+        assert Path(bundled).read_bytes() == NV27
 
     def test_failed_write_prints_no_table(self, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):

@@ -578,6 +578,23 @@ class TestOptimizeRegisterGate:
         assert abs(design.unit_time - t_grid) <= 1e-9
         assert design.mean_target_tangle >= grid.mean_target_tangle
 
+    @pytest.mark.parametrize("anchor, k", [("C23", 3), ("C13", 4), ("C4", 3),
+                                           ("C26", 1)])
+    def test_refinement_objective_equals_the_per_target_formula(self, anchor, k):
+        reg = load_register("nv27")
+        electron = reg.electron()
+        t_grid, n_grid, target_idx = self._grid_point(reg, anchor, k, DesignConstraints())
+        targets = [reg.spins[i] for i in target_idx]
+        spacings = build_sequence("cpmg", t_grid).spacings
+        objective = designer._refinement_objective(targets, electron, spacings, n_grid)
+        # across the refinement's bracket, the grid point one step either side
+        for t in np.linspace(t_grid - 1e-9, t_grid + 1e-9, 2001).tolist():
+            # each target's unit built whole, then its scaled one-tangle
+            ref = -float(np.mean([nuclear_one_tangle(ConditionalRotation(unit_quaternions(
+                s.A, s.B, s.omega_L, electron, spacings, t)), n_grid, scaled=True)
+                for s in targets]))
+            assert objective(t) == ref, t
+
     def test_worse_refinement_falls_back_to_grid_point(self, monkeypatch):
         reg = load_register("nv27")
         cons = DesignConstraints()

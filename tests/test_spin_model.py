@@ -769,6 +769,40 @@ def test_unit_quaternions_equal_the_per_segment_loop(kind):
         assert np.array_equal(got, ref)
 
 
+@pytest.mark.parametrize("electron", _ELECTRONS, ids=["no-zero", "zero-s0", "zero-s1"])
+@pytest.mark.parametrize("kind", ["cpmg", "udd3", "udd4", "udd8"])
+def test_composition_from_precomputed_axes_equals_unit_quaternions(kind, electron):
+    """Axes taken once, composed at each time: unit_quaternions' bits, on
+    arrays and on floats."""
+    rng = np.random.default_rng(34)
+    A = rng.uniform(-300.0, 300.0, 12) * KHZ
+    B = np.concatenate([[0.0], rng.uniform(0.0, 300.0, 11)]) * KHZ
+    omega_L = rng.uniform(100.0, 600.0, 12) * KHZ
+    times = rng.uniform(1e-8, 3e-5, 7)
+    spacings = build_sequence(kind, 1.0).spacings
+    batch = unit_quaternions(A[:, None], B[:, None], omega_L[:, None], electron,
+                             spacings, times)
+    # arrays: over every time at once, and at each time as a float
+    cases = [(spin_model._unit_axes(A[:, None], B[:, None], omega_L[:, None], electron),
+              times, slice(None))]
+    axes = spin_model._unit_axes(A, B, omega_L, electron)
+    cases += [(axes, t, j) for j, t in enumerate(times.tolist())]
+    for axes, t, at in cases:
+        rows, floats = spin_model._unit_rows(axes, spacings, t)
+        assert not floats
+        want = batch[..., at]
+        assert all(np.array_equal(np.broadcast_to(v, want.shape[2:]), want[b, i])
+                   for b, row in enumerate(rows) for i, v in enumerate(row))
+    for i in range(A.size):
+        axes = spin_model._unit_axes(float(A[i]), float(B[i]), float(omega_L[i]), electron)
+        for j, t in enumerate(times.tolist()):
+            rows, floats = spin_model._unit_rows(axes, spacings, t)
+            assert floats and all(type(v) is float for row in rows for v in row)
+            assert rows == tuple(map(tuple, batch[:, :, i, j].tolist()))
+            assert rows == tuple(map(tuple, unit_quaternions(
+                float(A[i]), float(B[i]), float(omega_L[i]), electron, spacings, t).tolist()))
+
+
 def _edge_spins(electron, larmor_khz=314.0):
     """B = 0, and a branch of zero frequency: A = -omega_L/s with B = 0."""
     omega_L = larmor_khz * KHZ
