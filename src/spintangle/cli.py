@@ -231,9 +231,10 @@ def cmd_qec(args: argparse.Namespace, reg, electron):
     if args.grid and not all(1 <= n <= MAX_GRID for n in args.grid):
         raise ValueError(f"--grid sizes must be in [1, {MAX_GRID}], "
                          f"got {args.grid[0]} {args.grid[1]}")
+    gamma, delta = _real(args.gamma, "--gamma"), _real(args.delta, "--delta")
     gates, prov = _qec_gates(args, reg, electron)
     base = QecScenario(scheme=args.scheme, encode_gates=gates,
-                      error=args.error, gamma=args.gamma, delta=args.delta)
+                      error=args.error, gamma=gamma, delta=delta)
     if args.grid:
         ng, nd = args.grid
         gammas = np.linspace(0.0, math.pi, ng)
@@ -244,7 +245,7 @@ def cmd_qec(args: argparse.Namespace, reg, electron):
                 "error_probability": surface.ravel().tolist()}, prov
     out = run_bitflip_code(base)
     return {"scheme": args.scheme, "error": args.error,
-            "gamma": args.gamma, "delta": args.delta,
+            "gamma": gamma, "delta": delta,
             "recovery_probability": out.recovery_probability,
             "electron_purity": out.electron_purity}, prov
 

@@ -26,12 +26,15 @@ of a design with more than two, are not modelled, and no output reports a
 gate error for them.
 
 run_bitflip_code reports the final state, the recovery probability, the
-electron purity and a snapshot of the state after each stage.
-error_surface runs each grid point through the same stage operators but
-computes only its recovery probability: no snapshots and no purity.  The
-encode and decode stages are 8x8 matrices, applied with ndarray.dot (the
-BLAS product that @ calls, at about half its call cost on an 8-vector); the
+electron purity and a snapshot of the state after each stage.  The encode
+and decode stages are 8x8 matrices, applied with ndarray.dot (the BLAS
+product that @ calls, at about half its call cost on an 8-vector); the
 error and Toffoli stages permute the basis and are index maps.
+error_surface folds each index map into the matrix before it once per
+surface, encode[error] and decode[toffoli] (a row permutation, so every
+product row keeps its bits), and runs each grid point through work buffers
+allocated once per call.  A point computes only its recovery probability:
+no snapshots and no purity.
 
 State vectors use the basis |e n1 n2> with index 4*e + 2*n1 + n2.
 """
@@ -51,6 +54,9 @@ SCHEMES = ("sequential", "multispin")
 # the multispin scheme's R_y(-pi) on one nucleus, the same on both branches
 _RY_ON_BOTH_BRANCHES = ConditionalRotation.from_axis_angles(
     (0.0, 1.0, 0.0), -math.pi, (0.0, 1.0, 0.0), -math.pi)
+# rotations are immutable, so the ideal gate is built once
+_IDEAL_CRX = ConditionalRotation.from_axis_angles(
+    (1.0, 0.0, 0.0), math.pi / 2.0, (1.0, 0.0, 0.0), -math.pi / 2.0)
 # the permutation stages as index maps: psi[map] is np.eye(8)[map] @ psi
 # flip the electron when both nuclei are |1> (controls on the nuclei)
 _TOFFOLI = np.array([0, 1, 2, 7, 4, 5, 6, 3])
@@ -60,8 +66,7 @@ _ERRORS = {kind: np.arange(8) ^ bit for kind, bit in zip(ERROR_KINDS, (0, 4, 2, 
 
 def ideal_crx() -> ConditionalRotation:
     """The ideal conditional gate: R_x(pi/2) on branch 0, R_x(-pi/2) on 1."""
-    return ConditionalRotation.from_axis_angles((1.0, 0.0, 0.0), math.pi / 2.0,
-                                                (1.0, 0.0, 0.0), -math.pi / 2.0)
+    return _IDEAL_CRX
 
 
 def sequential_theta_solution() -> tuple[float, float, float, float]:
@@ -111,7 +116,7 @@ class QecScenario:
 
     def resolved_gates(self) -> tuple[tuple, tuple]:
         enc, dec = self.encode_gates, self.decode_gates
-        enc = (ideal_crx(), ideal_crx()) if enc is None else enc
+        enc = (_IDEAL_CRX, _IDEAL_CRX) if enc is None else enc
         return enc, enc if dec is None else dec
 
 
@@ -190,21 +195,36 @@ def error_surface(scenario: QecScenario, gammas, deltas) -> np.ndarray:
     """Error probability 1 - recovery over a grid of electron input states.
 
     gammas and deltas are 1-D arrays of finite values.  The circuit is built
-    once; each point runs the input state through the same stage operators,
-    in the same order, as run_bitflip_code at its (gamma, delta), so the two
-    agree bit for bit.  A point computes only the recovery probability: no
-    snapshots and no electron purity.
+    once, and its two index maps are folded into the stage matrices that
+    they follow: encode[error] and decode[toffoli] permute rows, so each
+    product row keeps its bits.  Each point then runs the input state
+    through these two matrices in work buffers allocated once per call, and
+    agrees bit for bit with run_bitflip_code at its (gamma, delta).  A point
+    computes only the recovery probability: no snapshots and no electron
+    purity.
     """
     # Python floats at each point, as run_bitflip_code gets them
     gammas = finite_1d(gammas, "gammas").tolist()
     deltas = finite_1d(deltas, "deltas").tolist()
     encode, error, decode, toffoli = _circuit(scenario)
+    enc, dec = encode[error], decode[toffoli]
+    phases = [complex(math.cos(d), math.sin(d)) for d in deltas]
+    # the input psi_el (x) |11> has only entries 3 and 7 set; el is psi_el.conj()
+    # up to the sign of a zero imaginary part, which the squared norm drops
+    psi, mid, fin = (np.zeros(8, dtype=complex) for _ in range(3))
+    el, proj = np.empty(2, dtype=complex), np.empty(4, dtype=complex)
+    amp = fin.reshape(2, 4)
     out = np.empty((len(gammas), len(deltas)))
     for i, g in enumerate(gammas):
-        for j, d in enumerate(deltas):
-            psi_el, psi = _input(g, d)
-            psi = decode.dot(encode.dot(psi)[error])[toffoli]
-            out[i, j] = 1.0 - _recovery(psi_el, psi)
+        psi[3] = el[0] = math.cos(g / 2.0)
+        s = math.sin(g / 2.0)
+        for j, phase in enumerate(phases):
+            beta = phase * s
+            psi[7], el[1] = beta, beta.conjugate()
+            dec.dot(enc.dot(psi, out=mid), out=fin)
+            el.dot(amp, out=proj)
+            p = float(np.vdot(proj, proj).real)
+            out[i, j] = 1.0 - (1.0 if p > 1.0 else p)  # a NaN is kept, as in _recovery
     return out
 
 

@@ -531,6 +531,23 @@ class TestInputErrors:
         assert main(argv) == 1
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--gamma", "--delta"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("grid", [[], ["--grid", "3", "3"]], ids=["point", "grid"])
+    # C9 k=1 has no feasible gate: a late check would report that instead
+    @pytest.mark.parametrize("gates", [[], ["--anchor", "C9", "--k", "1"], ["--ideal"]],
+                             ids=["default", "no-design", "ideal"])
+    def test_non_finite_input_state_rejected_before_the_search(
+            self, gates, grid, value, flag, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "optimize_register_gate",
+                            lambda *args, **kwargs: calls.append(args))
+        assert main(["qec", "--register", "nv27", *gates, *grid, f"{flag}={value}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag} must be finite, got {float(value)}\n"
+        assert calls == []
+
     @pytest.mark.parametrize("argv, names", [
         (["resonances", "--register", "{bad_larmor}"],
          ["bad.csv:2:", "larmor_kHz metadata line", "larmor_kHz must be > 0, got -5.0"]),

@@ -445,6 +445,36 @@ class TestStageIndexMaps:
         assert math.isnan(_recovery(psi_el, math.nan * psi))
 
 
+class TestFoldedSurface:
+    """error_surface folds each index map into the stage matrix before it,
+    encode[error] and decode[toffoli]: pinned on random gates, where no
+    designed gate's structure can hide a row that BLAS rounds by position."""
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_random_gates_equal_single_runs_and_the_dense_path(self, scheme):
+        rng = np.random.default_rng(49)
+        toffoli = _permutation_matrix(lambda i: i ^ 4 if i & 3 == 3 else i)
+        for _ in range(10):
+            enc = tuple(random_rotation_pair(rng) for _ in range(2))
+            dec = tuple(random_rotation_pair(rng) for _ in range(2))
+            gammas = rng.uniform(-7.0, 7.0, 4)
+            deltas = rng.uniform(-7.0, 7.0, 5)
+            for error, bit in zip(ERROR_KINDS, (0, 4, 2, 1)):
+                base = QecScenario(scheme=scheme, encode_gates=enc,
+                                   decode_gates=dec, error=error)
+                encode, _, decode, _ = _circuit(base)
+                dense = (encode, _permutation_matrix(lambda i: i ^ bit), decode, toffoli)
+                surf = error_surface(base, gammas, deltas)
+                for i, g in enumerate(gammas.tolist()):
+                    for j, d in enumerate(deltas.tolist()):
+                        run = run_bitflip_code(replace(base, gamma=g, delta=d))
+                        assert surf[i, j] == 1.0 - run.recovery_probability
+                        psi_el, psi = _input(g, d)
+                        for op in dense:
+                            psi = op @ psi
+                        assert surf[i, j] == 1.0 - _matrix_recovery(psi_el, psi)
+
+
 class TestNonFiniteInputs:
     def test_nan_gate_gives_nan_recovery(self):
         gate = ConditionalRotation(np.full((2, 4), math.nan))
@@ -452,6 +482,20 @@ class TestNonFiniteInputs:
                                            error="electron", gamma=1.0))
         assert math.isnan(out.recovery_probability)
         assert math.isnan(out.electron_purity)
+
+    def test_nan_gate_gives_a_nan_surface_and_leaves_no_state(self):
+        gammas = np.linspace(0.0, math.pi, 4)
+        deltas = np.linspace(0.0, 2.0 * math.pi, 5)
+        finite = QecScenario(scheme="multispin", error="electron",
+                             encode_gates=_designed_gates("C4", 3))
+        alone = error_surface(finite, gammas, deltas)
+        gate = ConditionalRotation(np.full((2, 4), math.nan))
+        for scheme in SCHEMES:
+            surf = error_surface(QecScenario(scheme=scheme, encode_gates=(gate, gate),
+                                             error="electron"), gammas, deltas)
+            assert surf.shape == (4, 5)
+            assert np.all(np.isnan(surf))
+            assert np.array_equal(error_surface(finite, gammas, deltas), alone)
 
     @pytest.mark.parametrize("field", ["gamma", "delta"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
